@@ -76,11 +76,60 @@ func TestParseGraphErrors(t *testing.T) {
 	for _, spec := range []string{
 		"nosuch:4", "path", "grid:4", "grid:4y4", "bipartite:3",
 		"gnp:10", "path:x", "connected:10:y",
+		// Each of these used to reach a generator that panics.
+		"grid:-1x3", "path:-5", "hypercube:40", "binary:-3",
+		"connected:-4:0.1", "cycle:2", "torus:1x1", "complete:70000",
+		"hypercube:27", "wheel:3", "lollipop:0:3", "kary:5:0",
+		"regular:5:3", "regular:4:4", "ba:3:3", "ba:5:0", "gnp:10:1.5",
+		"gnp:10:NaN", "grid:65536x65536", "path:9999999999",
+		"gnp:100000:0.5",
 	} {
 		if _, err := ParseGraph(spec, 1); err == nil {
 			t.Errorf("spec %q should fail", spec)
 		}
 	}
+}
+
+// FuzzParseGraph checks that every spec gives a graph or an error, never
+// a panic. A spec that parses is built only when its checked size is
+// small, so the fuzzer cannot exhaust memory; file: specs read the file
+// system and are left to TestParseGraphFromFile.
+func FuzzParseGraph(f *testing.F) {
+	for _, spec := range []string{
+		"path:5", "cycle:6", "grid:3x4", "torus:3x3", "hypercube:3",
+		"lollipop:4:2", "caterpillar:3:2", "kary:13:3", "debruijn:4",
+		"regular:10:4", "ba:20:3", "gnp:30:0.2", "connected:30:0.1",
+		"bipartite:2:3", "wheel:6", "star:4", "binary:7", "tree:9",
+		"complete:70000", "grid:-1x3", "cycle:2", "hypercube:40",
+	} {
+		f.Add(spec, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		if strings.HasPrefix(spec, "file:") {
+			return
+		}
+		gs, err := parseGraphSpec(spec)
+		if err != nil {
+			if _, err := ParseGraph(spec, seed); err == nil {
+				t.Fatalf("%q: ParseGraph builds what parseGraphSpec rejects", spec)
+			}
+			return
+		}
+		cost := gs.nodes + gs.edges
+		if gs.family.args == "N:P" {
+			cost = gs.nodes * gs.nodes // one coin per node pair
+		}
+		if cost > 1<<16 {
+			return
+		}
+		g, err := ParseGraph(spec, seed)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if g.N() != gs.nodes {
+			t.Fatalf("%q: %d nodes, checked size %d", spec, g.N(), gs.nodes)
+		}
+	})
 }
 
 func TestParseGraphFromFile(t *testing.T) {

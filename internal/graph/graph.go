@@ -66,17 +66,28 @@ func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
+// CheckSize reports whether a graph with n nodes and m undirected edges
+// fits the int32 CSR index space. Callers that take sizes from outside the
+// program check them with it before a generator allocates anything.
+func CheckSize(n, m int) error {
+	switch {
+	case n < 0:
+		return fmt.Errorf("graph: negative node count %d", n)
+	case n >= maxDirected:
+		return fmt.Errorf("graph: %d nodes exceed the int32 index space", n)
+	case m < 0:
+		return fmt.Errorf("graph: negative edge count %d", m)
+	case m > maxDirected/2:
+		return fmt.Errorf("graph: %d edges exceed the int32 index space of %d directed slots", m, maxDirected)
+	}
+	return nil
+}
+
 // Build validates the accumulated edges and produces the graph. Node IDs
 // default to the identity assignment id(v) = v; use WithIDs to override.
 func (b *Builder) Build() (*Graph, error) {
-	if b.n < 0 {
-		return nil, fmt.Errorf("graph: negative node count %d", b.n)
-	}
-	if b.n >= maxDirected {
-		return nil, fmt.Errorf("graph: %d nodes exceed the int32 index space", b.n)
-	}
-	if len(b.edges) > maxDirected/2 {
-		return nil, fmt.Errorf("graph: %d edges need %d directed slots, exceeding the int32 index space", len(b.edges), 2*len(b.edges))
+	if err := CheckSize(b.n, len(b.edges)); err != nil {
+		return nil, err
 	}
 	off := make([]int32, b.n+1)
 	for _, e := range b.edges {

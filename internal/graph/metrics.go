@@ -1,10 +1,8 @@
 package graph
 
 // bfsScratch is the reusable state of one breadth-first search: an int32
-// distance table and a queue, both recycled between runs. All-pairs
-// metrics (Diameter) used to allocate a fresh dist and queue per source —
-// O(n²) bytes of churn on large graphs — where one pair of arrays reset in
-// place suffices.
+// distance table and a queue, both recycled between runs, so a metric
+// running several searches (Diameter's sweeps) allocates them once.
 type bfsScratch struct {
 	dist  []int32
 	queue []int32
@@ -103,28 +101,117 @@ func eccentricity(g *Graph, s *bfsScratch, v int) int {
 	return int(max)
 }
 
-// Diameter returns the exact diameter by running a BFS from every node.
-// It returns ErrDisconnected for disconnected graphs. O(n·m) time; the BFS
-// scratch is allocated once and reused across all n sources, so the
-// constant allocation count is independent of n (pinned by
-// BenchmarkDiameter).
+// Diameter returns the exact diameter. It returns ErrDisconnected for
+// disconnected graphs.
+//
+// It squeezes the answer between a lower and an upper bound (iFUB;
+// Crescenzi, Grossi, Habib, Lanzi and Marino, TCS 2013). A double sweep —
+// a BFS from node 0, then one from the farthest node a it reaches — gives
+// the lower bound ecc(a) and a longest a–b path found; u is the middle
+// node of that path, and a third BFS gives every node x its level
+// dist(u, x). Two nodes whose levels are both at most h are at most 2h
+// apart, through u. So Diameter computes eccentricities in decreasing
+// level order and stops as soon as the largest one found is at least 2h,
+// where h is the highest level not yet used as a source: every pair with
+// an endpoint already used is bounded by that endpoint's eccentricity, and
+// every other pair by 2h. The answer is therefore exact. A tree of even
+// diameter stops after the three sweeps (u is its centre), one of odd
+// diameter after the sources of the top level, and a low-diameter random
+// graph after the sources above its middle levels.
+//
+// The eccentricities are computed 64 sources at a time by a bit-parallel
+// BFS (MS-BFS; Then et al., VLDB 2014): each node holds one uint64 of
+// seen, frontier and next-frontier bits, bit i for source i, and one scan
+// of a frontier node's edges advances every source that reached it. A node
+// enters the frontier at most once per level and once per source, so a
+// batch costs O(min(D, 64)·m) word operations, and the worst case, where
+// every node must be a source (a cycle), stays within the O(n·m) of a BFS
+// per node. The scratch is two allocations at any n.
 func (g *Graph) Diameter() (int, error) {
 	n := g.N()
 	if n == 0 {
 		return 0, nil
 	}
-	s := newBFSScratch(n)
-	diam := 0
-	for v := 0; v < n; v++ {
-		ecc := eccentricity(g, s, v)
-		if ecc == -1 {
-			return 0, ErrDisconnected
-		}
-		if ecc > diam {
-			diam = ecc
+	buf := make([]int32, 4*n)
+	s := &bfsScratch{dist: buf[:n], queue: buf[n : n : 2*n]}
+	if _, reached := s.run(g, 0); reached != n {
+		return 0, ErrDisconnected
+	}
+	a := s.queue[n-1] // the last node a BFS dequeues is a farthest one
+	ecc, _ := s.run(g, int(a))
+	best := int(ecc)
+	// Walk back from b (farthest from a) along decreasing dist(a, ·) to
+	// the middle of a longest a–b path.
+	u := s.queue[n-1]
+	for d := ecc; d > ecc/2; d-- {
+		for _, w := range g.Neighbors(int(u)) {
+			if s.dist[w] == d-1 {
+				u = w
+				break
+			}
 		}
 	}
-	return diam, nil
+	ecc, _ = s.run(g, int(u))
+	best = max(best, int(ecc))
+
+	// s.queue lists the nodes by nondecreasing level, so sources are taken
+	// from its end.
+	words := make([]uint64, 3*n)
+	ms := msbfs{
+		seen: words[:n], visit: words[n : 2*n], next: words[2*n:],
+		cur: buf[2*n : 2*n : 3*n], nxt: buf[3*n : 3*n : 4*n],
+	}
+	for i := n; i > 0 && best < 2*int(s.dist[s.queue[i-1]]); i -= 64 {
+		best = max(best, ms.maxEccentricity(g, s.queue[max(i-64, 0):i]))
+	}
+	return best, nil
+}
+
+// msbfs is the scratch of a bit-parallel BFS from up to 64 sources: per
+// node, the sources that have reached it (seen), whose frontier holds it
+// (visit) and whose next frontier holds it (next), plus the nodes of the
+// current and next frontiers as lists.
+type msbfs struct {
+	seen, visit, next []uint64
+	cur, nxt          []int32
+}
+
+// maxEccentricity runs a BFS from each source (at most 64, distinct) in a
+// connected graph and returns the largest of their eccentricities: the
+// number of levels until every source has reached every node. It leaves
+// the scratch zeroed.
+func (m *msbfs) maxEccentricity(g *Graph, sources []int32) int {
+	seen, visit, next := m.seen, m.visit, m.next
+	cur, nxt := m.cur[:0], m.nxt[:0]
+	for i, v := range sources {
+		seen[v] = 1 << i
+		visit[v] = 1 << i
+		cur = append(cur, v)
+	}
+	levels := 0
+	for {
+		for _, v := range cur {
+			f := visit[v]
+			visit[v] = 0
+			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+				if d := f &^ seen[w]; d != 0 {
+					if next[w] == 0 {
+						nxt = append(nxt, w)
+					}
+					next[w] |= d
+					seen[w] |= d
+				}
+			}
+		}
+		if len(nxt) == 0 {
+			break
+		}
+		levels++
+		visit, next = next, visit
+		cur, nxt = nxt, cur[:0]
+	}
+	clear(seen)
+	return levels
 }
 
 // AwakeDistance returns ρ_awk(G, awake) = max_u dist(awake, u), the paper's

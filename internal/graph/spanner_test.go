@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,20 @@ func TestGreedySpannerStretch(t *testing.T) {
 				t.Errorf("k=%d trial=%d: spanner disconnected", k, trial)
 			}
 		}
+	}
+	// A table1-size instance: connected:2048:0.05 at k = ⌈log₂ n⌉, the
+	// Corollary 2 row's largest graph.
+	g := RandomConnected(2048, 0.05, rand.New(rand.NewSource(1)))
+	k := bits.Len(uint(g.N() - 1))
+	s, err := GreedySpanner(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyStretch(g, s, 2*k-1); err != nil {
+		t.Errorf("connected:2048:0.05 k=%d: %v", k, err)
+	}
+	if err := VerifyStretch(g, s, 1); err == nil {
+		t.Errorf("connected:2048:0.05 k=%d: a %d-edge spanner of a %d-edge graph passed stretch 1", k, s.M(), g.M())
 	}
 }
 

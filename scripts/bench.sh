@@ -5,12 +5,15 @@
 #   scripts/bench.sh [quick|full] [output.json]
 #
 #   quick  (default) the engine-core subset (BenchmarkRunAsync*,
-#          BenchmarkEngine) at a short benchtime; what CI runs per push.
+#          BenchmarkEngine) plus the graph kernels at a short benchtime;
+#          what CI runs per push.
 #   full   every benchmark in the repo at the default benchtime; use for
 #          the committed BENCH_<pr>.json artifacts.
 #
-# The JSON is produced by cmd/benchjson (name, ns/op, B/op, allocs/op plus
-# custom metrics such as events/s). Set BASELINE=path.json to attach
+# Both modes take 5 samples (-count 5) of every benchmark. The JSON is
+# produced by cmd/benchjson: per benchmark its package, GOMAXPROCS, the
+# median ns/op with the min and max sample, and median B/op, allocs/op and
+# custom metrics such as events/s. Set BASELINE=path.json to attach
 # baseline numbers and speedup factors from an earlier artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,17 +27,16 @@ case "$mode" in
     # prefix; BenchmarkRunSharded adds the parallel-engine speedup curve;
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
-    # graph package contributes the build + BFS-scratch benchmarks.
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    # graph package contributes the build benchmarks and the batched
+    # Diameter and GreedySpanner kernels.
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
     packages='. ./internal/graph'
     benchtime='1x'
-    count=1
     ;;
   full)
     pattern='.'
     packages='. ./internal/graph'
     benchtime='3x'
-    count=1
     ;;
   *)
     echo "usage: scripts/bench.sh [quick|full] [output.json]" >&2
@@ -45,9 +47,9 @@ esac
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "bench.sh: running $mode benchmarks (-bench '$pattern' -benchtime $benchtime)" >&2
+echo "bench.sh: running $mode benchmarks (-bench '$pattern' -benchtime $benchtime -count 5)" >&2
 # shellcheck disable=SC2086 — $packages is a deliberate word-split list.
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" -timeout 30m $packages | tee "$raw" >&2
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count 5 -timeout 60m $packages | tee "$raw" >&2
 
 baseline_args=()
 if [[ -n "${BASELINE:-}" ]]; then
