@@ -498,42 +498,6 @@ func BenchmarkRunAsyncExecTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAsyncCalendar repeats the sparse BenchmarkRunAsync workloads
-// with the calendar event queue selected. Results are byte-identical to the
-// heap (TestCalendarEngineByteIdentical); the delta against the matching
-// BenchmarkRunAsync sub-benchmarks is the queue's contribution alone. The
-// sparse specs are the calendar's target regime — dense complete graphs
-// stay on the default heap.
-func BenchmarkRunAsyncCalendar(b *testing.B) {
-	for _, spec := range []string{"gnp:5000:0.01", "torus:64x64", "path:20000", "binary:16383"} {
-		g, err := experiment.ParseGraph(spec, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(spec, func(b *testing.B) {
-			b.ReportAllocs()
-			events := 0
-			for i := 0; i < b.N; i++ {
-				res, err := sim.RunAsync(sim.Config{
-					Graph: g,
-					Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-					Adversary: sim.Adversary{
-						Schedule: sim.WakeAll{},
-						Delays:   sim.RandomDelay{Seed: int64(i)},
-					},
-					Seed:  int64(i),
-					Queue: sim.QueueCalendar,
-				}, core.Flood{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkRunAsyncReuse repeats the dense BenchmarkRunAsync workload with
 // every reuse lever engaged — a prebuilt Setup shared across iterations and
 // a recycled engine — so allocs/op shows the steady-state per-run constant
@@ -606,10 +570,10 @@ func BenchmarkRunAsyncMetrics(b *testing.B) {
 	})
 }
 
-// BenchmarkRunSharded measures the conservative parallel engine across
-// shard counts on one dense and two sparse 10⁵⁺-node workloads, with a
-// prebuilt Setup and a reused engine per shard count. shards:1 takes the
-// sequential fallback and is the baseline the speedup curve divides by;
+// BenchmarkRunSharded measures the engine's conservative parallel path
+// across shard counts on one dense and two sparse 10⁵⁺-node workloads, with
+// a prebuilt Setup and a reused engine per shard count. shards:1 runs the
+// sequential path and is the baseline the speedup curve divides by;
 // results are byte-identical at every count (TestShardedByteIdentical), so
 // the deltas are pure scheduling. The delay adversary carries a 0.25
 // lookahead — windows a quarter of τ wide — since zero-lookahead delays
@@ -628,7 +592,7 @@ func BenchmarkRunSharded(b *testing.B) {
 		for _, p := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/shards:%d", spec, p), func(b *testing.B) {
 				b.ReportAllocs()
-				eng := &sim.ShardedEngine{}
+				eng := &sim.AsyncEngine{}
 				events := 0
 				for i := 0; i < b.N; i++ {
 					res, err := eng.Run(sim.Config{
@@ -672,7 +636,7 @@ func BenchmarkRunShardedExecTrace(b *testing.B) {
 	for _, p := range []int{2, 4} {
 		b.Run(fmt.Sprintf("%s/shards:%d", spec, p), func(b *testing.B) {
 			b.ReportAllocs()
-			eng := &sim.ShardedEngine{}
+			eng := &sim.AsyncEngine{}
 			rec := riseandshine.NewExecRecorder(riseandshine.ExecTimeClock())
 			events := 0
 			for i := 0; i < b.N; i++ {

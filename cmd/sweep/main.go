@@ -48,7 +48,6 @@ func run() error {
 		sizesStr = flag.String("sizes", "128,256,512,1024", "comma-separated network sizes")
 		schedule = flag.String("schedule", "single", "wake schedule spec")
 		delays   = flag.String("delays", "random", "delay adversary: unit | random | random:MIN")
-		queue    = flag.String("queue", "heap", "event queue: heap | calendar (byte-identical results)")
 		mem      = flag.Bool("mem", false, "print a per-size scratch memory table by subsystem")
 		seeds    = flag.Int("seeds", 3, "seeds per size")
 		seed     = flag.Int64("seed", 1, "master seed; run i derives its seed from (seed, i)")
@@ -94,11 +93,6 @@ func run() error {
 		sizes = append(sizes, v)
 	}
 
-	queueKind, err := experiment.ParseQueue(*queue)
-	if err != nil {
-		return err
-	}
-
 	// One spec per (size, seed) cell, in deterministic matrix order.
 	recordMetrics := *metricsPath != "" || *httpAddr != ""
 	recordExec := *execPath != "" || *httpAddr != ""
@@ -114,7 +108,6 @@ func run() error {
 				RandomPorts:   true,
 				RecordDigests: *digest,
 				Metrics:       recordMetrics,
-				Queue:         queueKind,
 				MemReport:     *mem,
 				Shards:        *shards,
 				ExecTrace:     recordExec,
@@ -280,7 +273,7 @@ func run() error {
 		// population — one sample per size is representative. With
 		// -exectrace the table gains stall columns from the same sample run
 		// (wall-clock derived: representative, not deterministic).
-		header := []string{"n", "queue", "shards", "total", "queue-bytes", "fifo", "rng", "csr", "nodes", "outbox"}
+		header := []string{"n", "shards", "total", "queue-bytes", "fifo", "rng", "csr", "nodes", "outbox"}
 		if recordExec {
 			header = append(header, "busy", "barrier", "merge", "imbal")
 		}
@@ -295,7 +288,7 @@ func run() error {
 			if shardsCol < 1 {
 				shardsCol = 1
 			}
-			row := []any{n, m.Queue, shardsCol, riseandshine.FormatBytes(m.TotalBytes),
+			row := []any{n, shardsCol, riseandshine.FormatBytes(m.TotalBytes),
 				riseandshine.FormatBytes(m.QueueBytes), riseandshine.FormatBytes(m.FIFOBytes),
 				riseandshine.FormatBytes(m.RNGBytes), riseandshine.FormatBytes(m.CSRBytes),
 				riseandshine.FormatBytes(m.NodeBytes), riseandshine.FormatBytes(m.OutboxBytes)}

@@ -33,9 +33,9 @@ func run() error {
 		graphSpec = flag.String("graph", "grid:16x16", "graph spec (see internal/experiment.ParseGraph)")
 		algName   = flag.String("alg", "flood", "algorithm name (see -list)")
 		awake     = flag.String("awake", "single", "wake schedule: single[:v] | all | dominating | random:k[:window] | staggered:s1,s2,..:gap")
-		delays    = flag.String("delays", "unit", "delay adversary: unit | random")
+		delays    = flag.String("delays", "unit", "delay adversary: unit | random | random:MIN (delays in (MIN, 1])")
 		seed      = flag.Int64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "partition the run across this many cores (sharded engine; byte-identical results, needs a delay adversary with positive lookahead)")
+		shards    = flag.Int("shards", 0, "partition the run across this many cores (byte-identical results; needs a positive-lookahead delay adversary, e.g. unit or random:MIN)")
 		k         = flag.Int("k", 0, "spanner stretch parameter (spanner scheme; 0 = Corollary 2)")
 		randPorts = flag.Bool("randports", true, "use adversarial random port mappings")
 		list      = flag.Bool("list", false, "list registered algorithms and exit")

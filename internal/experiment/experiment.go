@@ -229,7 +229,13 @@ func parseGraphSpec(spec string) (graphSpec, error) {
 //
 //	single | single:V | all | dominating | random:K | random:K:WINDOW |
 //	staggered:S1,S2,...:GAP
+//
+// Counts and batch sizes must be ≥ 1; windows and gaps must be finite and
+// non-negative.
 func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
+	fail := func(format string, a ...any) (sim.WakeScheduler, error) {
+		return nil, fmt.Errorf("experiment: schedule %q: %s", spec, fmt.Sprintf(format, a...))
+	}
 	parts := strings.Split(spec, ":")
 	switch parts[0] {
 	case "single":
@@ -237,7 +243,7 @@ func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
 		if len(parts) > 1 {
 			var err error
 			if v, err = strconv.Atoi(parts[1]); err != nil {
-				return nil, err
+				return fail("%v", err)
 			}
 		}
 		return sim.WakeSingle(v), nil
@@ -251,35 +257,55 @@ func ParseSchedule(spec string, seed int64) (sim.WakeScheduler, error) {
 		var err error
 		if len(parts) > 1 {
 			if k, err = strconv.Atoi(parts[1]); err != nil {
-				return nil, err
+				return fail("%v", err)
+			}
+			if k < 1 {
+				return fail("count %d must be ≥ 1", k)
 			}
 		}
 		if len(parts) > 2 {
-			if window, err = strconv.ParseFloat(parts[2], 64); err != nil {
-				return nil, err
+			if window, err = parseSpan(parts[2]); err != nil {
+				return fail("window: %v", err)
 			}
 		}
 		return sim.RandomWake{Count: k, Window: sim.Time(window), Seed: seed}, nil
 	case "staggered":
 		if len(parts) < 3 {
-			return nil, fmt.Errorf("experiment: staggered spec wants staggered:S1,S2,..:GAP")
+			return fail("want staggered:S1,S2,..:GAP")
 		}
 		var sizes []int
 		for _, s := range strings.Split(parts[1], ",") {
 			v, err := strconv.Atoi(s)
 			if err != nil {
-				return nil, err
+				return fail("%v", err)
+			}
+			if v < 1 {
+				return fail("batch size %d must be ≥ 1", v)
 			}
 			sizes = append(sizes, v)
 		}
-		gap, err := strconv.ParseFloat(parts[2], 64)
+		gap, err := parseSpan(parts[2])
 		if err != nil {
-			return nil, err
+			return fail("gap: %v", err)
 		}
 		return sim.StaggeredWake{Sizes: sizes, Gap: sim.Time(gap), Seed: seed}, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown schedule %q", parts[0])
 	}
+}
+
+// parseSpan parses a schedule's time span (a random window or a staggered
+// gap): a finite number ≥ 0, since a NaN or infinite wake time has no
+// place in the (at, seq) event order.
+func parseSpan(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("%v is not a finite number ≥ 0", v)
+	}
+	return v, nil
 }
 
 // ParseDelays builds a delay adversary from "unit", "random", or
@@ -301,20 +327,6 @@ func ParseDelays(spec string, seed int64) (sim.Delayer, error) {
 		return sim.RandomDelay{Seed: seed, Min: min}, nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown delay strategy %q", spec)
-	}
-}
-
-// ParseQueue selects an event-queue implementation from "heap" (or empty)
-// or "calendar". Every kind yields byte-identical Results; the choice is
-// purely a performance knob.
-func ParseQueue(spec string) (sim.QueueKind, error) {
-	switch spec {
-	case "", "heap":
-		return sim.QueueHeap, nil
-	case "calendar":
-		return sim.QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("experiment: unknown queue kind %q (want heap or calendar)", spec)
 	}
 }
 

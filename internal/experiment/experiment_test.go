@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"riseandshine"
 	"riseandshine/internal/sim"
 )
 
@@ -198,11 +202,69 @@ func TestParseScheduleSpecs(t *testing.T) {
 }
 
 func TestParseScheduleErrors(t *testing.T) {
-	for _, spec := range []string{"bogus", "single:x", "random:y", "staggered:1,2", "staggered:a:3"} {
+	for _, spec := range []string{
+		"bogus", "single:x", "random:y", "staggered:1,2", "staggered:a:3",
+		"random:0", "random:-5", "random:3:NaN", "random:3:Inf", "random:3:-1",
+		"staggered:-1:1", "staggered:1,0:1", "staggered:1,1:Inf", "staggered:1,1,1:NaN",
+		"staggered:1:-2",
+	} {
 		if _, err := ParseSchedule(spec, 1); err == nil {
 			t.Errorf("spec %q should fail", spec)
 		}
 	}
+}
+
+// FuzzParseSchedule: any spec parses to a schedule or an error, never a
+// panic. A returned schedule, flooded over a small graph, either errors
+// or finishes with a finite Span, and the sharded path (Shards 2, over a
+// delayer with lookahead) returns the sequential Result byte for byte.
+func FuzzParseSchedule(f *testing.F) {
+	for _, spec := range []string{
+		"single", "single:3", "all", "dominating", "random:4", "random:3:2.5",
+		"staggered:1,2,3:10", "staggered:1,1:700", "random:2:1e300",
+		"random:3:NaN", "staggered:1,1:Inf", "single:-1",
+	} {
+		f.Add(spec, int64(1))
+	}
+	g, err := ParseGraph("grid:4x4", 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		sched, err := ParseSchedule(spec, seed)
+		if err != nil {
+			return
+		}
+		run := func(shards int) ([]byte, error) {
+			res, err := riseandshine.Run(riseandshine.RunConfig{
+				Graph:     g,
+				Algorithm: "flood",
+				Schedule:  sched,
+				Delays:    sim.RandomDelay{Seed: seed, Min: 0.25},
+				Seed:      seed,
+				Shards:    shards,
+			})
+			if err != nil {
+				return nil, err
+			}
+			if s := float64(res.Span); math.IsNaN(s) || math.IsInf(s, 0) {
+				t.Fatalf("%q: span %v is not finite", spec, s)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("%q: marshal: %v", spec, err)
+			}
+			return data, nil
+		}
+		seq, seqErr := run(0)
+		sharded, shErr := run(2)
+		if (seqErr == nil) != (shErr == nil) {
+			t.Fatalf("%q: sequential error %v, sharded error %v", spec, seqErr, shErr)
+		}
+		if !bytes.Equal(seq, sharded) {
+			t.Fatalf("%q: sharded Result diverged\nseq:     %s\nsharded: %s", spec, seq, sharded)
+		}
+	})
 }
 
 func TestParseDelays(t *testing.T) {
@@ -245,24 +307,23 @@ func TestParseDelaysMin(t *testing.T) {
 	}
 }
 
-func TestParseQueue(t *testing.T) {
-	cases := []struct {
-		spec string
-		want sim.QueueKind
-	}{
-		{"", sim.QueueHeap},
-		{"heap", sim.QueueHeap},
-		{"calendar", sim.QueueCalendar},
+// FuzzParseDelays: any spec parses to a delayer or an error, never a
+// panic, and a returned delayer keeps every delay in (0, 1].
+func FuzzParseDelays(f *testing.F) {
+	for _, spec := range []string{"", "unit", "random", "random:0.25", "random:0", "random:NaN", "random:1", "random:"} {
+		f.Add(spec, int64(1))
 	}
-	for _, c := range cases {
-		got, err := ParseQueue(c.spec)
-		if err != nil || got != c.want {
-			t.Errorf("ParseQueue(%q) = %v, %v; want %v", c.spec, got, err, c.want)
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		d, err := ParseDelays(spec, seed)
+		if err != nil {
+			return
 		}
-	}
-	if _, err := ParseQueue("fibonacci"); err == nil {
-		t.Error("unknown queue kind should fail")
-	}
+		for k := 0; k < 16; k++ {
+			if v := d.Delay(k%3, k%5, k, sim.Time(k)); !(v > 0 && v <= 1) {
+				t.Fatalf("%q: delay %v outside (0, 1]", spec, v)
+			}
+		}
+	})
 }
 
 func TestSingleScheduleTargetsNode(t *testing.T) {

@@ -46,19 +46,15 @@ type RunSpec struct {
 	// CriticalPath traces the causal DAG and publishes its report on the
 	// RunResult.
 	CriticalPath bool
-	// Queue selects the asynchronous engine's event-queue implementation
-	// (ParseQueue syntax); the zero value is the 4-ary heap. Results are
-	// byte-identical for every kind.
-	Queue sim.QueueKind
 	// MemReport populates Res.Mem with the run's per-subsystem scratch
 	// footprint. Diagnostic only — leave off when Results are compared
 	// byte-for-byte.
 	MemReport bool
-	// Shards, when > 1, runs each cell on the sharded engine with that many
-	// partitions. Results are byte-identical to the sequential engine, so
-	// the field — like Queue — never changes a sweep's output, only how the
-	// core budget is spent: prefer sweep-level parallelism (Workers) for
-	// many small runs and shards for a few huge ones.
+	// Shards, when > 1, partitions each cell's run into that many shards.
+	// Results are byte-identical to the sequential path, so the field
+	// never changes a sweep's output, only how the core budget is spent:
+	// prefer sweep-level parallelism (Workers) for many small runs and
+	// shards for a few huge ones.
 	Shards int
 	// ExecTrace records each run into its own flight recorder, published
 	// on RunResult.Exec. The recorder's clock comes from the Runner's
@@ -206,17 +202,15 @@ func (r Runner) Run(specs []RunSpec) ([]RunResult, error) {
 		go func() {
 			defer wg.Done()
 			// Per-worker scratch: an engine is single-run state, so one per
-			// goroutine is both safe and maximally reusable. The sharded
-			// engine is allocated too (cheap when unused) so cells with
-			// Shards > 1 also reuse scratch across runs.
+			// goroutine is both safe and maximally reusable, for sequential
+			// and sharded cells alike.
 			eng := &riseandshine.Engine{}
-			sharded := &riseandshine.ShardedEngine{}
 			for i := range indices {
 				var start time.Time
 				if r.Now != nil {
 					start = r.Now()
 				}
-				results[i], errs[i] = runOne(specs[i], sim.RunSeed(r.MasterSeed, i), cache, eng, sharded, r.execClock())
+				results[i], errs[i] = runOne(specs[i], sim.RunSeed(r.MasterSeed, i), cache, eng, r.execClock())
 				if r.Now != nil {
 					results[i].Duration = r.Now().Sub(start)
 				}
@@ -278,11 +272,10 @@ func emit(log *slog.Logger, level slog.Level, msg string, attrs ...any) {
 }
 
 // runOne executes a single cell; it is also the sequential path (a Runner
-// with Workers == 1 calls exactly this, in order). cache, eng, and sharded
-// may be nil: they are pure reuse vehicles and never change the result;
-// clock (nil = counter clock) only feeds the flight recorder of ExecTrace
-// cells.
-func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine, sharded *riseandshine.ShardedEngine, clock exectrace.Clock) (RunResult, error) {
+// with Workers == 1 calls exactly this, in order). cache and eng may be
+// nil: they are pure reuse vehicles and never change the result; clock
+// (nil = counter clock) only feeds the flight recorder of ExecTrace cells.
+func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine, clock exectrace.Clock) (RunResult, error) {
 	// The recorder is created before graph parsing so the cell span below
 	// covers the whole cell: parse, prepare, and run.
 	var rec *exectrace.Recorder
@@ -341,10 +334,8 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 		RecordDigests: spec.RecordDigests,
 		Observer:      sim.StackObservers(stack...),
 		Engine:        eng,
-		Queue:         spec.Queue,
 		MemReport:     spec.MemReport,
 		Shards:        spec.Shards,
-		Sharded:       sharded,
 		ExecTrace:     rec,
 	}
 	var res *sim.Result

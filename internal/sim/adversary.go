@@ -40,8 +40,7 @@ type Delayer interface {
 // the conservative-parallel lookahead: the sharded engine quantizes time
 // into windows of that width, knowing no message sent inside a window can
 // be delivered in it. A Delayer without Lookahead (or returning ≤ 0) keeps
-// the sharded engine on its sequential fallback — correct, just not
-// parallel.
+// the run on the sequential path — correct, just not parallel.
 type Lookahead interface {
 	// Lookahead returns a lower bound L such that every Delay call returns
 	// at least L. Implementations must be conservative: returning less
@@ -253,8 +252,8 @@ func (d RandomDelay) Delay(from, to, k int, _ Time) float64 {
 
 // Lookahead implements Lookahead: delayInterval guarantees every delay is
 // strictly above the clamped Min, so Min itself is a sound lower bound.
-// The default Min = 0 reports no lookahead, keeping the sharded engine
-// sequential — zero-lookahead delays admit no conservative windows.
+// The default Min = 0 reports no lookahead, keeping the run sequential —
+// zero-lookahead delays admit no conservative windows.
 func (d RandomDelay) Lookahead() float64 {
 	switch {
 	case !(d.Min > 0): // negative, zero, or NaN — the delayInterval clamp
@@ -320,8 +319,10 @@ func (d BiasedDelay) Lookahead() float64 {
 	return fast
 }
 
-// Validate checks the schedule against the graph, returning a descriptive
-// error for out-of-range nodes, negative times, or an empty schedule.
+// validateSchedule checks the schedule against the graph, returning a
+// descriptive error for out-of-range nodes, negative or non-finite times,
+// or an empty schedule. A NaN or infinite time would break the strict
+// (at, seq) event order that makes runs deterministic.
 func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
 	if len(wakeups) == 0 {
 		return fmt.Errorf("sim: adversary wake schedule is empty")
@@ -332,6 +333,9 @@ func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
 		}
 		if w.At < 0 {
 			return fmt.Errorf("sim: wakeup time %v is negative", w.At)
+		}
+		if math.IsNaN(float64(w.At)) || math.IsInf(float64(w.At), 0) {
+			return fmt.Errorf("sim: wakeup time %v is not finite", w.At)
 		}
 	}
 	return nil

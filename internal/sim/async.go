@@ -38,11 +38,12 @@ type Config struct {
 	Setup *Setup
 	// MaxEvents overrides DefaultMaxEvents when positive.
 	MaxEvents int
-	// Shards is the partition count for ShardedEngine.Run: the graph is
-	// split into that many contiguous node ranges, each driven by its own
-	// event loop, synchronized at lookahead-quantized windows with results
-	// byte-identical to the sequential engine at every count. Values ≤ 1
-	// select the sequential path; AsyncEngine ignores the field entirely.
+	// Shards, when > 1, partitions the run: the graph is split into that
+	// many contiguous node ranges, each driven by its own event loop,
+	// synchronized at lookahead-quantized windows with results
+	// byte-identical to the sequential path at every count. Values ≤ 1, a
+	// Delayer without a positive Lookahead, or a partition that collapses
+	// to one shard run sequentially.
 	Shards int
 	// TrackPorts enables per-node distinct-port accounting (Result.PortsUsed).
 	TrackPorts bool
@@ -53,13 +54,9 @@ type Config struct {
 	// StrictCongest makes the run fail if any message exceeds the CONGEST
 	// bit limit; otherwise violations are only counted.
 	StrictCongest bool
-	// Queue selects the event-queue implementation; the zero value is the
-	// 4-ary heap. The choice never changes a Result — both queues pop the
-	// identical (at, seq) order — only the cost profile (see QueueKind).
-	Queue QueueKind
 	// MemReport publishes the run's peak scratch footprint by subsystem
 	// into Result.Mem. Off by default so Results stay comparable across
-	// queue implementations and engine reuse.
+	// shard counts and engine reuse.
 	MemReport bool
 	// Trace installs a TraceObserver writing one CSV line per engine event
 	// (wake or delivery) to the writer; see the tracer documentation in
@@ -70,8 +67,8 @@ type Config struct {
 	// no observer is installed.
 	Observer Observer
 	// Tracer, when non-nil, receives execution spans (setup/run/finish for
-	// the sequential engines; per-window busy/barrier/merge/replay spans
-	// for the sharded engine). Timestamps come from the tracer's injected
+	// sequential runs; per-window busy/barrier/merge/replay spans for
+	// sharded runs). Timestamps come from the tracer's injected
 	// clock and never enter the Result, so a traced run stays
 	// byte-identical to an untraced one. Nil costs one pointer comparison
 	// per phase — never per event.
@@ -92,33 +89,47 @@ type event struct {
 }
 
 // AsyncEngine is a reusable instance of the asynchronous engine. The zero
-// value is ready to use: Run allocates the scratch state — event queue,
+// value is ready to use: Run allocates the scratch state — event queues,
 // awake/machine/RNG tables, per-edge FIFO clamp and sequence arrays — on
 // first use and thereafter resets it in place rather than reallocating, so
 // repeated runs (a seed sweep over a fixed topology) allocate nothing per
 // delivered message in steady state. Combined with Config.Setup the
 // per-run cost drops to the Result being assembled.
 //
-// An AsyncEngine is a single engineCore spanning the whole node range; the
-// sharded engine runs many cores over a partition (see ShardedEngine).
+// A sequential run is one engineCore spanning the whole node range; a
+// sharded run (Config.Shards) drives one core per partition (see
+// runSharded). Both paths share one runShared scratch, and one engine may
+// alternate between them.
 //
 // An AsyncEngine is not safe for concurrent use and must not be copied
-// after its first Run (per-node contexts hold a pointer to its core); give
+// after its first Run (per-node contexts hold pointers to its cores); give
 // each sweep worker its own.
 type AsyncEngine struct {
-	run  runShared
-	core engineCore
+	run runShared
+	// cores[0] drives sequential runs; a sharded run uses one core per
+	// shard, reallocating the slice when the shard count changes.
+	cores   []engineCore
+	inboxes [][]event
+	cursors []int // k-way merge cursors, reused across barriers
+
+	// Partition cache: the partition depends only on the topology (the CSR
+	// arrays) and P, so it is keyed by the stable backing array of a cached
+	// Setup and survives whole seed sweeps.
+	partKey *int32
+	partN   int
+	partP   int
+	part    *Partition
 }
 
-// RunAsync executes alg on the configured network until the event queue is
-// exhausted and returns the collected metrics. It runs on a fresh engine;
-// use an explicit AsyncEngine to reuse scratch state across runs.
+// RunAsync executes alg on the configured network until the event queues
+// are exhausted and returns the collected metrics. It runs on a fresh
+// engine; use an explicit AsyncEngine to reuse scratch state across runs.
 func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
 	return new(AsyncEngine).Run(cfg, alg)
 }
 
-// setupForRun validates the config surface shared by the sequential and
-// sharded engines and resolves the run's Setup, delayer, and wake schedule.
+// setupForRun validates the config and resolves the run's Setup, delayer,
+// and wake schedule.
 func setupForRun(cfg Config, alg Algorithm) (*Setup, Delayer, []Wakeup, error) {
 	if cfg.Graph == nil {
 		return nil, nil, nil, fmt.Errorf("sim: Config.Graph is required")
@@ -178,53 +189,53 @@ func maxEventsFor(cfg Config) int {
 	return DefaultMaxEvents
 }
 
-// Run executes one configuration on the engine, resetting — not
-// reallocating — the scratch state left by any previous run.
+// Run executes one configuration, resetting — not reallocating — the
+// scratch state left by any previous run. The run is partitioned across
+// cores (see runSharded) when cfg.Shards > 1, the Delayer has a positive
+// Lookahead, and the partition has more than one shard; otherwise it runs
+// on one sequential core. Both paths return byte-identical Results.
 func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
-	tr := cfg.Tracer
 	var t0 int64
-	if tr != nil {
-		tr.ExecBegin(1)
-		t0 = tr.ExecNow()
+	if cfg.Tracer != nil {
+		t0 = cfg.Tracer.ExecNow()
 	}
 	s, delays, wakeups, err := setupForRun(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
-	g := s.Graph
-	n := g.N()
+	n := s.Graph.N()
+	part, w := e.shardPlan(cfg.Shards, s, delays)
 
 	e.run.alg = alg
-	e.run.g = g
+	e.run.g = s.Graph
 	e.run.s = s
 	e.run.delays = delays
 	e.run.seed = cfg.Seed
-	e.run.part = nil
+	e.run.part = part
 	e.run.reset(n, int(s.EdgeStart[n]))
-	if len(e.run.ctxs) < n {
-		e.run.ctxs = make([]coreCtx, n)
-		for v := range e.run.ctxs {
-			e.run.ctxs[v] = coreCtx{c: &e.core, node: v}
-		}
+	if part != nil {
+		return e.runSharded(cfg, wakeups, w, t0)
 	}
+	return e.runSequential(cfg, wakeups, t0)
+}
 
-	c := &e.core
-	c.run = &e.run
-	c.id = 0
-	c.lo = 0
-	c.hi = n
-	c.acct = NewAccounting(s, alg.Name(), cfg.TrackPorts)
+// runSequential drives the whole node range on cores[0].
+func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result, error) {
+	tr := cfg.Tracer
+	if tr != nil {
+		tr.ExecBegin(1)
+	}
+	r := &e.run
+	n := r.g.N()
+	if len(e.cores) == 0 {
+		e.cores = make([]engineCore, 1)
+	}
+	c := &e.cores[0]
+	c.reset(r, 0, 0, n, queueCapacity(n, r.g.M()))
+	c.acct = NewAccounting(r.s, r.alg.Name(), cfg.TrackPorts)
 	c.obs = cfg.observer()
-	c.now = 0
-	c.seq = 0
-	c.err = nil
 	c.staging = false
 	c.recOn = false
-	c.events = 0
-
-	if err := c.selectQueue(cfg.Queue, queueCapacity(n, g.M())); err != nil {
-		return nil, err
-	}
 
 	// Wake events enter through push, which maintains the heap invariant on
 	// its own — there is no separate "heapify" step. (The container/heap
@@ -243,7 +254,7 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	}
 	for c.queue.len() > 0 {
 		if res.Events >= maxEvents {
-			return nil, fmt.Errorf("sim: event limit %d exceeded (algorithm %q may not terminate)", maxEvents, alg.Name())
+			return nil, eventLimitErr(maxEvents, r.alg)
 		}
 		ev := c.queue.pop()
 		c.now = ev.at
@@ -267,7 +278,7 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 
 	c.acct.Finish(c.now)
 	if cfg.MemReport {
-		res.Mem = e.memReport(cfg.Queue)
+		res.Mem = e.memReport(1)
 	}
 	if c.obs != nil {
 		if err := c.obs.OnFinish(res); err != nil {
@@ -283,6 +294,12 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
 	}
 	return res, nil
+}
+
+// eventLimitErr is the event-budget error, shared by both paths so they
+// are indistinguishable to callers.
+func eventLimitErr(maxEvents int, alg Algorithm) error {
+	return fmt.Errorf("sim: event limit %d exceeded (algorithm %q may not terminate)", maxEvents, alg.Name())
 }
 
 // growClear returns s with length n and every element zeroed, reusing the

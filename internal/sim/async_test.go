@@ -256,11 +256,16 @@ func TestConfigValidation(t *testing.T) {
 	}, alg); err == nil {
 		t.Error("expected error for out-of-range wakeup")
 	}
-	if _, err := RunAsync(Config{
-		Graph:     pairGraph(),
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: -1}},
-	}, alg); err == nil {
-		t.Error("expected error for negative wake time")
+	for _, at := range []Time{-1, Time(math.NaN()), Time(math.Inf(1))} {
+		for _, shards := range []int{0, 2} {
+			if _, err := RunAsync(Config{
+				Graph:     pairGraph(),
+				Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: at}, Delays: UnitDelay{}},
+				Shards:    shards,
+			}, alg); err == nil {
+				t.Errorf("expected error for wake time %v at shards %d", at, shards)
+			}
+		}
 	}
 	if _, err := RunAsync(Config{
 		Graph:     pairGraph(),

@@ -7,22 +7,22 @@ import (
 	"riseandshine/internal/graph"
 )
 
-// This file is the engine core shared by the sequential AsyncEngine and
-// the ShardedEngine: one event loop over a contiguous node range. The
-// sequential engine is a single core spanning [0, n); the sharded engine
-// runs one core per partition and reconciles them at window barriers (see
-// sharded.go and DESIGN.md "Sharded engine").
+// This file is the engine core shared by AsyncEngine's two paths: one
+// event loop over a contiguous node range. A sequential run is a single
+// core spanning [0, n); a sharded run uses one core per partition and
+// reconciles them at window barriers (see sharded.go and DESIGN.md
+// "Sharded engine").
 //
 // The split keeps every per-message code path — wake, deliver, send, the
-// FIFO clamp, CONGEST accounting — in exactly one place, so the two
-// engines cannot drift: byte-identical Results are a structural property,
-// pinned end to end by the differential tests.
+// FIFO clamp, CONGEST accounting — in exactly one place, so the two paths
+// cannot drift: byte-identical Results are a structural property, pinned
+// end to end by the differential tests.
 
 // runShared is the per-run state shared by every core of one engine:
 // the immutable run configuration plus the scratch arrays that cores
 // access on disjoint index ranges (nodes for awake/machines/rands/ctxs,
 // CSR edge slots for fifoLast/edgeSeq). Disjointness is what makes the
-// sharded engine race-free without any locking on the hot path.
+// sharded path race-free without any locking on the hot path.
 type runShared struct {
 	alg    Algorithm
 	g      *graph.Graph
@@ -53,8 +53,8 @@ type runShared struct {
 	rngs  []PCG
 	rands []rand.Rand
 
-	// part is the node partition in sharded runs; nil in the sequential
-	// engine, whose send path then pushes straight into the core's queue.
+	// part is the node partition in sharded runs; nil in sequential runs,
+	// whose send path then pushes straight into the core's queue.
 	part *Partition
 }
 
@@ -67,9 +67,17 @@ type runShared struct {
 // must wrap &rngs[v] of the *new* backing array — which is the one O(n)
 // RNG cost left anywhere (64 B of writes per node; the old per-node
 // lagged-Fibonacci sources cost ~5 KiB and O(607) seeding work each).
+//
+// The context table is only resized here: every run re-points each node's
+// context at the core that owns it (engineCore.reset), since a reused
+// engine may have given the node to a different core last run.
 func (r *runShared) reset(n, dir int) {
 	r.awake = growClear(r.awake, n)
 	r.machines = growClear(r.machines, n)
+	if cap(r.ctxs) < n {
+		r.ctxs = make([]coreCtx, n)
+	}
+	r.ctxs = r.ctxs[:n]
 	r.fifoLast = growClear(r.fifoLast, dir)
 	r.edgeSeq = growClear(r.edgeSeq, dir)
 	if len(r.rngs) < n {
@@ -118,19 +126,17 @@ type stagedSend struct {
 }
 
 // engineCore is one event loop over the contiguous node range [lo, hi).
-// The sequential engine owns a single core with staging off; the sharded
-// engine owns one per partition with staging on, in which case push never
-// runs — every send is staged and events enter the queue only through the
-// inbox at window starts, already carrying their barrier-assigned vseq.
+// A sequential run uses a single core with staging off; a sharded run uses
+// one per partition with staging on, in which case push never runs —
+// every send is staged and events enter the queue only through the inbox
+// at window starts, already carrying their barrier-assigned vseq.
 type engineCore struct {
 	run *runShared
-	id  int // shard index; 0 in the sequential engine
+	id  int // shard index; 0 in sequential runs
 	lo  int // first owned node
 	hi  int // one past the last owned node
 
-	queue eventQueue // points at heap or cal, per Config.Queue
-	heap  eventHeap
-	cal   calendarQueue
+	queue eventHeap
 
 	acct *Accounting
 	obs  Observer // direct observer; nil in sharded cores (recOn instead)
@@ -348,19 +354,29 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 	c.send(from, r.s.Ports.PortTo(from, to), m)
 }
 
-// selectQueue binds the core's queue interface to the configured
-// implementation and sizes it from the capacity hint.
-func (c *engineCore) selectQueue(kind QueueKind, capacity int) error {
-	switch kind {
-	case QueueHeap:
-		c.queue = &c.heap
-	case QueueCalendar:
-		c.queue = &c.cal
-	default:
-		return fmt.Errorf("sim: unknown queue kind %v", kind)
-	}
+// reset readies the core to run the node range [lo, hi) of run: per-run
+// counters and barrier buffers cleared, the queue emptied and pre-sized to
+// capacity, and every owned node's context pointed at this core. The
+// caller sets the run's accounting, observer, and staging mode.
+func (c *engineCore) reset(run *runShared, id, lo, hi, capacity int) {
+	c.run = run
+	c.id = id
+	c.lo = lo
+	c.hi = hi
+	c.now = 0
+	c.seq = 0
+	c.err = nil
+	c.curAt = 0
+	c.curVseq = 0
+	c.events = 0
+	c.lastAt = 0
+	c.nextAt = infTime
+	truncateStaged(c)
+	truncateRec(c)
 	c.queue.reset(capacity)
-	return nil
+	for v := lo; v < hi; v++ {
+		run.ctxs[v] = coreCtx{c: c, node: v}
+	}
 }
 
 // runWindow is the sharded per-core loop for one window: push the inbox

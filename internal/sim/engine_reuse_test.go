@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"riseandshine/internal/graph"
@@ -52,6 +53,38 @@ func TestSetupWithSeed(t *testing.T) {
 	}
 }
 
+// tieHeavyConfigs crosses far-future wake schedules (a gap and a window far
+// beyond τ) and a time-zero wake with each given delayer on three small
+// topologies. Unit delays make every delivery tie at integer times, so the
+// event order falls to seq alone.
+func tieHeavyConfigs(delayers ...Delayer) []Config {
+	graphs := []*graph.Graph{
+		graph.Complete(16),
+		graph.BinaryTree(127),
+		graph.Torus(6, 6),
+	}
+	schedules := []WakeScheduler{
+		WakeSet{Nodes: []int{0}},
+		StaggeredWake{Sizes: []int{1, 1, 1}, Gap: 700},
+		RandomWake{Count: 4, Window: 2000, Seed: 3},
+	}
+	var cfgs []Config
+	for gi, g := range graphs {
+		for si, sched := range schedules {
+			for _, d := range delayers {
+				cfgs = append(cfgs, Config{
+					Graph:         g,
+					Model:         Model{Knowledge: KT0, Bandwidth: Local},
+					Adversary:     Adversary{Schedule: sched, Delays: d},
+					Seed:          int64(gi*10 + si),
+					RecordDigests: true,
+				})
+			}
+		}
+	}
+	return cfgs
+}
+
 // reuseConfigs is a mixed workload — sizes shrink and grow between runs so
 // scratch reuse exercises both the reslice-and-clear and the grow path —
 // with randomized algorithms so stale RNG state would show up.
@@ -78,7 +111,7 @@ func reuseConfigs(t *testing.T) []Config {
 			})
 		}
 	}
-	return cfgs
+	return append(cfgs, tieHeavyConfigs(UnitDelay{}, RandomDelay{Seed: 7})...)
 }
 
 // TestEngineReuseByteIdentical is the engine-reuse regression guard: one
@@ -100,6 +133,66 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("run %d: reused engine diverged from fresh engine\nfresh:  %s\nreused: %s", i, a, b)
 		}
+	}
+}
+
+// trackTracer is a minimal ExecTracer recording the track count each run
+// declares and how many spans land on each track. Shard workers write only
+// their own track's counter, and Run returns after every worker is done.
+type trackTracer struct {
+	clock atomic.Int64
+	spans []int
+}
+
+func (r *trackTracer) ExecBegin(tracks int)   { r.spans = make([]int, tracks) }
+func (r *trackTracer) ExecNow() int64         { return r.clock.Add(1) }
+func (r *trackTracer) ExecRecord(sp ExecSpan) { r.spans[sp.Track]++ }
+
+// TestEngineReuseAcrossShardCounts alternates one AsyncEngine between the
+// sequential and sharded paths — Shards 0, 2, 0, 4, 1 per config — so each
+// switch re-points the node contexts at different cores. Every Result must
+// match a fresh sequential run byte for byte, and every run with a positive
+// lookahead and Shards > 1 must take the sharded path: p+1 trace tracks,
+// each with spans.
+func TestEngineReuseAcrossShardCounts(t *testing.T) {
+	eng := &AsyncEngine{}
+	sharded := 0
+	for i, cfg := range reuseConfigs(t) {
+		alg := fuzzAlg{budget: 12}
+		fresh, err := RunAsync(cfg, alg)
+		if err != nil {
+			t.Fatalf("config %d fresh: %v", i, err)
+		}
+		want := marshalResult(t, fresh)
+		lh, _ := cfg.Adversary.Delays.(Lookahead)
+		for _, p := range []int{0, 2, 0, 4, 1} {
+			tr := &trackTracer{}
+			cfg.Shards = p
+			cfg.Tracer = tr
+			res, err := eng.Run(cfg, alg)
+			if err != nil {
+				t.Fatalf("config %d shards %d: %v", i, p, err)
+			}
+			if got := marshalResult(t, res); !bytes.Equal(want, got) {
+				t.Fatalf("config %d shards %d: reused engine diverged from fresh sequential run\nfresh:  %s\nreused: %s", i, p, want, got)
+			}
+			wantTracks := 1
+			if p > 1 && lh != nil && lh.Lookahead() > 0 {
+				wantTracks = p + 1
+				sharded++
+			}
+			if len(tr.spans) != wantTracks {
+				t.Fatalf("config %d shards %d: %d trace tracks, want %d", i, p, len(tr.spans), wantTracks)
+			}
+			for track, n := range tr.spans {
+				if n == 0 {
+					t.Fatalf("config %d shards %d: no spans on track %d", i, p, track)
+				}
+			}
+		}
+	}
+	if sharded == 0 {
+		t.Fatal("no run took the sharded path")
 	}
 }
 

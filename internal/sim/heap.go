@@ -31,10 +31,13 @@ func eventLess(x, y *event) bool {
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-// peek implements eventQueue: the root is the minimum.
+// peek returns the minimum event without removing it. It must not be
+// called on an empty heap, and the pointer is valid only until the next
+// push or pop. The sharded window drain peeks to decide whether the
+// minimum still falls inside the window.
 func (h *eventHeap) peek() *event { return &h.a[0] }
 
-// memBytes implements eventQueue: the heap's backing array.
+// memBytes reports the heap's backing array, for the memory report.
 func (h *eventHeap) memBytes() int64 { return int64(cap(h.a)) * eventBytes }
 
 // reset empties the heap, keeping the backing array for reuse; capacity is

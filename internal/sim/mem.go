@@ -11,10 +11,9 @@ import (
 // slice capacities — it never calls the runtime allocator profiler, so
 // enabling it cannot perturb a run.
 var (
-	eventBytes       = int64(unsafe.Sizeof(event{}))
-	sliceHeaderBytes = int64(unsafe.Sizeof([]event(nil)))
-	ctxBytes         = int64(unsafe.Sizeof(coreCtx{}))
-	programBytes     = int64(unsafe.Sizeof(Program(nil)))
+	eventBytes   = int64(unsafe.Sizeof(event{}))
+	ctxBytes     = int64(unsafe.Sizeof(coreCtx{}))
+	programBytes = int64(unsafe.Sizeof(Program(nil)))
 	// pcgBytes and randWrapBytes are the two RNG SoA element sizes: node
 	// v's generator is rngs[v] (16 bytes of PCG state) plus rands[v] (the
 	// rand.Rand wrapper binding the stdlib API to it). Both are flat
@@ -38,10 +37,8 @@ var (
 // rand.Rand wrapper — see DESIGN.md "Node randomness"; before the compact
 // source this was ~4.8 KiB per woken node and 96 % of a million-node run).
 type MemReport struct {
-	// Queue names the event-queue implementation ("heap" or "calendar").
-	Queue string
-	// QueueBytes is the event queue's backing storage: the heap array, or
-	// the calendar's buckets, bitmap, and overflow heap.
+	// QueueBytes is the event queues' backing storage: the heap array of
+	// every core the run used.
 	QueueBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
 	// sequence arrays.
@@ -56,12 +53,12 @@ type MemReport struct {
 	// NodeBytes covers the remaining per-node tables: awake flags, machine
 	// slots, and the context table.
 	NodeBytes int64
-	// Shards is the number of partitions the run executed on; 0 or 1 means
-	// the sequential engine (or the sharded engine's sequential fallback),
-	// in which case OutboxBytes is zero. QueueBytes then sums the per-shard
-	// queues — P small queues, not one large one.
+	// Shards is the number of partitions the run executed on; 0 means the
+	// run took the sequential path, in which case OutboxBytes is zero.
+	// QueueBytes then sums the per-shard queues — P small queues, not one
+	// large one.
 	Shards int `json:",omitempty"`
-	// OutboxBytes covers the sharded engine's cross-window plumbing: the
+	// OutboxBytes covers the sharded path's cross-window plumbing: the
 	// per-core staged outboxes, deferred observer records, and per-shard
 	// inboxes. Like every other figure it is end-of-run capacity, i.e. the
 	// high-water mark across all windows.
@@ -72,8 +69,8 @@ type MemReport struct {
 
 // String renders a compact single-line summary.
 func (m *MemReport) String() string {
-	s := fmt.Sprintf("mem[%s]: total=%s queue=%s fifo=%s rng=%s csr=%s nodes=%s",
-		m.Queue, FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.FIFOBytes),
+	s := fmt.Sprintf("mem: total=%s queue=%s fifo=%s rng=%s csr=%s nodes=%s",
+		FormatBytes(m.TotalBytes), FormatBytes(m.QueueBytes), FormatBytes(m.FIFOBytes),
 		FormatBytes(m.RNGBytes), FormatBytes(m.CSRBytes), FormatBytes(m.NodeBytes))
 	if m.Shards > 1 {
 		s += fmt.Sprintf(" shards=%d outbox=%s", m.Shards, FormatBytes(m.OutboxBytes))
@@ -96,12 +93,11 @@ func FormatBytes(b int64) string {
 }
 
 // memReport assembles the per-subsystem scratch accounting over the shared
-// run state; queueBytes is the (possibly per-shard summed) event-queue
-// figure supplied by the owning engine.
-func (r *runShared) memReport(kind QueueKind, queueBytes int64) *MemReport {
+// run state; queueBytes is the event-queue figure summed over the run's
+// cores.
+func (r *runShared) memReport(queueBytes int64) *MemReport {
 	s := r.s
 	m := &MemReport{
-		Queue:      kind.String(),
 		QueueBytes: queueBytes,
 		FIFOBytes:  int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
 		RNGBytes:   int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
@@ -114,30 +110,33 @@ func (r *runShared) memReport(kind QueueKind, queueBytes int64) *MemReport {
 	return m
 }
 
-// memReport assembles the sequential engine's end-of-run accounting.
-func (e *AsyncEngine) memReport(kind QueueKind) *MemReport {
-	return e.run.memReport(kind, e.core.queue.memBytes())
-}
-
-// memReport assembles the sharded engine's end-of-run accounting: the
-// per-core queues sum into QueueBytes, and the staging machinery — outboxes,
+// memReport assembles the engine's end-of-run accounting over the p cores
+// the run used (cores[0] alone for a sequential run): their queues sum
+// into QueueBytes, and on a sharded run the staging machinery — outboxes,
 // observer records, inboxes, and the partition tables — lands in
 // OutboxBytes, so `sweep -mem` stays truthful about what -shards adds.
-func (e *ShardedEngine) memReport(kind QueueKind) *MemReport {
-	var queueBytes, outbox int64
-	for i := range e.cores {
-		c := &e.cores[i]
-		queueBytes += c.queue.memBytes()
+func (e *AsyncEngine) memReport(p int) *MemReport {
+	cores := e.cores[:p]
+	var queueBytes int64
+	for i := range cores {
+		queueBytes += cores[i].queue.memBytes()
+	}
+	m := e.run.memReport(queueBytes)
+	if p == 1 {
+		return m
+	}
+	var outbox int64
+	for i := range cores {
+		c := &cores[i]
 		outbox += int64(cap(c.staged))*stagedBytes + int64(cap(c.rec))*recBytes
 	}
 	for _, in := range e.inboxes {
 		outbox += int64(cap(in)) * eventBytes
 	}
-	if p := e.part; p != nil {
-		outbox += int64(cap(p.Bounds))*4 + int64(cap(p.NodeShard)) + int64(cap(p.EdgeShard))
+	if pt := e.part; pt != nil {
+		outbox += int64(cap(pt.Bounds))*4 + int64(cap(pt.NodeShard)) + int64(cap(pt.EdgeShard))
 	}
-	m := e.run.memReport(kind, queueBytes)
-	m.Shards = len(e.cores)
+	m.Shards = p
 	m.OutboxBytes = outbox
 	m.TotalBytes += outbox
 	return m

@@ -8,42 +8,51 @@ import (
 	"riseandshine/internal/graph"
 )
 
-func memConfig(q QueueKind, report bool) Config {
+func memConfig(report bool) Config {
 	return Config{
 		Graph:     graph.BinaryTree(127),
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: RandomDelay{Seed: 2}},
 		Seed:      1,
-		Queue:     q,
 		MemReport: report,
 	}
 }
 
 // TestMemReportPopulated checks the report's basic accounting contract:
 // every subsystem that the run touches reports a positive figure, the
-// total is the sum, and the queue is labelled correctly.
+// total is the sum, and only the cores of the reported run count — a
+// sequential run on an engine that last ran four shards reports one queue
+// and no outbox.
 func TestMemReportPopulated(t *testing.T) {
-	for _, q := range []QueueKind{QueueHeap, QueueCalendar} {
-		res, err := RunAsync(memConfig(q, true), floodAlg{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := res.Mem
-		if m == nil {
-			t.Fatalf("queue %v: MemReport requested but Result.Mem is nil", q)
-		}
-		if m.Queue != q.String() {
-			t.Errorf("queue label %q, want %q", m.Queue, q.String())
-		}
-		if m.QueueBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
-			t.Errorf("queue %v: subsystem bytes not all positive: %+v", q, m)
-		}
-		if sum := m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
-			t.Errorf("queue %v: TotalBytes %d != subsystem sum %d", q, m.TotalBytes, sum)
-		}
-		if s := m.String(); !strings.Contains(s, q.String()) {
-			t.Errorf("String() = %q missing queue label", s)
-		}
+	eng := &AsyncEngine{}
+	warm := memConfig(false)
+	warm.Adversary.Delays = RandomDelay{Seed: 2, Min: 0.25}
+	warm.Shards = 4
+	if _, err := eng.Run(warm, floodAlg{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(memConfig(true), floodAlg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mem
+	if m == nil {
+		t.Fatal("MemReport requested but Result.Mem is nil")
+	}
+	if m.QueueBytes <= 0 || m.FIFOBytes <= 0 || m.RNGBytes <= 0 || m.CSRBytes <= 0 || m.NodeBytes <= 0 {
+		t.Errorf("subsystem bytes not all positive: %+v", m)
+	}
+	if sum := m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
+		t.Errorf("TotalBytes %d != subsystem sum %d", m.TotalBytes, sum)
+	}
+	if m.Shards != 0 || m.OutboxBytes != 0 {
+		t.Errorf("sequential run reports shards=%d outbox=%d, want 0 and 0", m.Shards, m.OutboxBytes)
+	}
+	if q := eng.cores[0].queue.memBytes(); m.QueueBytes != q {
+		t.Errorf("QueueBytes %d, want the sequential core's queue alone (%d)", m.QueueBytes, q)
+	}
+	if s := m.String(); !strings.Contains(s, "total=") {
+		t.Errorf("String() = %q missing the total", s)
 	}
 }
 
@@ -51,7 +60,7 @@ func TestMemReportPopulated(t *testing.T) {
 // for, and that the JSON encoding omits it — Results from mem-reporting
 // and plain runs must stay byte-comparable on every other field.
 func TestMemReportOffByDefault(t *testing.T) {
-	res, err := RunAsync(memConfig(QueueHeap, false), floodAlg{})
+	res, err := RunAsync(memConfig(false), floodAlg{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 // TestNoallocContractsHaveRuntimeCoverage keeps the map honest in both
 // directions: an annotation without a runtime pin fails, and so does a
 // stale entry after an annotation (or its test) is removed. The engine's
-// unexported event core — push, wake, deliver, send, the asyncCtx methods
+// unexported event core — push, wake, deliver, send, the coreCtx methods
 // — is pinned end to end by TestAsyncSteadyStateZeroAllocs and
-// TestCalendarSteadyStateZeroAllocs instead, since it is only reachable
+// TestShardedSteadyStateZeroAllocs instead, since it is only reachable
 // through Run.
 var allocCoverage = map[string]string{
 	"ReseedNode":                "TestReseedNodeZeroAllocs",

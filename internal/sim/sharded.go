@@ -21,10 +21,49 @@ type shardCmd struct {
 	win       int64 // window index, for execution-trace spans only
 }
 
-// ShardedEngine partitions ONE run across cores: the conservative parallel
-// counterpart of AsyncEngine. The graph is split into P contiguous node
-// ranges (see Partition), each driven by its own engineCore event loop, and
-// the cores synchronize at windows of width W = the Delayer's Lookahead.
+// shardPlan returns the partition and window width of a sharded run, or a
+// nil partition when the run stays sequential: Shards ≤ 1, a Delayer
+// without a positive Lookahead (no conservative window exists), or a
+// partition that collapses to one shard.
+func (e *AsyncEngine) shardPlan(shards int, s *Setup, delays Delayer) (*Partition, Time) {
+	if shards <= 1 {
+		return nil, 0
+	}
+	w := 0.0
+	if lh, ok := delays.(Lookahead); ok {
+		w = lh.Lookahead()
+	}
+	if w > 1 {
+		w = 1 // delays never exceed τ = 1; a wider promise is meaningless
+	}
+	if !(w > 0) { // zero, negative, or NaN
+		return nil, 0
+	}
+	part := e.partition(s, shards)
+	if part.P <= 1 {
+		return nil, 0
+	}
+	return part, Time(w)
+}
+
+// partition returns the cached Partition for (topology, p), computing it on
+// first use.
+func (e *AsyncEngine) partition(s *Setup, p int) *Partition {
+	n := s.Graph.N()
+	key := &s.EdgeStart[0]
+	if e.part == nil || e.partKey != key || e.partN != n || e.partP != p {
+		e.part = s.Partition(p)
+		e.partKey = key
+		e.partN = n
+		e.partP = p
+	}
+	return e.part
+}
+
+// runSharded partitions ONE run across cores: the conservative parallel
+// path of AsyncEngine. The graph is split into P contiguous node ranges
+// (see Partition), each driven by its own engineCore event loop, and the
+// cores synchronize at windows of width W = the Delayer's Lookahead.
 //
 // Conservative correctness. Every delay is ≥ W, so an event processed at
 // time t schedules its children no earlier than fl(t+W) — and by
@@ -40,163 +79,49 @@ type shardCmd struct {
 // cores commute. Cross-window order is reconstructed at the barrier: staged
 // sends are k-way merged by the sending event's key (at, vseq) — stable
 // within a core, and keys are globally unique — which is exactly the
-// sequential engine's push order, so the consecutively assigned vseq
-// numbers equal the seq numbers AsyncEngine would have used. Both queues
-// order by (at, seq), hence every core processes its events in the same
-// relative order the sequential engine would, and the marshaled Result is
-// byte-identical at every shard count — pinned by the differential tests.
+// sequential path's push order, so the consecutively assigned vseq
+// numbers equal the seq numbers a sequential run would have used. Every
+// core's heap orders by (at, seq), hence every core processes its events
+// in the same relative order the sequential path would, and the marshaled
+// Result is byte-identical at every shard count — pinned by the
+// differential tests.
 //
 // Observers cannot be called from P goroutines, so cores record deferred
 // observer calls tagged with the event key and the coordinator replays the
 // merged streams in key order at each barrier, reproducing the sequential
 // call sequence exactly (traces and digests included).
-//
-// Fallback: Shards ≤ 1, a Delayer without a positive Lookahead, or a
-// partition that collapses to one shard all run on an embedded sequential
-// engine — same results, no parallelism.
-//
-// A ShardedEngine is not safe for concurrent use and must not be copied
-// after its first Run; give each sweep worker its own.
-type ShardedEngine struct {
-	run     runShared
-	cores   []engineCore
-	inboxes [][]event
-	cursors []int // k-way merge cursors, reused across barriers
-	seqFB   *AsyncEngine
-
-	// Partition cache: the partition depends only on the topology (the CSR
-	// arrays) and P, so it is keyed by the stable backing array of a cached
-	// Setup and survives whole seed sweeps.
-	partKey *int32
-	partN   int
-	partP   int
-	part    *Partition
-}
-
-// RunSharded executes alg with cfg.Shards partitions on a fresh engine; use
-// an explicit ShardedEngine to reuse scratch state across runs.
-func RunSharded(cfg Config, alg Algorithm) (*Result, error) {
-	return new(ShardedEngine).Run(cfg, alg)
-}
-
-// sequential is the fallback path: byte-identical by construction.
-func (e *ShardedEngine) sequential(cfg Config, alg Algorithm) (*Result, error) {
-	if e.seqFB == nil {
-		e.seqFB = new(AsyncEngine)
-	}
-	return e.seqFB.Run(cfg, alg)
-}
-
-// partition returns the cached Partition for (topology, p), computing it on
-// first use.
-func (e *ShardedEngine) partition(s *Setup, p int) *Partition {
-	n := s.Graph.N()
-	key := &s.EdgeStart[0]
-	if e.part == nil || e.partKey != key || e.partN != n || e.partP != p {
-		e.part = s.Partition(p)
-		e.partKey = key
-		e.partN = n
-		e.partP = p
-	}
-	return e.part
-}
-
-// Run executes one configuration across cfg.Shards partitions, resetting —
-// not reallocating — the scratch left by any previous run.
-func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
-	if cfg.Shards <= 1 {
-		return e.sequential(cfg, alg)
-	}
-	// The fallback paths below re-enter the sequential engine, which runs
-	// its own ExecBegin, so the tracer is only committed to p+1 tracks
-	// once the parallel path is certain; ExecNow is safe before ExecBegin.
+func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Result, error) {
 	tr := cfg.Tracer
-	var t0 int64
-	if tr != nil {
-		t0 = tr.ExecNow()
-	}
-	s, delays, wakeups, err := setupForRun(cfg, alg)
-	if err != nil {
-		return nil, err
-	}
-	w := 0.0
-	if lh, ok := delays.(Lookahead); ok {
-		w = lh.Lookahead()
-	}
-	if w > 1 {
-		w = 1 // delays never exceed τ = 1; a wider promise is meaningless
-	}
-	if !(w > 0) { // zero, negative, or NaN: no conservative window exists
-		return e.sequential(cfg, alg)
-	}
-	part := e.partition(s, cfg.Shards)
-	if part.P <= 1 {
-		return e.sequential(cfg, alg)
-	}
-
-	g := s.Graph
-	n := g.N()
+	r := &e.run
+	part := r.part
+	alg := r.alg
+	n := r.g.N()
 	p := part.P
-	W := Time(w)
 	if tr != nil {
 		tr.ExecBegin(p + 1) // track 0: coordinator; tracks 1..p: shards
 	}
-
-	e.run.alg = alg
-	e.run.g = g
-	e.run.s = s
-	e.run.delays = delays
-	e.run.seed = cfg.Seed
-	e.run.part = part
-	e.run.reset(n, int(s.EdgeStart[n]))
 
 	if len(e.cores) != p {
 		e.cores = make([]engineCore, p)
 		e.inboxes = make([][]event, p)
 		e.cursors = make([]int, p)
 	}
-	// Contexts must point at the owning core, so — unlike the sequential
-	// engine — they are refilled every run: the partition, or the cores
-	// backing array itself, may have changed since the last one.
-	if cap(e.run.ctxs) < n {
-		e.run.ctxs = make([]coreCtx, n)
-	}
-	e.run.ctxs = e.run.ctxs[:n]
 
 	obs := cfg.observer()
-	master := NewAccounting(s, alg.Name(), cfg.TrackPorts)
-	capacity := queueCapacity(n, g.M())/p + 64
+	master := NewAccounting(r.s, alg.Name(), cfg.TrackPorts)
+	capacity := queueCapacity(n, r.g.M())/p + 64
 
 	for i := 0; i < p; i++ {
 		c := &e.cores[i]
-		c.run = &e.run
-		c.id = i
-		c.lo = int(part.Bounds[i])
-		c.hi = int(part.Bounds[i+1])
+		c.reset(r, i, int(part.Bounds[i]), int(part.Bounds[i+1]), capacity)
 		c.acct = master.shardView()
 		c.obs = nil
-		c.now = 0
-		c.seq = 0
-		c.err = nil
 		c.staging = true
 		c.recOn = obs != nil
-		c.curAt = 0
-		c.curVseq = 0
-		c.events = 0
-		c.lastAt = 0
-		c.nextAt = infTime
-		truncateStaged(c)
-		truncateRec(c)
-		if err := c.selectQueue(cfg.Queue, capacity); err != nil {
-			return nil, err
-		}
-		for v := c.lo; v < c.hi; v++ {
-			e.run.ctxs[v] = coreCtx{c: c, node: v}
-		}
 	}
 
 	// Scatter the wake schedule: wakeups take vseq 0..len-1 in schedule
-	// order, exactly the seq numbers the sequential engine's initial pushes
+	// order, exactly the seq numbers the sequential path's initial pushes
 	// assign.
 	inboxMin := infTime
 	for i, wk := range wakeups {
@@ -298,7 +223,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 			e.inboxes[i] = in[:0]
 		}
 
-		// Error selection: the error the sequential engine reports first is
+		// Error selection: the error the sequential path reports first is
 		// the one raised by the event with the minimal (at, vseq) key — all
 		// events below that key completed cleanly on every core (cores drain
 		// in key order). An event-limit overrun that sequentially precedes
@@ -314,7 +239,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 			return nil, errCore.err
 		}
 		if totalEvents > maxEvents {
-			// The sequential engine stops after exactly maxEvents events, so
+			// The sequential path stops after exactly maxEvents events, so
 			// its trace of the aborted window is a prefix of ours; the
 			// Result is nil either way, and the records are dropped.
 			return nil, eventLimitErr(maxEvents, alg)
@@ -361,7 +286,7 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	master.Finish(end)
 	res := master.Result()
 	if cfg.MemReport {
-		res.Mem = e.memReport(cfg.Queue)
+		res.Mem = e.memReport(p)
 	}
 	if obs != nil {
 		if err := obs.OnFinish(res); err != nil {
@@ -379,15 +304,9 @@ func (e *ShardedEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	return res, nil
 }
 
-// eventLimitErr is the event-budget error, shared verbatim with the
-// sequential engine so the two paths are indistinguishable to callers.
-func eventLimitErr(maxEvents int, alg Algorithm) error {
-	return fmt.Errorf("sim: event limit %d exceeded (algorithm %q may not terminate)", maxEvents, alg.Name())
-}
-
 // minErrCore returns the erroring core whose failing event has the minimal
-// (at, vseq) key — the error the sequential engine would hit first — or nil.
-func (e *ShardedEngine) minErrCore() *engineCore {
+// (at, vseq) key — the error a sequential run would hit first — or nil.
+func (e *AsyncEngine) minErrCore() *engineCore {
 	var best *engineCore
 	for i := range e.cores {
 		c := &e.cores[i]
@@ -407,7 +326,7 @@ func (e *ShardedEngine) minErrCore() *engineCore {
 // list order already preserves them — assigns consecutive vseq numbers in
 // merged order, and routes each event to its destination shard's inbox. It
 // returns the minimum delivery time routed, for the next window anchor.
-func (e *ShardedEngine) mergeStaged(globalVseq *int64) Time {
+func (e *AsyncEngine) mergeStaged(globalVseq *int64) Time {
 	inboxMin := infTime
 	cur := e.cursors
 	for i := range cur {
@@ -453,10 +372,10 @@ func parentLess(x, y *stagedSend) bool {
 }
 
 // replay k-way merges every core's deferred observer records by event key
-// and replays them — in exactly the order the sequential engine would have
-// made the calls — up to and including the key (maxAt, maxVseq). Cores
+// and replays them — in exactly the order a sequential run would have made
+// the calls — up to and including the key (maxAt, maxVseq). Cores
 // truncate their record lists afterwards.
-func (e *ShardedEngine) replay(obs Observer, maxAt Time, maxVseq int64) {
+func (e *AsyncEngine) replay(obs Observer, maxAt Time, maxVseq int64) {
 	cur := e.cursors
 	for i := range cur {
 		cur[i] = 0

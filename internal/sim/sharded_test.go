@@ -11,7 +11,7 @@ import (
 )
 
 // shardCounts is the shard matrix every sharded test sweeps: the sequential
-// fallback (1), even and odd splits, and more shards than some test graphs
+// path (1), even and odd splits, and more shards than some test graphs
 // have "natural" parallelism for.
 var shardCounts = []int{1, 2, 3, 4, 8}
 
@@ -25,8 +25,8 @@ func (d quantizedLookahead) Lookahead() float64 { return 1 / float64(d.q) }
 
 // shardedConfigs is the mixed workload for the sharded differential suite:
 // graphs that shrink and grow between runs (so reused engines exercise both
-// scratch paths), every lookahead-bearing delayer flavor, and both queue
-// implementations.
+// scratch paths), every lookahead-bearing delayer flavor, and far-future,
+// tie-heavy wake schedules.
 func shardedConfigs(t *testing.T) []Config {
 	t.Helper()
 	graphs := []*graph.Graph{
@@ -53,12 +53,11 @@ func shardedConfigs(t *testing.T) []Config {
 					Delays:   d,
 				},
 				Seed:          int64(i + j*5),
-				Queue:         QueueKind((i + j) % 2),
 				RecordDigests: true,
 			})
 		}
 	}
-	return cfgs
+	return append(cfgs, tieHeavyConfigs(UnitDelay{}, RandomDelay{Seed: 7, Min: 0.25})...)
 }
 
 // runTraced executes cfg on the given engine with a trace attached and
@@ -75,13 +74,13 @@ func runTraced(t *testing.T, run func(Config, Algorithm) (*Result, error), cfg C
 }
 
 // TestShardedByteIdentical is the tentpole differential: across the mixed
-// workload, every shard count, both queues, and reused engines, the sharded
-// engine's marshaled Result (digests included) and its event trace must be
-// byte-for-byte the sequential engine's.
+// workload, every shard count, and reused engines, the sharded path's
+// marshaled Result (digests included) and its event trace must be
+// byte-for-byte the sequential path's.
 func TestShardedByteIdentical(t *testing.T) {
-	engines := map[int]*ShardedEngine{}
+	engines := map[int]*AsyncEngine{}
 	for _, p := range shardCounts {
-		engines[p] = &ShardedEngine{}
+		engines[p] = &AsyncEngine{}
 	}
 	for i, cfg := range shardedConfigs(t) {
 		alg := fuzzAlg{budget: 12}
@@ -104,7 +103,7 @@ func TestShardedByteIdentical(t *testing.T) {
 // degrading into fallback-vs-sequential: with a lookahead-bearing delayer
 // the memory report must show the parallel path ran.
 func TestShardedActuallyShards(t *testing.T) {
-	res, err := RunSharded(Config{
+	res, err := RunAsync(Config{
 		Graph:     graph.Complete(16),
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: UnitDelay{}},
@@ -124,7 +123,7 @@ func TestShardedActuallyShards(t *testing.T) {
 
 // TestShardedFallbackWithoutLookahead: a Delayer with no positive lookahead
 // admits no conservative window, so the engine must take the sequential
-// fallback — and still match the sequential engine exactly.
+// path even with Shards > 1 — and still match a plain sequential run.
 func TestShardedFallbackWithoutLookahead(t *testing.T) {
 	cfg := Config{
 		Graph: graph.RandomConnected(40, 0.12, newTestRand(9)),
@@ -139,13 +138,14 @@ func TestShardedFallbackWithoutLookahead(t *testing.T) {
 		MemReport:     true,
 	}
 	alg := fuzzAlg{budget: 10}
-	shRes, err := RunSharded(cfg, alg)
+	shRes, err := RunAsync(cfg, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shRes.Mem.Shards > 1 {
-		t.Fatalf("zero-lookahead run used %d shards, want sequential fallback", shRes.Mem.Shards)
+		t.Fatalf("zero-lookahead run used %d shards, want the sequential path", shRes.Mem.Shards)
 	}
+	cfg.Shards = 0
 	seqRes, err := RunAsync(cfg, alg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestShardedEventLimitError(t *testing.T) {
 	}
 	for _, p := range shardCounts {
 		cfg.Shards = p
-		res, err := RunSharded(cfg, chattyAlg{})
+		res, err := RunAsync(cfg, chattyAlg{})
 		if err == nil || err.Error() != seqErr.Error() {
 			t.Fatalf("shards %d: error %v, want %v", p, err, seqErr)
 		}
@@ -181,7 +181,7 @@ func TestShardedEventLimitError(t *testing.T) {
 }
 
 // TestAsyncRoundSentinel pins the satellite contract: both asynchronous
-// engines report the named AsyncRound sentinel — the same value — from
+// paths report the named AsyncRound sentinel — the same value — from
 // every handler invocation, and the constant itself stays negative (the
 // documented "Round() < 0 means asynchronous" branch).
 func TestAsyncRoundSentinel(t *testing.T) {
@@ -192,7 +192,6 @@ func TestAsyncRoundSentinel(t *testing.T) {
 		Graph:     graph.Complete(8),
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: UnitDelay{}},
-		Shards:    2,
 	}
 	var mu sync.Mutex // probes fire from shard goroutines
 	seen := map[string]map[int]bool{}
@@ -204,19 +203,20 @@ func TestAsyncRoundSentinel(t *testing.T) {
 		}
 		seen[engine][r] = true
 	}
-	if _, err := RunAsync(cfg, roundProbeAlg{func(r int) { record("async", r) }}); err != nil {
+	if _, err := RunAsync(cfg, roundProbeAlg{func(r int) { record("sequential", r) }}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunSharded(cfg, roundProbeAlg{func(r int) { record("sharded", r) }}); err != nil {
+	cfg.Shards = 2
+	if _, err := RunAsync(cfg, roundProbeAlg{func(r int) { record("sharded", r) }}); err != nil {
 		t.Fatal(err)
 	}
-	for engine, rounds := range seen {
+	for path, rounds := range seen {
 		if len(rounds) != 1 || !rounds[AsyncRound] {
-			t.Errorf("%s engine reported rounds %v, want exactly {AsyncRound}", engine, rounds)
+			t.Errorf("%s path reported rounds %v, want exactly {AsyncRound}", path, rounds)
 		}
 	}
 	if len(seen) != 2 {
-		t.Fatalf("probe ran on %d engines, want 2", len(seen))
+		t.Fatalf("probe ran on %d paths, want 2", len(seen))
 	}
 }
 
@@ -247,9 +247,9 @@ func FuzzShardedFIFO(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(2), uint8(6))
 	f.Add(int64(-9), uint8(7), uint8(1), uint8(12))
 	f.Add(int64(1<<33), uint8(255), uint8(4), uint8(3))
-	engines := map[int]*ShardedEngine{}
+	engines := map[int]*AsyncEngine{}
 	for _, p := range shardCounts {
-		engines[p] = &ShardedEngine{}
+		engines[p] = &AsyncEngine{}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, qRaw, budget uint8) {
 		n := int(nRaw)%40 + 2
@@ -264,7 +264,6 @@ func FuzzShardedFIFO(f *testing.F) {
 				Delays:   quantizedLookahead{quantizedDelay{inner: RandomDelay{Seed: seed}, q: q}},
 			},
 			Seed:          seed,
-			Queue:         QueueKind(int(qRaw) % 2),
 			RecordDigests: true,
 		}
 		alg := fuzzAlg{budget: int(budget)%16 + 1}
@@ -335,7 +334,7 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := &ShardedEngine{}
+		eng := &AsyncEngine{}
 		cfg := Config{
 			Graph:     g,
 			Model:     Model{Knowledge: KT0, Bandwidth: Local},

@@ -92,22 +92,13 @@ type (
 	MetricsObserver = metrics.Observer
 	// FrontierPoint is one sample of the wake-up frontier.
 	FrontierPoint = metrics.FrontierPoint
-	// Engine is reusable asynchronous-engine scratch (event queue, machine
+	// Engine is reusable asynchronous-engine scratch (event queues, machine
 	// tables, per-node RNGs, FIFO clocks): its Run resets the buffers in
 	// place instead of allocating fresh ones, with byte-identical results.
-	// Pass one per sweep worker via RunConfig.Engine; the zero value is
-	// ready to use. Not safe for concurrent use.
+	// One Engine serves sequential and sharded runs (RunConfig.Shards)
+	// alike. Pass one per sweep worker via RunConfig.Engine; the zero value
+	// is ready to use. Not safe for concurrent use.
 	Engine = sim.AsyncEngine
-	// ShardedEngine is the conservative parallel engine: one run
-	// partitioned across RunConfig.Shards contiguous node ranges, each on
-	// its own goroutine, synchronized at delay-lookahead windows, with
-	// Results byte-identical to the sequential Engine at every shard count.
-	// Pass one per sweep worker via RunConfig.Sharded; the zero value is
-	// ready to use. Not safe for concurrent use.
-	ShardedEngine = sim.ShardedEngine
-	// QueueKind selects the asynchronous engine's event-queue
-	// implementation; any kind produces byte-identical Results.
-	QueueKind = sim.QueueKind
 	// MemReport is the per-subsystem scratch footprint of one asynchronous
 	// run (see RunConfig.MemReport).
 	MemReport = sim.MemReport
@@ -129,16 +120,6 @@ type (
 // engines (sequential and sharded alike); synchronous rounds are ≥ 0, so
 // Round() < 0 is the engine-transparent "am I asynchronous" branch.
 const AsyncRound = sim.AsyncRound
-
-// Event-queue implementations for RunConfig.Queue.
-const (
-	// QueueHeap is the default 4-ary min-heap: O(log k) per operation,
-	// robust on every workload.
-	QueueHeap = sim.QueueHeap
-	// QueueCalendar is the calendar (bucket) queue exploiting the bounded
-	// delay horizon τ: amortized O(1) per operation on large sparse runs.
-	QueueCalendar = sim.QueueCalendar
-)
 
 // FormatBytes renders a byte count with a binary unit suffix (B, KiB, MiB,
 // GiB) for memory-report output.

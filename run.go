@@ -52,31 +52,23 @@ type RunConfig struct {
 	// several with StackObservers. Runs without any observer keep the
 	// engines' allocation-free hot path.
 	Observer Observer
-	// Engine, when non-nil, supplies reusable asynchronous-engine scratch:
-	// the run resets the engine's buffers in place instead of allocating
-	// fresh ones. An Engine is not safe for concurrent use — give each
-	// sweep worker its own. Synchronous algorithms ignore it.
+	// Engine, when non-nil, supplies reusable asynchronous-engine scratch
+	// for sequential and sharded runs alike: the run resets the engine's
+	// buffers in place instead of allocating fresh ones. An Engine is not
+	// safe for concurrent use — give each sweep worker its own.
+	// Synchronous algorithms ignore it.
 	Engine *Engine
 	// Shards, when > 1, runs the asynchronous engine sharded: the graph is
 	// partitioned into that many contiguous node ranges, each driven by its
 	// own event loop on its own goroutine, synchronized at windows of the
 	// delay adversary's lookahead. Results are byte-identical to the
-	// sequential engine at every shard count; a Delayer without a positive
-	// Lookahead falls back to the sequential path. Synchronous algorithms
-	// ignore it.
+	// sequential path at every shard count; a Delayer without a positive
+	// Lookahead (e.g. RandomDelay with Min 0) runs sequentially.
+	// Synchronous algorithms ignore it.
 	Shards int
-	// Sharded, when non-nil, supplies reusable sharded-engine scratch for
-	// Shards > 1 runs (the analogue of Engine). Not safe for concurrent
-	// use — give each sweep worker its own.
-	Sharded *ShardedEngine
-	// Queue selects the asynchronous engine's event-queue implementation.
-	// The zero value is the 4-ary heap; QueueCalendar switches to the
-	// calendar queue, which pops in byte-identical order. Synchronous
-	// algorithms ignore it.
-	Queue QueueKind
 	// MemReport populates Result.Mem with the run's per-subsystem scratch
 	// footprint (asynchronous engine only). Diagnostic: leave off when
-	// comparing Results byte-for-byte across queue kinds or engine reuse.
+	// comparing Results byte-for-byte across shard counts or engine reuse.
 	MemReport bool
 	// ExecTrace, when non-nil, records the run's execution timeline into
 	// the flight recorder: setup/run/finish phases on every engine, plus
@@ -241,22 +233,15 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		Trace:         cfg.Trace,
 		RecordDigests: cfg.RecordDigests,
 		Observer:      observer,
-		Queue:         cfg.Queue,
 		MemReport:     cfg.MemReport,
 		Shards:        cfg.Shards,
 		Tracer:        tracer,
 	}
-	alg := p.info.newAsync(cfg.Options)
-	if cfg.Shards > 1 {
-		if cfg.Sharded != nil {
-			return cfg.Sharded.Run(simCfg, alg)
-		}
-		return sim.RunSharded(simCfg, alg)
+	eng := cfg.Engine
+	if eng == nil {
+		eng = new(Engine)
 	}
-	if cfg.Engine != nil {
-		return cfg.Engine.Run(simCfg, alg)
-	}
-	return sim.RunAsync(simCfg, alg)
+	return eng.Run(simCfg, p.info.newAsync(cfg.Options))
 }
 
 // Run executes the named algorithm, running its oracle first if the scheme

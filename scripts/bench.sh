@@ -23,7 +23,7 @@ out="${2:-bench.json}"
 
 case "$mode" in
   quick)
-    # BenchmarkRunAsync also matches the Calendar/Reuse/Metrics variants by
+    # BenchmarkRunAsync also matches the ExecTrace/Reuse/Metrics variants by
     # prefix; BenchmarkRunSharded adds the parallel-engine speedup curve;
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
