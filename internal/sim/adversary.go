@@ -303,7 +303,7 @@ func (d BiasedDelay) Delay(from, to, _ int, _ Time) float64 {
 		return 1
 	}
 	fast := d.Fast
-	if fast <= 0 || fast > 1 {
+	if !(fast > 0 && fast <= 1) { // also catches NaN
 		fast = 0.01
 	}
 	return fast
@@ -313,7 +313,7 @@ func (d BiasedDelay) Delay(from, to, _ int, _ Time) float64 {
 // edge from below (slow edges return the maximum delay 1).
 func (d BiasedDelay) Lookahead() float64 {
 	fast := d.Fast
-	if fast <= 0 || fast > 1 {
+	if !(fast > 0 && fast <= 1) { // also catches NaN
 		fast = 0.01
 	}
 	return fast

@@ -220,6 +220,11 @@ func TestBiasedDelay(t *testing.T) {
 	if v := dflt.Delay(2, 3, 0, 0); v <= 0 || v > 1 {
 		t.Errorf("default fast delay %v outside (0,1]", v)
 	}
+	// A NaN Fast clamps to the default like any value outside (0, 1].
+	nan := BiasedDelay{Fast: math.NaN()}
+	if v, w := nan.Delay(2, 3, 0, 0), nan.Lookahead(); v != 0.01 || w != 0.01 {
+		t.Errorf("Fast=NaN: delay %v, lookahead %v, want 0.01 and 0.01", v, w)
+	}
 }
 
 func TestCeilLog2(t *testing.T) {

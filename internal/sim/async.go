@@ -170,17 +170,6 @@ func setupForRun(cfg Config, alg Algorithm) (*Setup, Delayer, []Wakeup, error) {
 	return s, delays, wakeups, nil
 }
 
-// queueCapacity is the event-queue pre-size hint: enough for the schedule
-// plus a generous in-flight message buffer, capped so dense graphs don't
-// over-allocate (the queue still grows on demand).
-func queueCapacity(n, m int) int {
-	capacity := n + 2*m
-	if capacity > 1<<16 {
-		capacity = 1 << 16
-	}
-	return capacity
-}
-
 // maxEventsFor resolves the run's event budget.
 func maxEventsFor(cfg Config) int {
 	if cfg.MaxEvents > 0 {
@@ -231,16 +220,16 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 		e.cores = make([]engineCore, 1)
 	}
 	c := &e.cores[0]
-	c.reset(r, 0, 0, n, queueCapacity(n, r.g.M()))
+	c.reset(r, 0, 0, n)
 	c.acct = NewAccounting(r.s, r.alg.Name(), cfg.TrackPorts)
 	c.obs = cfg.observer()
 	c.staging = false
 	c.recOn = false
 
-	// Wake events enter through push, which maintains the heap invariant on
-	// its own — there is no separate "heapify" step. (The container/heap
-	// predecessor called heap.Init here redundantly for the same reason;
-	// TestWakePushesKeepHeapOrdered pins the invariant.)
+	// Wake events enter through push, which maintains the queue invariant
+	// on its own — there is no separate "heapify" step
+	// (TestWakePushesKeepHeapOrdered pins it). Every wake time is ≥ 0, at or
+	// above the empty queue's last key.
 	for _, w := range wakeups {
 		c.push(event{at: w.At, kind: evWake, node: w.Node})
 	}
@@ -252,11 +241,14 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 		t1 = tr.ExecNow()
 		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
 	}
-	for c.queue.len() > 0 {
+	for {
+		ev, _, ok := c.queue.popBefore(infTime)
+		if !ok {
+			break
+		}
 		if res.Events >= maxEvents {
 			return nil, eventLimitErr(maxEvents, r.alg)
 		}
-		ev := c.queue.pop()
 		c.now = ev.at
 		res.Events++
 		switch ev.kind {

@@ -280,19 +280,38 @@ type badDelayer struct{ v float64 }
 
 func (d badDelayer) Delay(int, int, int, Time) float64 { return d.v }
 
+// Lookahead lets Shards > 1 take the sharded path, whose send shares the
+// delay check.
+func (badDelayer) Lookahead() float64 { return 0.5 }
+
+// TestDelayValidation requires every delay outside (0, 1] to abort the run
+// on both paths. NaN fails every comparison, so a check written as
+// "delay <= 0 || delay > 1" would let it through and yield a NaN span.
 func TestDelayValidation(t *testing.T) {
-	for _, bad := range []float64{0, -0.5, 1.5} {
+	for _, shards := range []int{0, 2} {
+		cfg := func(v float64) Config {
+			return Config{
+				Graph: pairGraph(),
+				Model: Model{Knowledge: KT0, Bandwidth: Local},
+				Adversary: Adversary{
+					Schedule: WakeSingle(0),
+					Delays:   badDelayer{v: v},
+				},
+				Shards:    shards,
+				MemReport: true,
+			}
+		}
 		var received []int
-		_, err := RunAsync(Config{
-			Graph: pairGraph(),
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: WakeSingle(0),
-				Delays:   badDelayer{v: bad},
-			},
-		}, seqAlgorithm{count: 1, bits: 4, received: &received})
-		if err == nil {
-			t.Errorf("delay %v should be rejected", bad)
+		res, err := RunAsync(cfg(0.5), seqAlgorithm{count: 1, bits: 4, received: &received})
+		if err != nil || res.Mem.Shards != shards {
+			t.Fatalf("shards=%d: valid delay gave err=%v, want a run on %d shards", shards, err, shards)
+		}
+		for _, bad := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+			received = nil
+			res, err := RunAsync(cfg(bad), seqAlgorithm{count: 1, bits: 4, received: &received})
+			if err == nil {
+				t.Errorf("shards=%d: delay %v should be rejected, got span %v", shards, bad, res.Span)
+			}
 		}
 	}
 }

@@ -308,7 +308,7 @@ func (c *engineCore) send(from, port int, m Message) {
 	k := int(r.edgeSeq[ei])
 	r.edgeSeq[ei]++
 	delay := r.delays.Delay(from, to, k, c.now)
-	if delay <= 0 || delay > 1 {
+	if !(delay > 0 && delay <= 1) { // NaN fails both comparisons
 		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
 		c.err = fmt.Errorf("sim: delayer returned %v outside (0,1]", delay)
 		return
@@ -355,10 +355,10 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 }
 
 // reset readies the core to run the node range [lo, hi) of run: per-run
-// counters and barrier buffers cleared, the queue emptied and pre-sized to
-// capacity, and every owned node's context pointed at this core. The
-// caller sets the run's accounting, observer, and staging mode.
-func (c *engineCore) reset(run *runShared, id, lo, hi, capacity int) {
+// counters and barrier buffers cleared, the queue emptied (its storage
+// kept), and every owned node's context pointed at this core. The caller
+// sets the run's accounting, observer, and staging mode.
+func (c *engineCore) reset(run *runShared, id, lo, hi int) {
 	c.run = run
 	c.id = id
 	c.lo = lo
@@ -373,7 +373,7 @@ func (c *engineCore) reset(run *runShared, id, lo, hi, capacity int) {
 	c.nextAt = infTime
 	truncateStaged(c)
 	truncateRec(c)
-	c.queue.reset(capacity)
+	c.queue.reset()
 	for v := lo; v < hi; v++ {
 		run.ctxs[v] = coreCtx{c: c, node: v}
 	}
@@ -381,7 +381,9 @@ func (c *engineCore) reset(run *runShared, id, lo, hi, capacity int) {
 
 // runWindow is the sharded per-core loop for one window: push the inbox
 // (events already carry their barrier-assigned vseq), then drain every
-// event strictly before windowEnd, staging all children. The lookahead
+// event strictly before windowEnd, staging all children. Inbox events sit
+// at or past the previous window's end, above every key the core has
+// popped, which is the queue's monotone-push contract. The lookahead
 // invariant — every child's delivery time is at least one window width
 // after its parent — guarantees nothing pushed during the window is
 // processed in it, so the drain is bounded by the pending population.
@@ -393,14 +395,12 @@ func (c *engineCore) runWindow(inbox []event, windowEnd Time, budget int) {
 	for _, ev := range inbox {
 		c.queue.push(ev)
 	}
-	c.nextAt = infTime
-	for c.queue.len() > 0 {
-		top := c.queue.peek()
-		if top.at >= windowEnd {
-			c.nextAt = top.at
+	for {
+		ev, next, ok := c.queue.popBefore(windowEnd)
+		if !ok {
+			c.nextAt = next
 			return
 		}
-		ev := c.queue.pop()
 		c.now = ev.at
 		c.curAt = ev.at
 		c.curVseq = ev.seq

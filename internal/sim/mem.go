@@ -11,9 +11,12 @@ import (
 // slice capacities — it never calls the runtime allocator profiler, so
 // enabling it cannot perturb a run.
 var (
-	eventBytes   = int64(unsafe.Sizeof(event{}))
-	ctxBytes     = int64(unsafe.Sizeof(coreCtx{}))
-	programBytes = int64(unsafe.Sizeof(Program(nil)))
+	eventBytes       = int64(unsafe.Sizeof(event{}))
+	keyChunkBytes    = int64(unsafe.Sizeof(keyChunk{}))
+	payloadPageBytes = int64(unsafe.Sizeof(payloadPage{}))
+	ptrBytes         = int64(unsafe.Sizeof(uintptr(0)))
+	ctxBytes         = int64(unsafe.Sizeof(coreCtx{}))
+	programBytes     = int64(unsafe.Sizeof(Program(nil)))
 	// pcgBytes and randWrapBytes are the two RNG SoA element sizes: node
 	// v's generator is rngs[v] (16 bytes of PCG state) plus rands[v] (the
 	// rand.Rand wrapper binding the stdlib API to it). Both are flat
@@ -37,8 +40,12 @@ var (
 // rand.Rand wrapper — see DESIGN.md "Node randomness"; before the compact
 // source this was ~4.8 KiB per woken node and 96 % of a million-node run).
 type MemReport struct {
-	// QueueBytes is the event queues' backing storage: the heap array of
-	// every core the run used.
+	// QueueBytes is the event queues' backing storage, summed over every
+	// core the run used: the radix heap's chunk arena (24-byte keys in
+	// 256-key chunks, with the chunk pointer and link tables), its payload
+	// slab (40-byte payloads in 1024-slot pages, with the page table), and
+	// the free lists of chunks and slots. The arena stays within
+	// ⌈peak live events/256⌉ + 129 chunks.
 	QueueBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
 	// sequence arrays.

@@ -95,7 +95,6 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 	r := &e.run
 	part := r.part
 	alg := r.alg
-	n := r.g.N()
 	p := part.P
 	if tr != nil {
 		tr.ExecBegin(p + 1) // track 0: coordinator; tracks 1..p: shards
@@ -109,11 +108,10 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 
 	obs := cfg.observer()
 	master := NewAccounting(r.s, alg.Name(), cfg.TrackPorts)
-	capacity := queueCapacity(n, r.g.M())/p + 64
 
 	for i := 0; i < p; i++ {
 		c := &e.cores[i]
-		c.reset(r, i, int(part.Bounds[i]), int(part.Bounds[i+1]), capacity)
+		c.reset(r, i, int(part.Bounds[i]), int(part.Bounds[i+1]))
 		c.acct = master.shardView()
 		c.obs = nil
 		c.staging = true

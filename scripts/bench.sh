@@ -5,8 +5,9 @@
 #   scripts/bench.sh [quick|full] [output.json]
 #
 #   quick  (default) the engine-core subset (BenchmarkRunAsync*,
-#          BenchmarkEngine) plus the graph kernels at a short benchtime;
-#          what CI runs per push.
+#          BenchmarkEngine), the event queue alone (BenchmarkEventQueue)
+#          and the graph kernels at a short benchtime; what CI runs per
+#          push.
 #   full   every benchmark in the repo at the default benchtime; use for
 #          the committed BENCH_<pr>.json artifacts.
 #
@@ -28,14 +29,17 @@ case "$mode" in
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
     # graph package contributes the build benchmarks and the batched
-    # Diameter and GreedySpanner kernels.
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
-    packages='. ./internal/graph'
+    # Diameter and GreedySpanner kernels; internal/sim contributes the
+    # queue layer (BenchmarkEventQueue: hold model at 10^3/10^5/4*10^6
+    # live events and a 4*10^6 burst-drain, 10^6+ events per op, so one
+    # op is a sample).
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    packages='. ./internal/graph ./internal/sim'
     benchtime='1x'
     ;;
   full)
     pattern='.'
-    packages='. ./internal/graph'
+    packages='. ./internal/graph ./internal/sim'
     benchtime='3x'
     ;;
   *)
