@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
 )
@@ -48,7 +50,8 @@ func (a DFSRank) NewMachine(info sim.NodeInfo) sim.Program {
 }
 
 // dfsToken is the traversal token. Ownership is handed off on send: the
-// sender keeps no reference, so the slices can be extended in place.
+// sender keeps no reference, so the slices and the index can be extended
+// in place.
 //
 // congest: exempt — LOCAL-model token; Bits() meters the carried ID lists.
 type dfsToken struct {
@@ -57,12 +60,23 @@ type dfsToken struct {
 	Visited []graph.NodeID // IDs in visit order; Visited[0] == Origin
 	Stack   []graph.NodeID // DFS path from origin to the current holder
 	idBits  int
+	// seen indexes Visited, so a hop tests its neighbors in O(deg)
+	// instead of rebuilding a set of the whole list. It is simulator
+	// state: Bits and GoString leave it out.
+	seen map[graph.NodeID]struct{}
 }
 
 // Bits implements sim.Message. The token is a LOCAL-model message: its
 // size grows linearly with the visited prefix.
 func (t *dfsToken) Bits() int {
 	return tagBits + 64 + (len(t.Visited)+len(t.Stack))*t.idBits
+}
+
+// GoString prints the token as %#v would without the seen index, so
+// transcript digests and traces hash only what the message carries.
+func (t *dfsToken) GoString() string {
+	return fmt.Sprintf("&core.dfsToken{Rank:%#x, Origin:%d, Visited:%#v, Stack:%#v, idBits:%d}",
+		t.Rank, t.Origin, t.Visited, t.Stack, t.idBits)
 }
 
 // dfsMachine is the per-node state: only the lexicographic maximum
@@ -98,6 +112,7 @@ func (m *dfsMachine) OnWake(ctx sim.Context) {
 		Visited: []graph.NodeID{me},
 		Stack:   []graph.NodeID{me},
 		idBits:  m.info.LogN + 1,
+		seen:    map[graph.NodeID]struct{}{me: {}},
 	}
 	m.advance(ctx, t)
 }
@@ -118,18 +133,10 @@ func (m *dfsMachine) OnMessage(ctx sim.Context, d sim.Delivery) {
 // token's DFS stack: move to the smallest-ID unvisited neighbor if one
 // exists, otherwise backtrack toward the origin.
 func (m *dfsMachine) advance(ctx sim.Context, t *dfsToken) {
-	visited := make(map[graph.NodeID]bool, len(t.Visited))
-	for _, id := range t.Visited {
-		visited[id] = true
-	}
-	next := graph.NodeID(-1)
-	for _, id := range m.info.NeighborIDs {
-		if !visited[id] && (next == -1 || id < next) {
-			next = id
-		}
-	}
+	next := unvisitedMin(m.info.NeighborIDs, t.seen)
 	if next != -1 {
 		t.Visited = append(t.Visited, next)
+		t.seen[next] = struct{}{}
 		t.Stack = append(t.Stack, next)
 		ctx.SendToID(next, t)
 		return
@@ -141,4 +148,16 @@ func (m *dfsMachine) advance(ctx sim.Context, t *dfsToken) {
 		return
 	}
 	ctx.SendToID(t.Stack[len(t.Stack)-1], t)
+}
+
+// unvisitedMin returns the smallest ID among ids that is not in seen, or
+// -1 if every one is.
+func unvisitedMin(ids []graph.NodeID, seen map[graph.NodeID]struct{}) graph.NodeID {
+	next := graph.NodeID(-1)
+	for _, id := range ids {
+		if _, ok := seen[id]; !ok && (next == -1 || id < next) {
+			next = id
+		}
+	}
+	return next
 }

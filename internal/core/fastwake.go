@@ -161,10 +161,19 @@ func (fwActivate) Bits() int { return tagBits }
 
 // --- Machine ---
 
+// fwRootState is a root's view of its tree: tree maps each level-1 and
+// level-2 member to its slot. The pipeline is lock-step, so each of
+// assignLevel2 and assignLevel3 runs once per root: level 1 is filled at
+// sampling, level 2 by assignLevel2, and assignLevel3 only reads.
 type fwRootState struct {
-	l1Set    map[graph.NodeID]bool
-	l2Set    map[graph.NodeID]bool
-	l2Parent map[graph.NodeID]graph.NodeID // level-2 node -> its level-1 parent
+	tree map[graph.NodeID]fwSlot
+}
+
+// fwSlot is one tree member's level (1 or 2) and, at level 2, its level-1
+// parent.
+type fwSlot struct {
+	level  int8
+	parent graph.NodeID
 }
 
 type fwMachine struct {
@@ -293,9 +302,9 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 		// Sampling step.
 		if ctx.Rand().Float64() < m.rootProb {
 			m.isRoot = true
-			m.root = &fwRootState{l1Set: make(map[graph.NodeID]bool, m.info.Degree)}
+			m.root = &fwRootState{tree: make(map[graph.NodeID]fwSlot, m.info.Degree)}
 			for _, id := range m.info.NeighborIDs {
-				m.root.l1Set[id] = true
+				m.root.tree[id] = fwSlot{level: 1}
 			}
 			m.scheduleDeactivate(fwRootDeactivate)
 			ctx.Broadcast(fwL1Invite{Root: m.info.ID, W: w})
@@ -315,24 +324,23 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 // parent, and ship per-parent child lists (the BFS edge set S2).
 func (m *fwMachine) assignLevel2(ctx sim.Context, reports []fwChildReport, w int) {
 	me := m.info.ID
-	rs := m.root
-	rs.l2Parent = make(map[graph.NodeID]graph.NodeID)
-	rs.l2Set = make(map[graph.NodeID]bool)
+	tree := m.root.tree
 	for _, rep := range reports {
 		for _, cand := range rep.Neighbors {
-			if cand == me || rs.l1Set[cand] {
+			if cand == me {
 				continue
 			}
-			if p, ok := rs.l2Parent[cand]; !ok || rep.Child < p {
-				rs.l2Parent[cand] = rep.Child
+			if s, ok := tree[cand]; !ok || s.level == 2 && rep.Child < s.parent {
+				tree[cand] = fwSlot{level: 2, parent: rep.Child}
 			}
 		}
 	}
 	perParent := make(map[graph.NodeID][]graph.NodeID)
 	//lint:maporder-ok every perParent bucket is sortIDs-ed before sending
-	for child, parent := range rs.l2Parent {
-		rs.l2Set[child] = true
-		perParent[parent] = append(perParent[parent], child)
+	for child, s := range tree {
+		if s.level == 2 {
+			perParent[s.parent] = append(perParent[s.parent], child)
+		}
 	}
 	for _, parent := range sortedKeys(perParent) {
 		children := perParent[parent]
@@ -346,11 +354,11 @@ func (m *fwMachine) assignLevel2(ctx sim.Context, reports []fwChildReport, w int
 // S3 through the level-1 parents.
 func (m *fwMachine) assignLevel3(ctx sim.Context, reports []fwChildReport, w int) {
 	me := m.info.ID
-	rs := m.root
+	tree := m.root.tree
 	l3Parent := make(map[graph.NodeID]graph.NodeID)
 	for _, rep := range reports {
 		for _, cand := range rep.Neighbors {
-			if cand == me || rs.l1Set[cand] || rs.l2Set[cand] {
+			if _, inTree := tree[cand]; inTree || cand == me {
 				continue
 			}
 			if p, ok := l3Parent[cand]; !ok || rep.Child < p {
@@ -369,7 +377,7 @@ func (m *fwMachine) assignLevel3(ctx sim.Context, reports []fwChildReport, w int
 	for _, l2 := range sortedKeys(perL2) {
 		gcs := perL2[l2]
 		sortIDs(gcs)
-		l1 := rs.l2Parent[l2]
+		l1 := tree[l2].parent
 		perL1[l1] = append(perL1[l1], fwL3Entry{Child: l2, Grandchildren: gcs})
 	}
 	for _, l1 := range sortedKeys(perL1) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
 )
@@ -54,11 +56,18 @@ type leaderToken struct {
 	Parents []graph.NodeID // Parents[i] is the DFS parent of Visited[i] (-1 for the origin)
 	Stack   []graph.NodeID
 	idBits  int
+	seen    map[graph.NodeID]struct{} // indexes Visited, as in dfsToken
 }
 
 // Bits implements sim.Message.
 func (t *leaderToken) Bits() int {
 	return tagBits + 64 + (2*len(t.Visited)+len(t.Stack))*t.idBits
+}
+
+// GoString prints the token as %#v would without the seen index.
+func (t *leaderToken) GoString() string {
+	return fmt.Sprintf("&core.leaderToken{Rank:%#x, Origin:%d, Visited:%#v, Parents:%#v, Stack:%#v, idBits:%d}",
+		t.Rank, t.Origin, t.Visited, t.Parents, t.Stack, t.idBits)
 }
 
 // leaderAnnounce carries the elected leader and the DFS tree downward.
@@ -100,6 +109,7 @@ func (m *leaderMachine) OnWake(ctx sim.Context) {
 		Parents: []graph.NodeID{-1},
 		Stack:   []graph.NodeID{me},
 		idBits:  m.info.LogN + 1,
+		seen:    map[graph.NodeID]struct{}{me: {}},
 	}
 	m.advance(ctx, t)
 }
@@ -118,19 +128,11 @@ func (m *leaderMachine) OnMessage(ctx sim.Context, d sim.Delivery) {
 }
 
 func (m *leaderMachine) advance(ctx sim.Context, t *leaderToken) {
-	visited := make(map[graph.NodeID]bool, len(t.Visited))
-	for _, id := range t.Visited {
-		visited[id] = true
-	}
 	me := m.info.ID
-	next := graph.NodeID(-1)
-	for _, id := range m.info.NeighborIDs {
-		if !visited[id] && (next == -1 || id < next) {
-			next = id
-		}
-	}
+	next := unvisitedMin(m.info.NeighborIDs, t.seen)
 	if next != -1 {
 		t.Visited = append(t.Visited, next)
+		t.seen[next] = struct{}{}
 		t.Parents = append(t.Parents, me)
 		t.Stack = append(t.Stack, next)
 		ctx.SendToID(next, t)

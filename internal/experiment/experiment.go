@@ -30,7 +30,8 @@ import (
 // node or edge count beyond the graph's int32 index space
 // (graph.CheckSize) are errors, not panics. For gnp and connected the
 // edge count checked is twice the expected one, so the drawn count cannot
-// realistically overflow.
+// realistically overflow, and the generators draw one coin per node pair,
+// so more than maxCoinPairs pairs is an error too.
 func ParseGraph(spec string, seed int64) (*graph.Graph, error) {
 	if kind, path, _ := strings.Cut(spec, ":"); kind == "file" {
 		if path == "" {
@@ -73,11 +74,19 @@ type family struct {
 // treeSize is the size of every tree family: n nodes, n−1 edges.
 func treeSize(n, _ int, _ float64) (int, int, error) { return n, max(n-1, 0), nil }
 
+// maxCoinPairs caps the node pairs of gnp and connected. Their generators
+// draw one coin per pair, about 5 ns each, so the cap is some 40 s of
+// drawing; gnp:100000:P (5·10⁹ pairs) is within it.
+const maxCoinPairs = 1 << 33
+
 // randomSize is the size gnp and connected are checked at: forced edges
 // plus twice the expected number of the pairs left, each drawn with
 // probability p.
 func randomSize(n, forced int, p float64) (int, int, error) {
 	pairs := float64(n) * float64(n-1) / 2
+	if pairs > maxCoinPairs {
+		return 0, 0, fmt.Errorf("%.4g node pairs, one coin each, exceed the cap of 2^33", pairs)
+	}
 	return n, forced + int(math.Ceil(2*p*(pairs-float64(forced)))), nil
 }
 

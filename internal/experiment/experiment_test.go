@@ -87,10 +87,31 @@ func TestParseGraphErrors(t *testing.T) {
 		"regular:5:3", "regular:4:4", "ba:3:3", "ba:5:0", "gnp:10:1.5",
 		"gnp:10:NaN", "grid:65536x65536", "path:9999999999",
 		"gnp:100000:0.5",
+		// Sparse enough for the edge check, but one coin per node pair
+		// is 5·10¹¹ and 2·10¹⁰ draws.
+		"gnp:1000000:0.000001", "connected:200000:0.00001",
 	} {
 		if _, err := ParseGraph(spec, 1); err == nil {
 			t.Errorf("spec %q should fail", spec)
 		}
+	}
+}
+
+// TestParseGraphCoinCap checks the node-pair cap of gnp and connected: the
+// error names it, and the largest spec in use stays within it.
+func TestParseGraphCoinCap(t *testing.T) {
+	_, err := parseGraphSpec("gnp:1000000:0.000001")
+	if err == nil || !strings.Contains(err.Error(), "cap of 2^33") {
+		t.Errorf("gnp:1000000:0.000001: error %v, want the 2^33 pair cap named", err)
+	}
+	// 131072·131071/2 pairs are within 2^33, 131073·131072/2 are not.
+	for _, spec := range []string{"gnp:100000:0.0001", "connected:100000:0.0001", "gnp:131072:0"} {
+		if _, err := parseGraphSpec(spec); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+	if _, err := parseGraphSpec("gnp:131073:0"); err == nil {
+		t.Error("gnp:131073:0 should exceed the pair cap")
 	}
 }
 

@@ -268,40 +268,148 @@ func (g *Graph) Connected() bool {
 }
 
 // Girth returns the length of a shortest cycle, or -1 if the graph is
-// acyclic. It runs a BFS from every node and detects the first cross/back
-// edge, giving the exact girth in O(n·m) time.
+// acyclic.
+//
+// A BFS from s that meets a non-tree edge {v, w} has found a closed walk
+// through s of length dist(s, v) + dist(s, w) + 1, which holds a cycle at
+// most that long, and no cycle through s is shorter than the shortest
+// such walk (Itai and Rodeh, SICOMP 1978). Girth
+// runs these searches 64 sources at a time with the bit-parallel scratch
+// of Diameter, one level at a time: at level d, an edge between two
+// frontier nodes of the same source closes a cycle of length at most
+// 2d+1, and a node reached by two frontier nodes of the same source one
+// of length at most 2d+2. A batch stops at the first level that closes a
+// cycle, or once 2d+1 reaches the shortest cycle already known.
+//
+// Nodes of degree below 2 lie on no cycle, so the searches run on the
+// 2-core. After each batch its sources are deleted and the core peeled
+// again: every cycle through a source has been seen, so the girth is the
+// smaller of the batch's best and the girth of what is left. A forest
+// costs O(n + m). Otherwise there are at most ⌈n/64⌉ batches of
+// O(min(d, 64)·m) word operations each, where d is the number of levels
+// the batch runs: up to half the length of the shortest cycle through one
+// of its sources, and about half the girth once a cycle is known.
 func (g *Graph) Girth() int {
-	best := -1
 	n := g.N()
-	dist := make([]int, n)
-	par := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = -1
+	words := make([]uint64, 3*n)
+	ids := make([]int32, 3*n)
+	ms := msbfs{
+		seen: words[:n], visit: words[n : 2*n], next: words[2*n:],
+		cur: ids[:0:n], nxt: ids[n : n : 2*n],
+	}
+	// A node is deleted by setting its degree to 0 and its seen word to
+	// all ones, so no search enters it and no frontier meets it. A live
+	// node has degree at least 2 and, between batches, seen word 0.
+	seen := ms.seen
+	deg := make([]int32, n)
+	peel := ids[2*n : 2*n : 3*n]
+	kill := func(v int32) {
+		deg[v], seen[v] = 0, ^uint64(0)
+		peel = append(peel, v)
+	}
+	for v := range deg {
+		if d := g.off[v+1] - g.off[v]; d >= 2 {
+			deg[v] = d
+		} else {
+			kill(int32(v))
 		}
-		queue = queue[:0]
-		dist[s] = 0
-		par[s] = -1
-		queue = append(queue, int32(s))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			if best != -1 && dist[v] >= (best+1)/2 {
-				break // no shorter cycle through s can be found deeper
-			}
-			for _, w := range g.Neighbors(int(v)) {
-				if dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					par[w] = v
-					queue = append(queue, w)
-				} else if w != par[v] {
-					// Cycle through s of length dist[v]+dist[w]+1.
-					if c := dist[v] + dist[w] + 1; best == -1 || c < best {
-						best = c
+	}
+	best := -1
+	var batch [64]int32
+	for first := int32(0); ; {
+		for len(peel) > 0 {
+			v := peel[len(peel)-1]
+			peel = peel[:len(peel)-1]
+			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+				if deg[w] >= 2 {
+					if deg[w]--; deg[w] < 2 {
+						kill(w)
 					}
 				}
 			}
 		}
+		// Every node below first is deleted: a source or peeled.
+		sources := batch[:0]
+		for ; first < int32(n) && len(sources) < len(batch); first++ {
+			if deg[first] >= 2 {
+				sources = append(sources, first)
+			}
+		}
+		if len(sources) == 0 {
+			return best
+		}
+		if best = ms.shortestCycle(g, sources, best); best == 3 {
+			return best // no cycle is shorter
+		}
+		// Zero the seen words the batch set: every node it reached is
+		// joined to a source through reached nodes.
+		stack := ms.nxt[:0]
+		for _, v := range sources {
+			seen[v] = 0
+			stack = append(stack, v)
+		}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+				if seen[w] != 0 && deg[w] >= 2 {
+					seen[w] = 0
+					stack = append(stack, w)
+				}
+			}
+		}
+		for _, v := range sources {
+			kill(v)
+		}
+	}
+}
+
+// shortestCycle runs a BFS from each source (at most 64, distinct) over
+// the nodes whose seen word is not all ones, and returns the shortest
+// cycle length it detects if that is below best (-1: none known), else
+// best. It leaves visit and next zeroed; seen keeps the sources that
+// reached each node.
+func (m *msbfs) shortestCycle(g *Graph, sources []int32, best int) int {
+	seen, visit, next := m.seen, m.visit, m.next
+	cur, nxt := m.cur[:0], m.nxt[:0]
+	for i, v := range sources {
+		seen[v] = 1 << i
+		visit[v] = 1 << i
+		cur = append(cur, v)
+	}
+	for d := 0; len(cur) > 0 && (best == -1 || 2*d+1 < best); d++ {
+		// odd collects the sources with an edge inside their frontier,
+		// twice those that reach a next-level node from two frontier
+		// nodes.
+		var odd, twice uint64
+		for _, v := range cur {
+			f := visit[v]
+			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+				odd |= f & visit[w]
+				twice |= f & next[w]
+				if fresh := f &^ seen[w]; fresh != 0 {
+					if next[w] == 0 {
+						nxt = append(nxt, w)
+					}
+					next[w] |= fresh
+					seen[w] |= fresh
+				}
+			}
+		}
+		for _, v := range cur {
+			visit[v] = 0
+		}
+		visit, next = next, visit
+		cur, nxt = nxt, cur[:0]
+		// A cycle found here ends the loop: 2(d+1)+1 exceeds it.
+		if odd != 0 {
+			best = 2*d + 1
+		} else if twice != 0 {
+			best = 2*d + 2
+		}
+	}
+	for _, v := range cur {
+		visit[v] = 0
 	}
 	return best
 }

@@ -66,6 +66,34 @@ func BenchmarkDiameter(b *testing.B) {
 	}
 }
 
+// girthShapes are the Girth benchmark graphs: the largest Theorem 2
+// incidence graph table1 measures (PG(2,37), girth 6) and a generalized
+// quadrangle (girth 8), the cycle (n/2 levels in one batch, then the rest
+// peels), a tree (no 2-core) and a sparse random graph. The file uses only
+// the public API, so it runs unchanged on older checkouts.
+var girthShapes = []struct {
+	name  string
+	build func() *Graph
+}{
+	{"pg2:37", func() *Graph { return ProjectivePlaneIncidence(37) }},
+	{"gq:5", func() *Graph { return SymplecticGQIncidence(5) }},
+	{"cycle:8192", func() *Graph { return Cycle(8192) }},
+	{"binary:16383", func() *Graph { return BinaryTree(16383) }},
+	{"connected:2048:0.01", func() *Graph { return RandomConnected(2048, 0.01, rand.New(rand.NewSource(1))) }},
+}
+
+func BenchmarkGirth(b *testing.B) {
+	for _, shape := range girthShapes {
+		g := shape.build()
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = g.Girth()
+			}
+		})
+	}
+}
+
 // BenchmarkGreedySpanner runs the spanner oracle at k = 2 and at
 // k = ⌈log₂ n⌉ (table1's Theorem 6 and Corollary 2 rows) on a table1 graph
 // and a sparse lattice.

@@ -93,6 +93,45 @@ func distWithinAdj(adj [][]int32, u, v, limit int) int {
 	return -1
 }
 
+// girthReference is the per-source Girth: a BFS from every node that
+// records the shortest closed walk through a non-tree edge, cut off once
+// it is deeper than half the best cycle found.
+func girthReference(g *Graph) int {
+	best := -1
+	n := g.N()
+	dist := make([]int, n)
+	par := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for s := 0; s < n; s++ {
+		for i := range dist {
+			dist[i] = -1
+		}
+		queue = queue[:0]
+		dist[s] = 0
+		par[s] = -1
+		queue = append(queue, int32(s))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			if best != -1 && dist[v] >= (best+1)/2 {
+				break // no shorter cycle through s can be found deeper
+			}
+			for _, w := range g.Neighbors(int(v)) {
+				if dist[w] == -1 {
+					dist[w] = dist[v] + 1
+					par[w] = v
+					queue = append(queue, w)
+				} else if w != par[v] {
+					// Cycle through s of length dist[v]+dist[w]+1.
+					if c := dist[v] + dist[w] + 1; best == -1 || c < best {
+						best = c
+					}
+				}
+			}
+		}
+	}
+	return best
+}
+
 // differentialGraphs is the shape zoo both batched kernels are checked on:
 // batch boundaries (n around 64), off-centre midpoints (lollipop,
 // caterpillar), the no-early-exit cycle, lattices, dense and sparse random
@@ -197,6 +236,110 @@ func checkSpannerDifferential(t *testing.T, name string, g *Graph, k int) {
 	}
 }
 
+// girthGraphs adds Girth's own cases to the shape zoo: the incidence
+// graphs table1's Theorem 2 row measures, cycles around the batch size,
+// lattices, trees, cycles with pendant trees (peeled before the search),
+// graphs whose shortest cycle is found only by a later batch, and random
+// graphs from forests to dense.
+func girthGraphs() map[string]*Graph {
+	gs := differentialGraphs()
+	for _, q := range []int{2, 3, 5, 7} {
+		gs[fmt.Sprintf("pg2:%d", q)] = ProjectivePlaneIncidence(q)
+	}
+	for _, q := range []int{2, 3} {
+		gs[fmt.Sprintf("gq:%d", q)] = SymplecticGQIncidence(q)
+	}
+	for _, n := range []int{3, 4, 5, 63, 64, 65, 127, 128, 129} {
+		gs[fmt.Sprintf("cycle%d", n)] = Cycle(n)
+	}
+	gs["complete4"] = Complete(4)
+	gs["bipartite3x5"] = CompleteBipartite(3, 5)
+	gs["bipartite1x9"] = CompleteBipartite(1, 9)
+	gs["wheel4"] = Wheel(4)
+	gs["grid2x2"] = Grid(2, 2)
+	gs["grid30x30"] = Grid(30, 30)
+	gs["torus3x3"] = Torus(3, 3)
+	gs["torus4x9"] = Torus(4, 9)
+	gs["torus9x11"] = Torus(9, 11)
+	gs["hypercube4"] = Hypercube(4)
+	gs["binary1023"] = BinaryTree(1023)
+	gs["kary200:3"] = KAryTree(200, 3)
+	gs["debruijn6"] = DeBruijn(6)
+
+	rng := rand.New(rand.NewSource(16))
+	// Cycles with a random tree hung on every node.
+	for _, c := range []int{3, 8, 65} {
+		b := NewBuilder(4 * c)
+		for v := 0; v < c; v++ {
+			b.AddEdge(v, (v+1)%c)
+		}
+		for v := c; v < 4*c; v++ {
+			b.AddEdge(v, rng.Intn(v))
+		}
+		gs[fmt.Sprintf("cycle%d+trees", c)] = b.MustBuild()
+	}
+	// A 100-cycle, whose first batch sets best = 100, beside a 5-cycle
+	// and a triangle hanging off a long path, both on higher nodes.
+	b := NewBuilder(200)
+	for v := 0; v < 100; v++ {
+		b.AddEdge(v, (v+1)%100)
+	}
+	for v := 150; v < 155; v++ {
+		b.AddEdge(v, 150+(v-149)%5)
+	}
+	for v := 160; v < 199; v++ {
+		b.AddEdge(v, v+1)
+	}
+	b.AddEdge(197, 199)
+	gs["cycle100|cycle5|lollipop"] = b.MustBuild()
+	// A theta graph: two hubs joined by paths of 40, 70 and 90 edges, so
+	// the shortest cycle (110) runs through nodes of two batches.
+	b = NewBuilder(2 + 39 + 69 + 89)
+	next := 2
+	for _, length := range []int{40, 70, 90} {
+		prev := 0
+		for i := 1; i < length; i++ {
+			b.AddEdge(prev, next)
+			prev = next
+			next++
+		}
+		b.AddEdge(prev, 1)
+	}
+	gs["theta40:70:90"] = b.MustBuild()
+
+	for _, n := range []int{10, 64, 65, 130, 200} {
+		for _, p := range []float64{0.005, 0.02, 0.05, 0.3, 0.9} {
+			gs[fmt.Sprintf("gnp%d:%g", n, p)] = RandomGNP(n, p, rng)
+		}
+		gs[fmt.Sprintf("forest%d", n)] = forest(n, rng)
+	}
+	for i := 0; i < 200; i++ {
+		n := 3 + rng.Intn(40)
+		p := []float64{0.03, 0.08, 0.15, 0.4}[i%4]
+		gs[fmt.Sprintf("small%d:gnp%d:%g", i, n, p)] = RandomGNP(n, p, rng)
+	}
+	return gs
+}
+
+// forest is n nodes split into random trees.
+func forest(n int, rng *rand.Rand) *Graph {
+	b := NewBuilder(n)
+	for v := 1; v < n; v++ {
+		if rng.Intn(5) != 0 {
+			b.AddEdge(v, rng.Intn(v))
+		}
+	}
+	return b.MustBuild()
+}
+
+func TestGirthMatchesReference(t *testing.T) {
+	for name, g := range girthGraphs() {
+		if got, want := g.Girth(), girthReference(g); got != want {
+			t.Errorf("%s: Girth = %d, reference %d", name, got, want)
+		}
+	}
+}
+
 // fuzzGraph builds a graph from fuzz bytes: the first byte picks n, each
 // later pair an edge (self-loops and repeats dropped).
 func fuzzGraph(data []byte) *Graph {
@@ -242,6 +385,16 @@ func FuzzDiameter(f *testing.F) {
 		got, err := g.Diameter()
 		if got != want || err != wantErr {
 			t.Fatalf("n=%d m=%d: Diameter = %d, %v; reference %d, %v", g.N(), g.M(), got, err, want, wantErr)
+		}
+	})
+}
+
+func FuzzGirth(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, _ uint8) {
+		g := fuzzGraph(data)
+		if got, want := g.Girth(), girthReference(g); got != want {
+			t.Fatalf("n=%d m=%d: Girth = %d, reference %d", g.N(), g.M(), got, want)
 		}
 	})
 }

@@ -29,11 +29,11 @@ case "$mode" in
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
     # graph package contributes the build benchmarks and the batched
-    # Diameter and GreedySpanner kernels; internal/sim contributes the
+    # Diameter, Girth and GreedySpanner kernels; internal/sim contributes the
     # queue layer (BenchmarkEventQueue: hold model at 10^3/10^5/4*10^6
     # live events and a 4*10^6 burst-drain, 10^6+ events per op, so one
     # op is a sample).
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDiameter|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDiameter|BenchmarkGirth|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
     packages='. ./internal/graph ./internal/sim'
     benchtime='1x'
     ;;
