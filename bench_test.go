@@ -461,6 +461,53 @@ func BenchmarkRunAsync(b *testing.B) {
 	}
 }
 
+// BenchmarkRunAsyncLarge is the sequential 10⁶-node sparse case: flood
+// from one source over binary:1000000 with delays in [0.25, 1], on a reused
+// engine (warmed outside the timer) with a prebuilt Setup, the shape of the
+// benchmark module's flood-1e6 workload on one core. BenchmarkRunAsync's largest sparse graph,
+// binary:16383, fits in cache; here the node records (48 B per node) and
+// the edge tables do not, so it measures the memory traffic of wake and
+// deliver.
+func BenchmarkRunAsyncLarge(b *testing.B) {
+	const spec = "binary:1000000"
+	g, err := experiment.ParseGraph(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}
+	setup, err := sim.NewSetup(g, nil, model, 0, nil, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(eng *sim.AsyncEngine, i int) *sim.Result {
+		res, err := eng.Run(sim.Config{
+			Graph: g,
+			Model: model,
+			Adversary: sim.Adversary{
+				Schedule: sim.WakeSet{Nodes: []int{0}},
+				Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
+			},
+			Seed:  int64(i),
+			Setup: setup,
+		}, core.Flood{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	b.Run(spec, func(b *testing.B) {
+		b.ReportAllocs()
+		eng := &sim.AsyncEngine{}
+		run(eng, -1) // grows the engine scratch outside the timer
+		b.ResetTimer()
+		events := 0
+		for i := 0; i < b.N; i++ {
+			events += run(eng, i).Events
+		}
+		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	})
+}
+
 // BenchmarkRunAsyncExecTrace repeats two BenchmarkRunAsync workloads with
 // the flight recorder attached (wall clock, as the CLIs inject it). A
 // sequential run records only the three lifecycle spans, so the delta
@@ -694,7 +741,8 @@ func BenchmarkRunner(b *testing.B) {
 // CSR edge metadata, NodeInfo — including the million-node sparse case
 // the compact node RNG makes routine (PR-10): setup work is O(n + m)
 // with no per-node generator cost, since node randomness is seeded
-// lazily in O(1) at wake time (BenchmarkReseedNode pins that half).
+// lazily in O(1) on a node's first draw (BenchmarkReseedNode pins that
+// half).
 func BenchmarkSetup(b *testing.B) {
 	for _, spec := range []string{"binary:16383", "gnp:5000:0.01", "binary:1000000"} {
 		g, err := experiment.ParseGraph(spec, 1)
@@ -714,10 +762,10 @@ func BenchmarkSetup(b *testing.B) {
 	}
 }
 
-// BenchmarkReseedNode measures the per-wake RNG cost the engine pays for
-// every node: reseeding a recycled generator in place. With the compact
-// PCG source this is O(1) — two splitmix64 evaluations — and
-// allocation-free (the stdlib lagged-Fibonacci source it replaced ran a
+// BenchmarkReseedNode measures the RNG cost the engine pays once per run
+// for every node that draws, on its first ctx.Rand(): reseeding a
+// recycled generator in place. With the compact PCG source this is O(1) —
+// two splitmix64 evaluations — and allocation-free (the stdlib lagged-Fibonacci source it replaced ran a
 // 607-word table fill here). BenchmarkNodeRand is the cold-start
 // comparison: constructing the generator from scratch.
 func BenchmarkReseedNode(b *testing.B) {
@@ -729,8 +777,8 @@ func BenchmarkReseedNode(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeRand measures fresh per-node generator construction — the
-// price of the first wake (subsequent wakes pay only BenchmarkReseedNode).
+// BenchmarkNodeRand measures fresh per-node generator construction, the
+// cold-start comparison for BenchmarkReseedNode.
 func BenchmarkNodeRand(b *testing.B) {
 	b.ReportAllocs()
 	var r *rand.Rand

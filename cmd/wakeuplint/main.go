@@ -1,6 +1,6 @@
 // Command wakeuplint runs the repo's determinism and performance-contract
 // analyzers (detrand, maporder, congestmsg, noalloc, atomicaccess,
-// globalwrite) over the simulator's deterministic packages.
+// globalwrite, ctxretain) over the simulator's deterministic packages.
 //
 // It supports two modes:
 //
@@ -43,6 +43,7 @@ import (
 	"riseandshine/tools/analyzers/analysis"
 	"riseandshine/tools/analyzers/atomicaccess"
 	"riseandshine/tools/analyzers/congestmsg"
+	"riseandshine/tools/analyzers/ctxretain"
 	"riseandshine/tools/analyzers/detrand"
 	"riseandshine/tools/analyzers/globalwrite"
 	"riseandshine/tools/analyzers/load"
@@ -58,6 +59,7 @@ var suite = []*analysis.Analyzer{
 	noalloc.Analyzer,
 	atomicaccess.Analyzer,
 	globalwrite.Analyzer,
+	ctxretain.Analyzer,
 }
 
 // deterministicPrefixes lists the import paths bound by the determinism

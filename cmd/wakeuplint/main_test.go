@@ -70,7 +70,7 @@ func TestListAnalyzers(t *testing.T) {
 	var buf bytes.Buffer
 	listAnalyzers(&buf)
 	out := buf.String()
-	for _, name := range []string{"detrand", "maporder", "congestmsg", "noalloc", "atomicaccess", "globalwrite"} {
+	for _, name := range []string{"detrand", "maporder", "congestmsg", "noalloc", "atomicaccess", "globalwrite", "ctxretain"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
 		}

@@ -78,12 +78,14 @@ type engine struct {
 	pending sync.WaitGroup // outstanding wake-ups and messages
 	done    chan struct{}
 
-	// mu serializes the shared accounting and the observer; both are
-	// single-threaded types borrowed from the deterministic engines.
-	mu   sync.Mutex
-	acct *sim.Accounting
-	obs  sim.Observer
-	err  error
+	// mu serializes the shared accounting, the per-node tallies and the
+	// observer; all are single-threaded types borrowed from the
+	// deterministic engines.
+	mu      sync.Mutex
+	acct    *sim.Accounting
+	tallies []sim.NodeTally
+	obs     sim.Observer
+	err     error
 }
 
 // fail records the first engine error; the run reports it after quiescing.
@@ -120,7 +122,7 @@ func (c nodeCtx) Send(port int, m sim.Message) {
 	from := c.n.index
 	to := e.pm.Neighbor(from, port) // validates the port (panics like the sim engines)
 	e.mu.Lock()
-	err := e.acct.Send(from, port, m.Bits())
+	err := e.acct.Send(&e.tallies[from], from, port, m.Bits())
 	if err == nil && e.obs != nil {
 		e.obs.OnSend(sim.Time(c.n.deliveries), from, port, m)
 	}
@@ -210,7 +212,7 @@ func (n *node) process(alg sim.Algorithm, d delivery) {
 		n.awake.Store(true)
 		e.mu.Lock()
 		e.acct.Result().Events++
-		e.acct.Wake(n.index, 0, isWake)
+		e.acct.Wake(&e.tallies[n.index], 0, isWake)
 		if e.obs != nil {
 			e.obs.OnWake(0, n.index, isWake)
 		}
@@ -222,7 +224,7 @@ func (n *node) process(alg sim.Algorithm, d delivery) {
 		at := sim.Time(n.deliveries)
 		e.mu.Lock()
 		e.acct.Result().Events++
-		e.acct.Deliver(n.index, d.d.Port)
+		e.acct.Deliver(&e.tallies[n.index], n.index, d.d.Port)
 		if e.obs != nil {
 			e.obs.OnDeliver(at, n.index, d.d)
 		}
@@ -251,14 +253,15 @@ func Run(cfg Config, alg sim.Algorithm) (*sim.Result, error) {
 	}
 	g := s.Graph
 	e := &engine{
-		cfg:   cfg,
-		g:     g,
-		pm:    s.Ports,
-		s:     s,
-		acct:  sim.NewAccounting(s, alg.Name(), false),
-		obs:   cfg.Observer,
-		nodes: make([]*node, g.N()),
-		done:  make(chan struct{}),
+		cfg:     cfg,
+		g:       g,
+		pm:      s.Ports,
+		s:       s,
+		acct:    sim.NewAccounting(s, alg.Name(), false),
+		tallies: make([]sim.NodeTally, g.N()),
+		obs:     cfg.Observer,
+		nodes:   make([]*node, g.N()),
+		done:    make(chan struct{}),
 	}
 	for v := 0; v < g.N(); v++ {
 		e.nodes[v] = &node{
@@ -291,7 +294,7 @@ func Run(cfg Config, alg sim.Algorithm) (*sim.Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.acct.Finish(0)
+	e.acct.Finish(0, func(v int) *sim.NodeTally { return &e.tallies[v] })
 	res := e.acct.Result()
 	if e.obs != nil {
 		if err := e.obs.OnFinish(res); err != nil {

@@ -3,10 +3,17 @@ package sim
 import "fmt"
 
 // Accounting owns the execution metrics every executor maintains: CONGEST
-// enforcement, per-node send/receive counters, wake bookkeeping, and the
-// final Result assembly. The asynchronous engine, the synchronous engine,
-// and the concurrent goroutine runtime all tally through one Accounting,
-// so a metric means the same thing under every scheduler.
+// enforcement, message and wake bookkeeping, and the final Result
+// assembly. The asynchronous engine, the synchronous engine, and the
+// concurrent goroutine runtime all tally through one Accounting, so a
+// metric means the same thing under every scheduler.
+//
+// The per-node tallies live with the executor, one NodeTally per node:
+// the asynchronous engine keeps it inside its node record, beside
+// everything else a wake or a delivery writes, and the other two keep a
+// plain slice. Wake, Send and Deliver take the node's tally; Finish reads
+// every tally back into the Result's per-node arrays, which are allocated
+// only then.
 //
 // Accounting is not safe for concurrent use; the goroutine runtime
 // serializes its calls behind a mutex (measurement there is advisory —
@@ -21,6 +28,23 @@ type Accounting struct {
 	lastWake Time
 }
 
+// NodeTally is one node's running totals: the node's entries of
+// Result.WakeAt, AdversaryWoken, SentBy and ReceivedBy while the run is in
+// progress. The zero value is a node that has not woken. Only Accounting
+// writes the totals.
+type NodeTally struct {
+	wakeAt   Time
+	sent     int
+	received int
+	awake    bool
+	adv      bool // woken directly by the adversary
+	// seeded is the asynchronous engine's, not the accounting's: the
+	// node's generator was bound and seeded this run (coreCtx.Rand). It
+	// takes a byte of padding the tally has anyway, which keeps nodeSlot
+	// at 48 bytes.
+	seeded bool
+}
+
 // NewAccounting assembles the base Result for one execution of algName on
 // the given Setup. TrackPorts enables the per-node distinct-port counters
 // behind Result.PortsUsed.
@@ -32,16 +56,9 @@ func NewAccounting(s *Setup, algName string, trackPorts bool) *Accounting {
 			Algorithm:       algName,
 			N:               n,
 			M:               s.Graph.M(),
-			WakeAt:          make([]Time, n),
-			AdversaryWoken:  make([]bool, n),
-			SentBy:          make([]int, n),
-			ReceivedBy:      make([]int, n),
 			AdviceTotalBits: s.adviceTotalBits,
 			AdviceMaxBits:   s.adviceMaxBits,
 		},
-	}
-	for v := range a.res.WakeAt {
-		a.res.WakeAt[v] = -1
 	}
 	if trackPorts {
 		a.portUsed = make([][]bool, n)
@@ -57,14 +74,16 @@ func NewAccounting(s *Setup, algName string, trackPorts bool) *Accounting {
 // Wake/Send/Deliver/Finish methods.
 func (a *Accounting) Result() *Result { return &a.res }
 
-// Wake records node v waking at the given time, directly by the adversary
-// when adversarial is true. Callers guarantee at most one call per node.
+// Wake records the node whose tally is t waking at the given time,
+// directly by the adversary when adversarial is true. Callers guarantee at
+// most one call per node and run, and read t's awake flag to keep it.
 //
 //wakeup:noalloc
-func (a *Accounting) Wake(v int, at Time, adversarial bool) {
+func (a *Accounting) Wake(t *NodeTally, at Time, adversarial bool) {
 	a.res.AwakeCount++
-	a.res.WakeAt[v] = at
-	a.res.AdversaryWoken[v] = adversarial
+	t.awake = true
+	t.wakeAt = at
+	t.adv = adversarial
 	if !a.firstSet {
 		a.firstSet = true
 		a.first = at
@@ -74,19 +93,13 @@ func (a *Accounting) Wake(v int, at Time, adversarial bool) {
 	}
 }
 
-// AdversaryWoken reports whether node v was woken directly by the
-// adversary (the engines' Context.AdversarialWake reads this).
+// Send records one message of the given size leaving node from, whose
+// tally is t, over the given port. It rejects negative sizes and counts
+// CONGEST violations; whether a violation is fatal is the engine's
+// StrictCongest decision, checked at the end via CongestError.
 //
 //wakeup:noalloc
-func (a *Accounting) AdversaryWoken(v int) bool { return a.res.AdversaryWoken[v] }
-
-// Send records one message of the given size leaving node from over the
-// given port. It rejects negative sizes and counts CONGEST violations;
-// whether a violation is fatal is the engine's StrictCongest decision,
-// checked at the end via CongestError.
-//
-//wakeup:noalloc
-func (a *Accounting) Send(from, port, bits int) error {
+func (a *Accounting) Send(t *NodeTally, from, port, bits int) error {
 	if bits < 0 {
 		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
 		return fmt.Errorf("sim: message reports negative size %d bits", bits)
@@ -99,38 +112,52 @@ func (a *Accounting) Send(from, port, bits int) error {
 	if a.limit > 0 && bits > a.limit {
 		a.res.CongestViolations++
 	}
-	a.res.SentBy[from]++
+	t.sent++
 	if a.portUsed != nil {
 		a.portUsed[from][port-1] = true
 	}
 	return nil
 }
 
-// Deliver records node v receiving one message on the given port.
+// Deliver records node v, whose tally is t, receiving one message on the
+// given port.
 //
 //wakeup:noalloc
-func (a *Accounting) Deliver(v, port int) {
-	a.res.ReceivedBy[v]++
+func (a *Accounting) Deliver(t *NodeTally, v, port int) {
+	t.received++
 	if a.portUsed != nil {
 		a.portUsed[v][port-1] = true
 	}
 }
 
-// Finish derives the aggregate metrics once the execution has quiesced;
-// end is the time of the last engine event. Span and WakeSpan are measured
-// from the first wake-up, AwakeTime sums per-node awake durations, and the
-// TrackPorts counters collapse into Result.PortsUsed.
-func (a *Accounting) Finish(end Time) {
+// Finish derives the aggregate metrics once the execution has quiesced:
+// end is the time of the last engine event, and tally(v) returns node v's
+// tally for every v in [0, N). It allocates the per-node Result arrays and
+// fills them from the tallies (WakeAt is -1 for a node that never woke).
+// Span and WakeSpan are measured from the first wake-up, AwakeTime sums
+// per-node awake durations in node order, and the TrackPorts counters
+// collapse into Result.PortsUsed.
+func (a *Accounting) Finish(end Time, tally func(v int) *NodeTally) {
 	r := &a.res
 	r.AllAwake = r.AwakeCount == r.N
 	if a.firstSet {
 		r.Span = end - a.first
 		r.WakeSpan = a.lastWake - a.first
 	}
-	for _, at := range r.WakeAt {
-		if at >= 0 {
-			r.AwakeTime += float64(end - at)
+	r.WakeAt = make([]Time, r.N)
+	r.AdversaryWoken = make([]bool, r.N)
+	r.SentBy = make([]int, r.N)
+	r.ReceivedBy = make([]int, r.N)
+	for v := 0; v < r.N; v++ {
+		t := tally(v)
+		r.WakeAt[v] = -1
+		if t.awake {
+			r.WakeAt[v] = t.wakeAt
+			r.AwakeTime += float64(end - t.wakeAt)
 		}
+		r.AdversaryWoken[v] = t.adv
+		r.SentBy[v] = t.sent
+		r.ReceivedBy[v] = t.received
 	}
 	if a.portUsed != nil {
 		r.PortsUsed = make([]int, len(a.portUsed))
@@ -147,22 +174,12 @@ func (a *Accounting) Finish(end Time) {
 }
 
 // shardView returns a per-core Accounting for one shard of a sharded run.
-// The per-node slices alias the master Result's arrays — cores write
-// disjoint node index ranges, so the sharing is race-free — while the
-// scalar tallies stay private to the view and fold back via absorb at the
-// end of the run. portUsed is likewise shared: its outer slice is indexed
-// by node.
+// The per-node tallies already live in the shared node records, which
+// cores write on disjoint index ranges; the scalar tallies stay private to
+// the view and fold back via absorb at the end of the run. portUsed is
+// shared too: its outer slice is indexed by node.
 func (a *Accounting) shardView() *Accounting {
-	return &Accounting{
-		limit:    a.limit,
-		portUsed: a.portUsed,
-		res: Result{
-			WakeAt:         a.res.WakeAt,
-			AdversaryWoken: a.res.AdversaryWoken,
-			SentBy:         a.res.SentBy,
-			ReceivedBy:     a.res.ReceivedBy,
-		},
-	}
+	return &Accounting{limit: a.limit, portUsed: a.portUsed}
 }
 
 // absorb folds a shard view's scalar tallies into the master Accounting.

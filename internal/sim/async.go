@@ -90,7 +90,7 @@ type event struct {
 
 // AsyncEngine is a reusable instance of the asynchronous engine. The zero
 // value is ready to use: Run allocates the scratch state — event queues,
-// awake/machine/RNG tables, per-edge FIFO clamp and sequence arrays — on
+// node records, RNG tables, per-edge FIFO clamp and sequence arrays — on
 // first use and thereafter resets it in place rather than reallocating, so
 // repeated runs (a seed sweep over a fixed topology) allocate nothing per
 // delivered message in steady state. Combined with Config.Setup the
@@ -102,8 +102,8 @@ type event struct {
 // alternate between them.
 //
 // An AsyncEngine is not safe for concurrent use and must not be copied
-// after its first Run (per-node contexts hold pointers to its cores); give
-// each sweep worker its own.
+// after its first Run (each core's Context holds a pointer to its core);
+// give each sweep worker its own.
 type AsyncEngine struct {
 	run runShared
 	// cores[0] drives sequential runs; a sharded run uses one core per
@@ -268,7 +268,7 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
 	}
 
-	c.acct.Finish(c.now)
+	c.acct.Finish(c.now, r.tally)
 	if cfg.MemReport {
 		res.Mem = e.memReport(1)
 	}

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"riseandshine/internal/graph"
 )
@@ -481,4 +483,64 @@ type wakeTwice struct{}
 
 func (wakeTwice) Wakeups(*graph.Graph) []Wakeup {
 	return []Wakeup{{Node: 0, At: 0}, {Node: 0, At: 2}}
+}
+
+// badPortAlg sends one message from every adversarially woken node on a
+// fixed port, which the tests below choose out of range.
+type badPortAlg struct{ port int }
+
+func (badPortAlg) Name() string                  { return "bad-port" }
+func (a badPortAlg) NewMachine(NodeInfo) Program { return badPortMachine(a) }
+
+type badPortMachine struct{ port int }
+
+func (m badPortMachine) OnWake(ctx Context) {
+	if ctx.AdversarialWake() {
+		ctx.Send(m.port, testMsg{bits: 1})
+	}
+}
+func (badPortMachine) OnMessage(Context, Delivery) {}
+
+// TestOutOfRangePortPanics pins the port contract of both deterministic
+// engines: a port outside 1..degree raises graph.PortMap.Neighbor's "no
+// port" panic, including ports that would wrap onto a valid edge if they
+// were truncated to the int32 CSR offsets (1<<32+1 is port 1 in 32 bits).
+func TestOutOfRangePortPanics(t *testing.T) {
+	g := graph.Path(3) // node 0 has degree 1
+	model := Model{Knowledge: KT0, Bandwidth: Local}
+	engines := []struct {
+		name string
+		run  func(alg Algorithm) (*Result, error)
+	}{
+		{"async", func(alg Algorithm) (*Result, error) {
+			return RunAsync(Config{Graph: g, Model: model, Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}}}, alg)
+		}},
+		{"sync", func(alg Algorithm) (*Result, error) {
+			return RunSync(SyncConfig{Graph: g, Model: model, Schedule: WakeSet{Nodes: []int{0}}}, AsSync(alg))
+		}},
+	}
+	for _, eng := range engines {
+		for _, port := range []int{0, -1, 2, 1 << 31, 1<<32 + 1} {
+			t.Run(fmt.Sprintf("%s/port=%d", eng.name, port), func(t *testing.T) {
+				var res *Result
+				defer func() {
+					r := recover()
+					want := fmt.Sprintf("graph: node 0 has no port %d (degree 1)", port)
+					if s, ok := r.(string); !ok || s != want {
+						t.Fatalf("recovered %v (result %+v), want the panic %q", r, res, want)
+					}
+				}()
+				res, _ = eng.run(badPortAlg{port: port})
+			})
+		}
+	}
+}
+
+// TestNodeSlotLayout pins the node record at 48 bytes, the size the
+// design and the memory report assume: four records span three cache
+// lines. int counters keep it there; a wider field would cost a line.
+func TestNodeSlotLayout(t *testing.T) {
+	if s := unsafe.Sizeof(nodeSlot{}); s != 48 || nodeSlotBytes != 48 {
+		t.Fatalf("nodeSlot is %d B (memory report %d B); want 48", s, nodeSlotBytes)
+	}
 }

@@ -20,9 +20,9 @@ import (
 
 // runShared is the per-run state shared by every core of one engine:
 // the immutable run configuration plus the scratch arrays that cores
-// access on disjoint index ranges (nodes for awake/machines/rands/ctxs,
-// CSR edge slots for fifoLast/edgeSeq). Disjointness is what makes the
-// sharded path race-free without any locking on the hot path.
+// access on disjoint index ranges (nodes for the node records and RNG
+// tables, CSR edge slots for fifoLast/edgeSeq). Disjointness is what makes
+// the sharded path race-free without any locking on the hot path.
 type runShared struct {
 	alg    Algorithm
 	g      *graph.Graph
@@ -31,25 +31,22 @@ type runShared struct {
 	seed   int64
 
 	// Reusable scratch: reset, not reallocated (see DESIGN.md "Event
-	// core"). Per-directed-edge state is indexed CSR-style through
-	// Setup.EdgeStart: the out-edge of node v addressed by port p lives at
-	// flat index EdgeStart[v]+p-1. A core only touches the slots of its
-	// own node range.
-	awake    []bool
-	machines []Program
-	ctxs     []coreCtx
+	// core"). nodes[v] is node v's record. Per-directed-edge state is
+	// indexed CSR-style through Setup.EdgeStart: the out-edge of node v
+	// addressed by port p lives at flat index EdgeStart[v]+p-1. A core only
+	// touches the slots of its own node range.
+	nodes    []nodeSlot
 	fifoLast []Time  // last scheduled delivery time (zero value never clamps: delivery times are > 0)
 	edgeSeq  []int32 // messages sent so far on the edge
 
 	// Per-node randomness as flat SoA state: rngs[v] is node v's 16-byte
 	// PCG generator and rands[v] the *rand.Rand wrapper bound to &rngs[v].
-	// Both arrays are pointer-free into the heap graph (the wrapper's
-	// source interface points back into rngs, which the two-slices-grow-
-	// together invariant keeps stable), so a million-node table is 64 B per
-	// node of cache-local state instead of 10⁶ separately boxed ~5 KiB
-	// lagged-Fibonacci tables. State is seeded lazily: a node's generator
-	// holds garbage until its first wake of the run reseeds it (ReseedNode,
-	// O(1)), so per-run RNG cost is proportional to woken nodes only.
+	// Both arrays are pointer-free into the heap graph, so a million-node
+	// table is 64 B per node of cache-local state instead of 10⁶ separately
+	// boxed ~5 KiB lagged-Fibonacci tables. Binding and seeding happen on
+	// the node's first ctx.Rand() of the run (coreCtx.Rand), so a program
+	// that never draws never touches the tables, and per-run RNG cost is
+	// proportional to drawing nodes only.
 	rngs  []PCG
 	rands []rand.Rand
 
@@ -58,34 +55,35 @@ type runShared struct {
 	part *Partition
 }
 
+// nodeSlot is one node's record: everything a wake or a delivery writes —
+// the machine, the awake, adversary and seeded flags, the wake time, and
+// the sent and received counts — in 48 bytes (TestNodeSlotLayout). At 10⁶
+// nodes a separate table per field cost one cache miss per table touched;
+// the record costs one, and the event queue loads it early (eventHeap.warm)
+// so even that one overlaps with its neighbours'.
+type nodeSlot struct {
+	machine Program
+	NodeTally
+}
+
+// tally returns node v's tally, for Accounting.Finish.
+func (r *runShared) tally(v int) *NodeTally { return &r.nodes[v].NodeTally }
+
 // reset sizes and clears the shared scratch for n nodes and dir directed
 // edges, reusing backing arrays whenever they are large enough. The RNG
-// tables are deliberately kept across runs: wake reseeds a node's
-// generator to the run's stream, which produces exactly the bits a fresh
-// NodeRand would (see ReseedNode), so only growth ever reallocates them.
-// On growth the wrapper table is rebound element by element — rands[v]
-// must wrap &rngs[v] of the *new* backing array — which is the one O(n)
-// RNG cost left anywhere (64 B of writes per node; the old per-node
-// lagged-Fibonacci sources cost ~5 KiB and O(607) seeding work each).
-//
-// The context table is only resized here: every run re-points each node's
-// context at the core that owns it (engineCore.reset), since a reused
-// engine may have given the node to a different core last run.
+// tables are only sized here, never cleared or bound: coreCtx.Rand binds
+// and seeds a node's generator on its first call of the run, when the
+// node's seeded flag (cleared with its record) is still false, so a
+// wrapper always points into the current rngs array. Sizing stays here
+// rather than in Rand because sharded cores must not grow a shared table
+// concurrently; pages of a fresh table stay untouched until a node draws.
 func (r *runShared) reset(n, dir int) {
-	r.awake = growClear(r.awake, n)
-	r.machines = growClear(r.machines, n)
-	if cap(r.ctxs) < n {
-		r.ctxs = make([]coreCtx, n)
-	}
-	r.ctxs = r.ctxs[:n]
+	r.nodes = growClear(r.nodes, n)
 	r.fifoLast = growClear(r.fifoLast, dir)
 	r.edgeSeq = growClear(r.edgeSeq, dir)
 	if len(r.rngs) < n {
 		r.rngs = make([]PCG, n)
 		r.rands = make([]rand.Rand, n)
-		for v := range r.rands {
-			r.rands[v] = *rand.New(&r.rngs[v])
-		}
 	}
 }
 
@@ -140,6 +138,7 @@ type engineCore struct {
 
 	acct *Accounting
 	obs  Observer // direct observer; nil in sharded cores (recOn instead)
+	ctx  coreCtx  // the Context of every handler call on this core
 
 	now Time
 	seq int64 // sequential push counter; unused when staging
@@ -158,10 +157,12 @@ type engineCore struct {
 	nextAt  Time // after a window: time of the first event ≥ windowEnd
 }
 
-// coreCtx is the Context handed to machine handlers; it is bound to one
-// node of one core. The engine keeps a per-node table of these and hands
-// out pointers, so the Context-interface conversion never allocates on the
-// per-message path.
+// coreCtx is the Context handed to machine handlers. Each core owns one
+// and rebinds it to the node whose handler it is about to call, so a
+// pointer to it converts to the Context interface without allocating and
+// no per-node table of contexts exists. A Context is valid only during the
+// handler call it was passed to (the wakeuplint ctxretain analyzer forbids
+// keeping one); a kept one would act as whatever node the core runs next.
 type coreCtx struct {
 	c    *engineCore
 	node int
@@ -178,11 +179,26 @@ func (c *coreCtx) Now() Time { return c.c.now }
 //wakeup:noalloc
 func (c *coreCtx) Round() int { return AsyncRound }
 
+// Rand returns the node's generator, binding rands[v] to &rngs[v] and
+// seeding it to the node's stream on the node's first call of the run.
+// The stream is a pure function of (seed, v), so when the first draw
+// happens cannot change what is drawn.
+//
 //wakeup:noalloc
-func (c *coreCtx) Rand() *rand.Rand { return &c.c.run.rands[c.node] }
+func (c *coreCtx) Rand() *rand.Rand {
+	r := c.c.run
+	v := c.node
+	if slot := &r.nodes[v]; !slot.seeded {
+		slot.seeded = true
+		//lint:noalloc-ok rand.New is inlined and its result does not escape (-gcflags=-m): this copies a fresh wrapper into the table
+		r.rands[v] = *rand.New(&r.rngs[v])
+		ReseedNode(&r.rands[v], r.seed, v)
+	}
+	return &r.rands[v]
+}
 
 //wakeup:noalloc
-func (c *coreCtx) AdversarialWake() bool { return c.c.acct.AdversaryWoken(c.node) }
+func (c *coreCtx) AdversarialWake() bool { return c.c.run.nodes[c.node].adv }
 
 //wakeup:noalloc
 func (c *coreCtx) Send(port int, m Message) {
@@ -235,14 +251,11 @@ func (c *engineCore) stage(ev event, dest uint8) {
 //wakeup:noalloc
 func (c *engineCore) wake(v int, adversarial bool) {
 	r := c.run
-	if r.awake[v] {
+	slot := &r.nodes[v]
+	if slot.awake {
 		return
 	}
-	r.awake[v] = true
-	c.acct.Wake(v, c.now, adversarial)
-	// First use of node v's generator this run: O(1) reseed of the flat
-	// PCG state to exactly the stream a fresh NodeRand(seed, v) yields.
-	ReseedNode(&r.rands[v], r.seed, v)
+	c.acct.Wake(&slot.NodeTally, c.now, adversarial)
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
 		c.obs.OnWake(c.now, v, adversarial)
@@ -250,29 +263,31 @@ func (c *engineCore) wake(v int, adversarial bool) {
 		c.record(recWake, v, 0, adversarial, Delivery{})
 	}
 	//lint:noalloc-ok one machine per node per run, charged to the algorithm's budget
-	r.machines[v] = r.alg.NewMachine(r.s.Infos[v])
+	slot.machine = r.alg.NewMachine(r.s.Infos[v])
+	c.ctx.node = v
 	//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
-	r.machines[v].OnWake(&r.ctxs[v])
+	slot.machine.OnWake(&c.ctx)
 }
 
 //wakeup:noalloc
 func (c *engineCore) deliver(v int, d Delivery) {
-	r := c.run
-	if !r.awake[v] {
+	slot := &c.run.nodes[v]
+	if !slot.awake {
 		c.wake(v, false)
 		if c.err != nil {
 			return
 		}
 	}
-	c.acct.Deliver(v, d.Port)
+	c.acct.Deliver(&slot.NodeTally, v, d.Port)
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
 		c.obs.OnDeliver(c.now, v, d)
 	} else if c.recOn {
 		c.record(recDeliver, v, 0, false, d)
 	}
+	c.ctx.node = v
 	//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
-	r.machines[v].OnMessage(&r.ctxs[v], d)
+	slot.machine.OnMessage(&c.ctx, d)
 }
 
 //wakeup:noalloc
@@ -281,20 +296,16 @@ func (c *engineCore) send(from, port int, m Message) {
 		return
 	}
 	r := c.run
-	if !r.awake[from] {
+	slot := &r.nodes[from]
+	if !slot.awake {
 		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
 		c.err = fmt.Errorf("sim: sleeping node %d attempted to send", from)
 		return
 	}
 	s := r.s
-	ei := s.EdgeStart[from] + int32(port) - 1
-	if port < 1 || ei >= s.EdgeStart[from+1] {
-		// Same contract (and message) as graph.PortMap.Neighbor.
-		//lint:noalloc-ok panic formatting on the programming-error path only
-		panic(fmt.Sprintf("graph: node %d has no port %d (degree %d)", from, port, s.EdgeStart[from+1]-s.EdgeStart[from]))
-	}
+	ei := s.edge(from, port)
 	to := int(s.EdgeTo[ei])
-	if err := c.acct.Send(from, port, m.Bits()); err != nil {
+	if err := c.acct.Send(&slot.NodeTally, from, port, m.Bits()); err != nil {
 		c.err = err
 		return
 	}
@@ -356,8 +367,9 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 
 // reset readies the core to run the node range [lo, hi) of run: per-run
 // counters and barrier buffers cleared, the queue emptied (its storage
-// kept), and every owned node's context pointed at this core. The caller
-// sets the run's accounting, observer, and staging mode.
+// kept) and pointed at the run's node records, which reset may have
+// reallocated, and the core's Context bound to this core. The caller sets
+// the run's accounting, observer, and staging mode.
 func (c *engineCore) reset(run *runShared, id, lo, hi int) {
 	c.run = run
 	c.id = id
@@ -374,9 +386,8 @@ func (c *engineCore) reset(run *runShared, id, lo, hi int) {
 	truncateStaged(c)
 	truncateRec(c)
 	c.queue.reset()
-	for v := lo; v < hi; v++ {
-		run.ctxs[v] = coreCtx{c: c, node: v}
-	}
+	c.queue.nodes = run.nodes
+	c.ctx = coreCtx{c: c}
 }
 
 // runWindow is the sharded per-core loop for one window: push the inbox

@@ -228,39 +228,123 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 }
 
 // TestEngineRNGWrappersAliasState pins the SoA wiring behind the compact
-// node RNG: every rands[v] wrapper must draw from rngs[v] of the *current*
-// backing array, including after reset() grows both slices and rebinds the
-// wrappers. A stale wrapper pointing into a discarded rngs array would
-// still produce plausible random numbers — runs would silently stop
-// depending on (seed, v) — so this checks aliasing directly: seeding
-// rngs[v] by hand must make rands[v] reproduce the NodeRand reference
-// stream exactly.
+// node RNG: a wrapper bound on a node's first ctx.Rand() must draw from
+// rngs[v] of the *current* backing array — after reset() grows the tables,
+// and after a reused engine runs again on tables it already bound. A stale
+// wrapper pointing into a discarded rngs array would still produce
+// plausible random numbers — runs would silently stop depending on
+// (seed, v) — so this checks aliasing directly: seeding rngs[v] by hand
+// must make rands[v] reproduce the NodeRand reference stream exactly.
 func TestEngineRNGWrappersAliasState(t *testing.T) {
 	eng := &AsyncEngine{}
 	run := func(n int) {
+		t.Helper()
 		cfg := Config{
 			Graph:     graph.Complete(n),
 			Model:     Model{Knowledge: KT0, Bandwidth: Local},
 			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
 			Seed:      1,
 		}
-		if _, err := eng.Run(cfg, floodAlg{}); err != nil {
+		if _, err := eng.Run(cfg, randFloodAlg{}); err != nil {
 			t.Fatal(err)
+		}
+		r := &eng.run
+		if len(r.rngs) < n || len(r.rands) < n {
+			t.Fatalf("n=%d: RNG tables hold %d generators and %d wrappers", n, len(r.rngs), len(r.rands))
+		}
+		for _, v := range []int{0, 7, n - 1} {
+			r.rngs[v].Seed(deriveSeed(123, streamNodeRand, uint64(v)))
+			want := NodeRand(123, v)
+			for i := 0; i < 16; i++ {
+				if got, w := r.rands[v].Uint64(), want.Uint64(); got != w {
+					t.Fatalf("n=%d node %d draw %d: wrapper yields %016x, NodeRand reference %016x — rands[%d] does not alias rngs[%d]",
+						n, v, i, got, w, v, v)
+				}
+			}
 		}
 	}
 	run(8)
-	run(32) // forces the RNG SoA arrays to grow and the wrappers to rebind
-	r := &eng.run
-	if len(r.rngs) < 32 || len(r.rands) < 32 {
-		t.Fatalf("SoA arrays did not grow: %d generators, %d wrappers", len(r.rngs), len(r.rands))
+	run(32) // grows the RNG tables: every wrapper must rebind into the new array
+	run(32) // reuses them: the first Rand() of the run binds again
+}
+
+// randFloodAlg is floodAlg with one draw from the node's generator on
+// wake, so every node binds and seeds its RNG during the run.
+type randFloodAlg struct{}
+
+func (randFloodAlg) Name() string                { return "rand-flood-test" }
+func (randFloodAlg) NewMachine(NodeInfo) Program { return randFloodMachine{} }
+
+type randFloodMachine struct{}
+
+func (randFloodMachine) OnWake(ctx Context) {
+	ctx.Rand().Uint64()
+	ctx.Broadcast(pingMsg{})
+}
+func (randFloodMachine) OnMessage(Context, Delivery) {}
+
+// lateDrawAlg draws from a node's generator for the first time on the
+// node's k-th delivery, k = 1 + v mod 4, and records the draws by node.
+// Each node writes only its own entry, so the draws may be recorded from
+// several shards at once.
+type lateDrawAlg struct {
+	g     *graph.Graph
+	draws [][]uint64
+}
+
+func (lateDrawAlg) Name() string { return "late-draw-test" }
+func (a lateDrawAlg) NewMachine(info NodeInfo) Program {
+	v := a.g.IndexOf(info.ID)
+	return &lateDrawMachine{k: 1 + v%4, out: &a.draws[v]}
+}
+
+type lateDrawMachine struct {
+	k, got int
+	out    *[]uint64
+}
+
+func (m *lateDrawMachine) OnWake(ctx Context) { ctx.Broadcast(pingMsg{}) }
+func (m *lateDrawMachine) OnMessage(ctx Context, _ Delivery) {
+	m.got++
+	if m.got != m.k {
+		return
 	}
-	for _, v := range []int{0, 7, 8, 31} {
-		r.rngs[v].Seed(deriveSeed(123, streamNodeRand, uint64(v)))
-		want := NodeRand(123, v)
-		for i := 0; i < 16; i++ {
-			if got, w := r.rands[v].Uint64(), want.Uint64(); got != w {
-				t.Fatalf("node %d draw %d: wrapper yields %016x, NodeRand reference %016x — rands[%d] does not alias rngs[%d]",
-					v, i, got, w, v, v)
+	for i := 0; i < 4; i++ {
+		*m.out = append(*m.out, ctx.Rand().Uint64())
+	}
+}
+
+// TestFirstUseRandMatchesNodeRand pins the first-use seeding contract: a
+// node that first calls ctx.Rand() on its k-th delivery, with k varying by
+// node, draws exactly NodeRand(seed, v)'s stream — sequentially and on two
+// shards, and again on a reused engine whose tables were bound by the
+// previous run.
+func TestFirstUseRandMatchesNodeRand(t *testing.T) {
+	g := graph.Complete(12)
+	eng := &AsyncEngine{}
+	for _, shards := range []int{1, 2, 1} {
+		for _, seed := range []int64{3, 4} {
+			alg := lateDrawAlg{g: g, draws: make([][]uint64, g.N())}
+			cfg := Config{
+				Graph:     g,
+				Model:     Model{Knowledge: KT0, Bandwidth: Local},
+				Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0, 5}}, Delays: RandomDelay{Seed: seed, Min: 0.25}},
+				Seed:      seed,
+				Shards:    shards,
+			}
+			if _, err := eng.Run(cfg, alg); err != nil {
+				t.Fatal(err)
+			}
+			for v, got := range alg.draws {
+				want := NodeRand(seed, v)
+				if len(got) != 4 {
+					t.Fatalf("shards=%d seed=%d node %d: %d draws, want 4", shards, seed, v, len(got))
+				}
+				for i, x := range got {
+					if w := want.Uint64(); x != w {
+						t.Fatalf("shards=%d seed=%d node %d draw %d: %016x, NodeRand reference %016x", shards, seed, v, i, x, w)
+					}
+				}
 			}
 		}
 	}
@@ -289,45 +373,51 @@ func (floodMachine) OnMessage(Context, Delivery) {}
 // *count* is a small constant — independent of the graph size and of the
 // number of delivered messages. Complete graphs of two sizes differ by an
 // order of magnitude in message count; equal counts therefore mean zero
-// allocations per delivered message in steady state.
+// allocations per delivered message in steady state. randFloodAlg repeats
+// the check with a draw per node: binding and seeding a generator on a
+// node's first ctx.Rand() must not allocate either.
 func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
-	measure := func(n int) (allocs float64, messages int) {
-		g := graph.Complete(n)
-		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := &AsyncEngine{}
-		cfg := Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
-			Seed:      1,
-			Setup:     s,
-		}
-		run := func() *Result {
-			res, err := eng.Run(cfg, floodAlg{})
-			if err != nil {
-				t.Fatal(err)
+	for _, alg := range []Algorithm{floodAlg{}, randFloodAlg{}} {
+		t.Run(alg.Name(), func(t *testing.T) {
+			measure := func(n int) (allocs float64, messages int) {
+				g := graph.Complete(n)
+				s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := &AsyncEngine{}
+				cfg := Config{
+					Graph:     g,
+					Model:     Model{Knowledge: KT0, Bandwidth: Local},
+					Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
+					Seed:      1,
+					Setup:     s,
+				}
+				run := func() *Result {
+					res, err := eng.Run(cfg, alg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				messages = run().Messages // also warms the engine scratch
+				return testing.AllocsPerRun(5, func() { run() }), messages
 			}
-			return res
-		}
-		messages = run().Messages // also warms the engine scratch
-		return testing.AllocsPerRun(5, func() { run() }), messages
+			smallAllocs, smallMsgs := measure(12)
+			bigAllocs, bigMsgs := measure(40)
+			if bigMsgs < 8*smallMsgs {
+				t.Fatalf("workloads not separated: %d vs %d messages", smallMsgs, bigMsgs)
+			}
+			if bigAllocs != smallAllocs {
+				t.Errorf("allocation count scales with traffic: %.0f allocs at %d msgs, %.0f allocs at %d msgs (want equal)",
+					smallAllocs, smallMsgs, bigAllocs, bigMsgs)
+			}
+			// The absolute constant is the per-run Result assembly; keep it
+			// honest so a regression that adds per-run waste also fails loudly.
+			if bigAllocs > 40 {
+				t.Errorf("per-run constant allocation count too high: %.0f", bigAllocs)
+			}
+			t.Logf("allocs/run: %.0f (at %d msgs) and %.0f (at %d msgs)", smallAllocs, smallMsgs, bigAllocs, bigMsgs)
+		})
 	}
-	smallAllocs, smallMsgs := measure(12)
-	bigAllocs, bigMsgs := measure(40)
-	if bigMsgs < 8*smallMsgs {
-		t.Fatalf("workloads not separated: %d vs %d messages", smallMsgs, bigMsgs)
-	}
-	if bigAllocs != smallAllocs {
-		t.Errorf("allocation count scales with traffic: %.0f allocs at %d msgs, %.0f allocs at %d msgs (want equal)",
-			smallAllocs, smallMsgs, bigAllocs, bigMsgs)
-	}
-	// The absolute constant is the per-run Result assembly; keep it honest
-	// so a regression that adds per-run waste also fails loudly.
-	if bigAllocs > 40 {
-		t.Errorf("per-run constant allocation count too high: %.0f", bigAllocs)
-	}
-	t.Logf("allocs/run: %.0f (at %d msgs) and %.0f (at %d msgs)", smallAllocs, smallMsgs, bigAllocs, bigMsgs)
 }

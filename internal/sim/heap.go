@@ -60,7 +60,12 @@ type eventHeap struct {
 	slab      []*payloadPage
 	slabLen   uint32
 	freeSlots []uint32
-	sink      uint8 // see warm
+
+	// nodes is the engine's node record table, which warm loads ahead of
+	// delivery. The engine points it at the current table on every run
+	// (engineCore.reset); a queue used on its own leaves it nil.
+	nodes []nodeSlot
+	sink  uint8 // see warm
 }
 
 const (
@@ -287,16 +292,24 @@ func (h *eventHeap) spread(b int) {
 	}
 }
 
-// warm reads the payload of every key in keys. A bucket that fits in one
-// chunk holds the next keys to pop, and their payloads lie scattered over
-// the slab; loading them together overlaps the cache misses that pop
-// would otherwise take one at a time. The loads feed h.sink so the
-// compiler keeps them.
+// warm reads the payload of every key in keys and the record of the node
+// it is addressed to. A bucket that fits in one chunk holds the next keys
+// to pop; their payloads lie scattered over the slab and their nodes'
+// records over the node table, and loading them together overlaps the
+// cache misses that pop and deliver would otherwise take one at a time.
+// A sharded core's queue holds only events for its own nodes, so the
+// record loads stay inside the core's node range. The loads feed h.sink so
+// the compiler keeps them.
 func (h *eventHeap) warm(keys []queueKey) {
 	var x uint8
+	nodes := h.nodes
 	for i := range keys {
 		s := keys[i].slot
-		x ^= h.slab[s/pageSlots][s%pageSlots].kind
+		p := &h.slab[s/pageSlots][s%pageSlots]
+		x ^= p.kind
+		if v := int(p.node); uint(v) < uint(len(nodes)) {
+			x ^= uint8(nodes[v].received)
+		}
 	}
 	h.sink = x
 }

@@ -15,8 +15,7 @@ var (
 	keyChunkBytes    = int64(unsafe.Sizeof(keyChunk{}))
 	payloadPageBytes = int64(unsafe.Sizeof(payloadPage{}))
 	ptrBytes         = int64(unsafe.Sizeof(uintptr(0)))
-	ctxBytes         = int64(unsafe.Sizeof(coreCtx{}))
-	programBytes     = int64(unsafe.Sizeof(Program(nil)))
+	nodeSlotBytes    = int64(unsafe.Sizeof(nodeSlot{}))
 	// pcgBytes and randWrapBytes are the two RNG SoA element sizes: node
 	// v's generator is rngs[v] (16 bytes of PCG state) plus rands[v] (the
 	// rand.Rand wrapper binding the stdlib API to it). Both are flat
@@ -34,11 +33,12 @@ var (
 // is what capacity planning needs.
 //
 // The report answers the practical 10⁶-node question — "what does one more
-// node or edge cost?": Queue and Nodes scale with n (and the in-flight
-// event population), FIFO and CSR with the directed edge count 2m, RNG
-// with n at a flat 64 bytes per node (16 bytes of PCG state plus the
-// rand.Rand wrapper — see DESIGN.md "Node randomness"; before the compact
-// source this was ~4.8 KiB per woken node and 96 % of a million-node run).
+// node or edge cost?": Nodes scales with n at a flat 48 bytes per node,
+// Queue with the in-flight event population, FIFO and CSR with the
+// directed edge count 2m, RNG with n at a flat 64 bytes per node (16 bytes
+// of PCG state plus the rand.Rand wrapper — see DESIGN.md "Node
+// randomness"; before the compact source this was ~4.8 KiB per woken node
+// and 96 % of a million-node run).
 type MemReport struct {
 	// QueueBytes is the event queues' backing storage, summed over every
 	// core the run used: the radix heap's chunk arena (24-byte keys in
@@ -52,13 +52,20 @@ type MemReport struct {
 	FIFOBytes int64
 	// RNGBytes covers the per-node random generators: the flat PCG state
 	// array plus the rand.Rand wrapper array (grown to the engine's
-	// high-water node count, retained across runs of a reused engine).
+	// high-water node count, retained across runs of a reused engine). It
+	// is capacity, not residency: a node's entries are first written on
+	// its first ctx.Rand(), so for a program that never draws (flood) the
+	// pages stay untouched and do not count toward RSS.
 	RNGBytes int64
 	// CSRBytes covers the Setup's edge metadata: EdgeStart, EdgeTo,
 	// RevPort, and SenderIDs.
 	CSRBytes int64
-	// NodeBytes covers the remaining per-node tables: awake flags, machine
-	// slots, and the context table.
+	// NodeBytes covers the node records: 48 bytes per node holding the
+	// machine, the awake, adversary and seeded flags, the wake time, and
+	// the sent and received counts. The counts used to sit in the Result
+	// arrays outside the report, so at 10⁶ nodes the figure rose from
+	// 31.5 MiB (awake flags, machine slots and a context table) to
+	// 45.8 MiB while the run's peak RSS fell.
 	NodeBytes int64
 	// Shards is the number of partitions the run executed on; 0 means the
 	// run took the sequential path, in which case OutboxBytes is zero.
@@ -110,8 +117,7 @@ func (r *runShared) memReport(queueBytes int64) *MemReport {
 		RNGBytes:   int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
 		CSRBytes: int64(len(s.EdgeStart))*4 + int64(len(s.EdgeTo))*4 +
 			int64(len(s.RevPort))*4 + int64(len(s.SenderIDs))*8,
-		NodeBytes: int64(cap(r.awake)) + int64(cap(r.machines))*programBytes +
-			int64(cap(r.ctxs))*ctxBytes,
+		NodeBytes: int64(cap(r.nodes)) * nodeSlotBytes,
 	}
 	m.TotalBytes = m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes
 	return m

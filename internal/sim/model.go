@@ -171,7 +171,10 @@ const AsyncRound = -1
 
 // Context is the interface through which a machine interacts with the
 // engine during a computing step. Implementations are not safe for use
-// outside the handler invocation that received them.
+// outside the handler invocation that received them: the asynchronous
+// engine hands every call on one core the same Context, rebound to the
+// node being run, so a kept one would act as another node. The wakeuplint
+// ctxretain analyzer rejects keeping one in the deterministic packages.
 type Context interface {
 	// Info returns the node's static information.
 	Info() NodeInfo

@@ -23,16 +23,15 @@ import (
 // TestShardedSteadyStateZeroAllocs instead, since it is only reachable
 // through Run.
 var allocCoverage = map[string]string{
-	"ReseedNode":                "TestReseedNodeZeroAllocs",
-	"Accounting.Wake":           "TestAccountingSteadyStateZeroAllocs",
-	"Accounting.Send":           "TestAccountingSteadyStateZeroAllocs",
-	"Accounting.Deliver":        "TestAccountingSteadyStateZeroAllocs",
-	"Accounting.AdversaryWoken": "TestAccountingSteadyStateZeroAllocs",
-	"PCG.Seed":                  "TestPCGZeroAllocs",
-	"PCG.Uint64":                "TestPCGZeroAllocs",
-	"PCG.Int63":                 "TestPCGZeroAllocs",
-	"PCG.Float64":               "TestPCGZeroAllocs",
-	"PCG.Intn":                  "TestPCGZeroAllocs",
+	"ReseedNode":         "TestReseedNodeZeroAllocs",
+	"Accounting.Wake":    "TestAccountingSteadyStateZeroAllocs",
+	"Accounting.Send":    "TestAccountingSteadyStateZeroAllocs",
+	"Accounting.Deliver": "TestAccountingSteadyStateZeroAllocs",
+	"PCG.Seed":           "TestPCGZeroAllocs",
+	"PCG.Uint64":         "TestPCGZeroAllocs",
+	"PCG.Int63":          "TestPCGZeroAllocs",
+	"PCG.Float64":        "TestPCGZeroAllocs",
+	"PCG.Intn":           "TestPCGZeroAllocs",
 }
 
 // TestNoallocContractsHaveRuntimeCoverage scans the package source for
@@ -187,7 +186,8 @@ func TestReseedNodeZeroAllocs(t *testing.T) {
 
 // TestAccountingSteadyStateZeroAllocs pins the runtime half of the
 // Accounting hot methods' //wakeup:noalloc contracts: recording wakes,
-// sends, and deliveries into a constructed Accounting allocates nothing.
+// sends, and deliveries into a constructed Accounting and caller-owned
+// tallies allocates nothing.
 // (The fmt.Errorf path in Send is suppressed in the static contract — it
 // aborts the run — and stays unexercised here by sending valid sizes.)
 func TestAccountingSteadyStateZeroAllocs(t *testing.T) {
@@ -197,16 +197,17 @@ func TestAccountingSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAccounting(s, "allocprobe", true)
-	a.Wake(0, 0, true)
+	tallies := make([]NodeTally, g.N())
+	a.Wake(&tallies[0], 0, true)
 	v := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		v = (v + 1) % g.N()
-		a.Wake(v, 1, false)
-		if err := a.Send(v, 1, 16); err != nil {
+		a.Wake(&tallies[v], 1, false)
+		if err := a.Send(&tallies[v], v, 1, 16); err != nil {
 			t.Fatal(err)
 		}
-		a.Deliver(v, 1)
-		if a.AdversaryWoken(v) {
+		a.Deliver(&tallies[v], v, 1)
+		if tallies[v].adv {
 			t.Fatal("node woken by schedule, not adversary")
 		}
 	}); allocs != 0 {

@@ -107,6 +107,21 @@ func (s *Setup) WithSeed(seed int64) *Setup {
 // seed by the engine-independent NodeRand rule.
 func (s *Setup) Rand(v int) *rand.Rand { return NodeRand(s.Seed, v) }
 
+// edge returns the flat CSR index of node from's out-edge behind port. A
+// port outside 1..degree panics with graph.PortMap.Neighbor's message; it
+// is compared as an int before it meets the int32 offsets, so no
+// out-of-range port can wrap onto a valid edge.
+//
+//wakeup:noalloc
+func (s *Setup) edge(from, port int) int32 {
+	first := s.EdgeStart[from]
+	if deg := int(s.EdgeStart[from+1] - first); port < 1 || port > deg {
+		//lint:noalloc-ok panic formatting on the programming-error path only
+		panic(fmt.Sprintf("graph: node %d has no port %d (degree %d)", from, port, deg))
+	}
+	return first + int32(port-1)
+}
+
 // buildNodeInfo assembles the static NodeInfo for node v under the given
 // model and advice assignment.
 func buildNodeInfo(g *graph.Graph, pm *graph.PortMap, model Model, adv [][]byte, advBits []int, v int) NodeInfo {

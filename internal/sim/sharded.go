@@ -281,7 +281,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		master.absorb(c.acct)
 	}
 	master.Result().Events = totalEvents
-	master.Finish(end)
+	master.Finish(end, r.tally)
 	res := master.Result()
 	if cfg.MemReport {
 		res.Mem = e.memReport(p)

@@ -57,7 +57,7 @@ type syncEngine struct {
 	acct         *Accounting
 	obs          Observer
 	round        int
-	awake        []bool
+	tallies      []NodeTally // per-node accounting; tallies[v].awake is node v's awake flag
 	machines     []SyncProgram
 	newMachineFn func(NodeInfo) SyncProgram
 	rands        []*rand.Rand
@@ -77,7 +77,7 @@ func (c syncCtx) Info() NodeInfo        { return c.e.s.Infos[c.node] }
 func (c syncCtx) Now() Time             { return Time(c.e.round) }
 func (c syncCtx) Round() int            { return c.e.round }
 func (c syncCtx) Rand() *rand.Rand      { return c.e.rands[c.node] }
-func (c syncCtx) AdversarialWake() bool { return c.e.acct.AdversaryWoken(c.node) }
+func (c syncCtx) AdversarialWake() bool { return c.e.tallies[c.node].adv }
 
 func (c syncCtx) Send(port int, m Message) { c.e.send(c.node, port, m) }
 
@@ -142,7 +142,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 		s:            s,
 		acct:         NewAccounting(s, alg.Name(), cfg.TrackPorts),
 		obs:          cfg.Observer,
-		awake:        make([]bool, n),
+		tallies:      make([]NodeTally, n),
 		machines:     make([]SyncProgram, n),
 		newMachineFn: alg.NewMachine,
 		rands:        make([]*rand.Rand, n),
@@ -194,7 +194,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 
 		// 1. Adversarial wake-ups scheduled for this round.
 		for _, v := range wakeByRound[e.round] {
-			if !e.awake[v] {
+			if !e.tallies[v].awake {
 				e.wakeNode(v, true)
 				active = true
 			}
@@ -213,11 +213,11 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 		}
 		sort.Ints(receivers)
 		for _, v := range receivers {
-			if !e.awake[v] {
+			if !e.tallies[v].awake {
 				e.wakeNode(v, false)
 			}
 			for _, d := range inbox[v] {
-				e.acct.Deliver(v, d.Port)
+				e.acct.Deliver(&e.tallies[v], v, d.Port)
 				if e.obs != nil {
 					e.obs.OnDeliver(Time(e.round), v, d)
 				}
@@ -229,7 +229,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 
 		// 3. Computing step for every awake node.
 		for v := 0; v < n; v++ {
-			if !e.awake[v] {
+			if !e.tallies[v].awake {
 				continue
 			}
 			e.machines[v].OnRound(syncCtx{e: e, node: v}, inbox[v])
@@ -258,7 +258,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 	}
 
 	res.Rounds = lastActive - firstWakeRound
-	e.acct.Finish(Time(lastActive))
+	e.acct.Finish(Time(lastActive), func(v int) *NodeTally { return &e.tallies[v] })
 	if e.obs != nil {
 		if err := e.obs.OnFinish(res); err != nil {
 			return res, fmt.Errorf("sim: %w", err)
@@ -277,7 +277,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 
 func (e *syncEngine) allQuiescent() bool {
 	for v, m := range e.machines {
-		if !e.awake[v] || m == nil {
+		if !e.tallies[v].awake || m == nil {
 			continue
 		}
 		if q, ok := m.(Quiescer); ok && !q.Quiescent() {
@@ -288,8 +288,7 @@ func (e *syncEngine) allQuiescent() bool {
 }
 
 func (e *syncEngine) wakeNode(v int, adversarial bool) {
-	e.awake[v] = true
-	e.acct.Wake(v, Time(e.round), adversarial)
+	e.acct.Wake(&e.tallies[v], Time(e.round), adversarial)
 	if e.rands[v] == nil {
 		e.rands[v] = e.s.Rand(v)
 	}
@@ -308,13 +307,9 @@ func (e *syncEngine) send(from, port int, m Message) {
 	// receiver-side port are precomputed per directed edge, so the
 	// per-message path does no PortTo binary search.
 	s := e.s
-	ei := s.EdgeStart[from] + int32(port) - 1
-	if port < 1 || ei >= s.EdgeStart[from+1] {
-		// Same contract (and message) as graph.PortMap.Neighbor.
-		panic(fmt.Sprintf("graph: node %d has no port %d (degree %d)", from, port, s.EdgeStart[from+1]-s.EdgeStart[from]))
-	}
+	ei := s.edge(from, port)
 	to := int(s.EdgeTo[ei])
-	if err := e.acct.Send(from, port, m.Bits()); err != nil {
+	if err := e.acct.Send(&e.tallies[from], from, port, m.Bits()); err != nil {
 		e.err = err
 		return
 	}
