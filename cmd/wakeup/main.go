@@ -88,27 +88,31 @@ func run() error {
 		Seed:      *seed,
 		Shards:    *shards,
 	}
+	var observers []riseandshine.Observer
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		cfg.Trace = f
+		observers = append(observers, riseandshine.NewTraceObserver(f))
 	}
-	cfg.RecordDigests = *digest
+	if *digest {
+		observers = append(observers, riseandshine.NewDigestObserver(false))
+	}
 	var reg *riseandshine.MetricsRegistry
 	var mobs *riseandshine.MetricsObserver
 	if *metrics != "" {
 		reg = riseandshine.NewMetricsRegistry()
 		mobs = riseandshine.NewMetricsObserver(reg, g.N())
-		cfg.Observer = riseandshine.StackObservers(cfg.Observer, mobs)
+		observers = append(observers, mobs)
 	}
 	var cobs *riseandshine.CausalObserver
 	if *critical {
 		cobs = riseandshine.NewCausalObserver(g, ports)
-		cfg.Observer = riseandshine.StackObservers(cfg.Observer, cobs)
+		observers = append(observers, cobs)
 	}
+	cfg.Observer = riseandshine.StackObservers(observers...)
 	var rec *riseandshine.ExecRecorder
 	if *exectrace != "" {
 		rec = riseandshine.NewExecRecorder(riseandshine.ExecTimeClock())

@@ -15,12 +15,12 @@ import (
 func tracedRun(t *testing.T, shards int, rec *exectrace.Recorder) *riseandshine.Result {
 	t.Helper()
 	cfg := riseandshine.RunConfig{
-		Graph:         riseandshine.Grid(24, 24),
-		Algorithm:     "flood",
-		Delays:        riseandshine.RandomDelay{Seed: 7, Min: 0.25},
-		Seed:          7,
-		Shards:        shards,
-		RecordDigests: true,
+		Graph:     riseandshine.Grid(24, 24),
+		Algorithm: "flood",
+		Delays:    riseandshine.RandomDelay{Seed: 7, Min: 0.25},
+		Seed:      7,
+		Shards:    shards,
+		Observer:  riseandshine.NewDigestObserver(false),
 	}
 	if rec != nil {
 		cfg.ExecTrace = rec

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
 	"time"
@@ -43,9 +41,6 @@ type RunSpec struct {
 	// Metrics records the run into a fresh metrics registry and publishes
 	// the snapshot plus the frontier time series on the RunResult.
 	Metrics bool
-	// CriticalPath traces the causal DAG and publishes its report on the
-	// RunResult.
-	CriticalPath bool
 	// MemReport populates Res.Mem with the run's per-subsystem scratch
 	// footprint. Diagnostic only — leave off when Results are compared
 	// byte-for-byte.
@@ -79,9 +74,6 @@ type RunResult struct {
 	// time series when the spec enables Metrics.
 	Metrics  *metrics.Snapshot
 	Frontier []metrics.FrontierPoint
-	// Causal carries the critical-path report when the spec enables
-	// CriticalPath.
-	Causal *sim.CausalReport
 	// Exec carries the run's flight recorder when the spec enables
 	// ExecTrace; read it with Stall or WriteChromeTrace.
 	Exec *exectrace.Recorder
@@ -111,12 +103,6 @@ type Runner struct {
 	// packages never read time themselves (see the detrand analyzer); nil
 	// leaves durations zero and gives recorders a counter clock.
 	Now func() time.Time
-	// Log, when non-nil, receives one structured record per completed run
-	// (and one per failed run) — the Runner's replacement for ad-hoc
-	// stderr progress prints. Calls are serialized with Progress; like
-	// Progress, completion order depends on scheduling, so drivers must
-	// not derive deterministic output from the log.
-	Log *slog.Logger
 }
 
 // execClock derives the flight-recorder clock from the injected Now; nil
@@ -214,15 +200,10 @@ func (r Runner) Run(specs []RunSpec) ([]RunResult, error) {
 				if r.Now != nil {
 					results[i].Duration = r.Now().Sub(start)
 				}
-				if r.Progress != nil || r.Log != nil {
+				if r.Progress != nil {
 					mu.Lock()
 					done++
-					if r.Log != nil {
-						logRun(r.Log, i, done, len(specs), results[i], errs[i])
-					}
-					if r.Progress != nil {
-						r.Progress(done, len(specs), results[i])
-					}
+					r.Progress(done, len(specs), results[i])
 					mu.Unlock()
 				}
 			}
@@ -239,36 +220,6 @@ func (r Runner) Run(specs []RunSpec) ([]RunResult, error) {
 		}
 	}
 	return results, nil
-}
-
-// logRun emits one structured completion record for run i.
-func logRun(log *slog.Logger, i, done, total int, rr RunResult, err error) {
-	if err != nil {
-		emit(log, slog.LevelWarn, "run failed", "run", i, "done", done, "total", total, "err", err)
-		return
-	}
-	attrs := []any{"run", i, "done", done, "total", total, "seed", rr.Seed}
-	if rr.Res != nil {
-		attrs = append(attrs, "events", rr.Res.Events, "messages", rr.Res.Messages)
-	}
-	if rr.Duration > 0 {
-		attrs = append(attrs, "duration", rr.Duration)
-	}
-	emit(log, slog.LevelInfo, "run complete", attrs...)
-}
-
-// emit hands a record straight to the logger's handler with a zero
-// timestamp. slog.Logger.Info would stamp the record with time.Now —
-// a wall-clock read inside a deterministic package — and the exectrace
-// handler discards timestamps anyway, so the clock is never consulted.
-func emit(log *slog.Logger, level slog.Level, msg string, attrs ...any) {
-	ctx := context.Background()
-	if !log.Enabled(ctx, level) {
-		return
-	}
-	rec := slog.NewRecord(time.Time{}, level, msg, 0)
-	rec.Add(attrs...)
-	_ = log.Handler().Handle(ctx, rec)
 }
 
 // runOne executes a single cell; it is also the sequential path (a Runner
@@ -307,36 +258,33 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 	if spec.RandomPorts {
 		ports = riseandshine.RandomPorts(g, seed)
 	}
-	// Per-run observers: each run records into its own registry and
-	// tracer, so workers never contend and the published snapshots are
+	// Per-run observers: each run records into its own digests and
+	// registry, so workers never contend and the published results are
 	// independent of scheduling.
+	var stack []sim.Observer
+	if spec.RecordDigests {
+		stack = append(stack, sim.NewDigestObserver(false))
+	}
 	var reg *metrics.Registry
 	var mobs *metrics.Observer
-	var cobs *sim.CausalObserver
-	var stack []sim.Observer
 	if spec.Metrics {
 		reg = metrics.NewRegistry()
 		mobs = metrics.NewObserver(reg, g.N())
 		stack = append(stack, mobs)
 	}
-	if spec.CriticalPath {
-		cobs = sim.NewCausalObserver(g, ports)
-		stack = append(stack, cobs)
-	}
 	cfg := riseandshine.RunConfig{
-		Graph:         g,
-		Algorithm:     spec.Algorithm,
-		Options:       riseandshine.Options{K: spec.K},
-		Schedule:      sched,
-		Delays:        delays,
-		Ports:         ports,
-		Seed:          seed,
-		RecordDigests: spec.RecordDigests,
-		Observer:      sim.StackObservers(stack...),
-		Engine:        eng,
-		MemReport:     spec.MemReport,
-		Shards:        spec.Shards,
-		ExecTrace:     rec,
+		Graph:     g,
+		Algorithm: spec.Algorithm,
+		Options:   riseandshine.Options{K: spec.K},
+		Schedule:  sched,
+		Delays:    delays,
+		Ports:     ports,
+		Seed:      seed,
+		Observer:  sim.StackObservers(stack...),
+		Engine:    eng,
+		MemReport: spec.MemReport,
+		Shards:    spec.Shards,
+		ExecTrace: rec,
 	}
 	var res *sim.Result
 	var prep *riseandshine.Prepared
@@ -363,10 +311,6 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 		snap := reg.Snapshot()
 		rr.Metrics = &snap
 		rr.Frontier = mobs.Frontier()
-	}
-	if cobs != nil {
-		rep := cobs.Report()
-		rr.Causal = &rep
 	}
 	return rr, nil
 }

@@ -147,33 +147,35 @@ func TestRunnerErrorIsDeterministic(t *testing.T) {
 }
 
 // renderObservability aggregates the observability outputs into the exact
-// bytes a metrics-enabled sweep would write: one JSON snapshot line plus a
-// critical-path summary per run. Durations are deliberately absent — wall
+// bytes a metrics-enabled sweep would write: one JSON snapshot line plus
+// the frontier series per run. Durations are deliberately absent — wall
 // time is never part of deterministic output.
 func renderObservability(t *testing.T, results []RunResult) string {
 	t.Helper()
 	var buf strings.Builder
 	for i, rr := range results {
-		if rr.Metrics == nil || rr.Causal == nil {
-			t.Fatalf("run %d: missing metrics (%v) or causal report (%v)", i, rr.Metrics == nil, rr.Causal == nil)
+		if rr.Metrics == nil || len(rr.Frontier) == 0 {
+			t.Fatalf("run %d: missing metrics (%v) or frontier (%d points)", i, rr.Metrics == nil, len(rr.Frontier))
 		}
 		if err := rr.Metrics.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&buf, "critical-path %d last-wake %d frontier %d\n",
-			rr.Causal.CriticalPathLength, rr.Causal.LastWakeNode, len(rr.Frontier))
+		frontier, err := json.Marshal(rr.Frontier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "frontier %s\n", frontier)
 	}
 	return buf.String()
 }
 
 // TestRunnerObservabilityDeterministicAcrossWorkers extends the harness's
-// byte-identity guarantee to the observability outputs: metric snapshots,
-// frontier series, and causal reports agree at every worker count.
+// byte-identity guarantee to the observability outputs: metric snapshots
+// and frontier series agree at every worker count.
 func TestRunnerObservabilityDeterministicAcrossWorkers(t *testing.T) {
 	specs := testMatrix(2)
 	for i := range specs {
 		specs[i].Metrics = true
-		specs[i].CriticalPath = true
 	}
 	want, err := Runner{Workers: 1, MasterSeed: 11}.Run(specs)
 	if err != nil {
@@ -290,12 +292,12 @@ func TestRunnerReuseMatchesDirectRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := riseandshine.Run(riseandshine.RunConfig{
-			Graph:         g,
-			Algorithm:     cell.Algorithm,
-			Schedule:      riseandshine.WakeSet{Nodes: []int{0}},
-			Delays:        delays,
-			Seed:          seed,
-			RecordDigests: true,
+			Graph:     g,
+			Algorithm: cell.Algorithm,
+			Schedule:  riseandshine.WakeSet{Nodes: []int{0}},
+			Delays:    delays,
+			Seed:      seed,
+			Observer:  riseandshine.NewDigestObserver(false),
 		})
 		if err != nil {
 			t.Fatal(err)

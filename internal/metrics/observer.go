@@ -32,21 +32,17 @@ type FrontierPoint struct {
 
 // Observer records an engine's event stream into a Registry: event
 // counters, log-bucketed histograms of message sizes and event times, and
-// a frontier time series sampled once per Resolution of engine time. The
-// per-event cost is a few atomic adds; the frontier appends amortize, so
-// stacking an Observer keeps a run within a small constant factor of the
-// unobserved hot path (see BenchmarkRunAsyncMetrics).
+// a frontier time series sampled once per unit of engine time (one τ, or
+// one round under the synchronous engine). The per-event cost is a few
+// atomic adds; the frontier appends amortize, so stacking an Observer
+// keeps a run within a small constant factor of the unobserved hot path
+// (see BenchmarkRunAsyncMetrics).
 //
-// Like every sim.Observer, it relies on the engine serializing calls; do
-// not share one Observer between concurrent runs. Registries, in
-// contrast, are safe to share.
+// Like every sim.Observer, it holds the state of one run and relies on the
+// engine serializing calls: build a fresh one for every run. Registries,
+// in contrast, are safe to share.
 type Observer struct {
 	n int
-
-	// Resolution is the frontier sampling grain in engine time units
-	// (simulated τ, or rounds under the synchronous engine). Zero selects
-	// 1.0. Set it before the run starts.
-	Resolution sim.Time
 
 	wakesAdv, wakesMsg, sends, deliveries, bits *Counter
 	sendBits, wakeTimes, deliverTimes           *Histogram
@@ -78,19 +74,11 @@ func NewObserver(reg *Registry, n int) *Observer {
 	}
 }
 
-// resolution returns the effective sampling grain.
-func (o *Observer) resolution() float64 {
-	if o.Resolution > 0 {
-		return float64(o.Resolution)
-	}
-	return 1
-}
-
 // sample appends a frontier point when engine time has crossed into a new
-// resolution cell (or when force is set, for wake events).
+// unit cell (or when force is set, for wake events).
 func (o *Observer) sample(at sim.Time, force bool) {
 	o.lastAt = at
-	cell := int64(math.Floor(float64(at) / o.resolution()))
+	cell := int64(math.Floor(float64(at)))
 	if o.haveCell && cell <= o.lastCell && !force {
 		return
 	}
@@ -114,10 +102,10 @@ func (o *Observer) point(at sim.Time) FrontierPoint {
 	return FrontierPoint{At: at, AwakeFrac: frac, InFlight: o.inflight}
 }
 
-// Frontier returns the sampled time series: at most one point per
-// resolution cell that contained an event, each recording the state after
-// the cell's last observed wake (or first event for wake-free cells),
-// plus a final point appended at OnFinish.
+// Frontier returns the sampled time series: at most one point per unit
+// cell that contained an event, each recording the state after the cell's
+// last observed wake (or first event for wake-free cells), plus a final
+// point appended at OnFinish.
 func (o *Observer) Frontier() []FrontierPoint { return o.frontier }
 
 // OnWake implements sim.Observer.

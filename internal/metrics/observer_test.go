@@ -113,9 +113,9 @@ func TestObserverFrontier(t *testing.T) {
 	if got := reg.NewGauge(metrics.MetricInFlight, "").Value(); got != 0 {
 		t.Errorf("in-flight gauge = %g, want 0", got)
 	}
-	// Sampling is bounded by the resolution grid: a 50-node unit-delay path
+	// Sampling is bounded by the unit grid: a 50-node unit-delay path
 	// floods in 49 τ, so one point per cell plus the wake updates stays
-	// well under the event count (~2 per τ cell at the default grain).
+	// well under the event count (~2 per τ cell).
 	if len(pts) > 2*50 {
 		t.Errorf("frontier has %d points — sampling is not collapsing per cell", len(pts))
 	}

@@ -321,9 +321,10 @@ func (d BiasedDelay) Lookahead() float64 {
 
 // validateSchedule checks the schedule against the graph, returning a
 // descriptive error for out-of-range nodes, negative or non-finite times,
-// or an empty schedule. A NaN or infinite time would break the strict
-// (at, seq) event order that makes runs deterministic.
-func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
+// times at or above the engine's limit, or an empty schedule. A NaN or
+// infinite time would break the strict (at, seq) event order that makes
+// runs deterministic.
+func validateSchedule(g *graph.Graph, wakeups []Wakeup, limit Time) error {
 	if len(wakeups) == 0 {
 		return fmt.Errorf("sim: adversary wake schedule is empty")
 	}
@@ -336,6 +337,9 @@ func validateSchedule(g *graph.Graph, wakeups []Wakeup) error {
 		}
 		if math.IsNaN(float64(w.At)) || math.IsInf(float64(w.At), 0) {
 			return fmt.Errorf("sim: wakeup time %v is not finite", w.At)
+		}
+		if w.At >= limit {
+			return fmt.Errorf("sim: wakeup time %v is at or above the engine's limit %v", w.At, limit)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"riseandshine/internal/graph"
 )
@@ -47,10 +46,6 @@ type Config struct {
 	Shards int
 	// TrackPorts enables per-node distinct-port accounting (Result.PortsUsed).
 	TrackPorts bool
-	// RecordDigests installs a DigestObserver: per-node transcript digests
-	// land in Result.TranscriptDigests. Shorthand for stacking
-	// NewDigestObserver(false) onto Observer.
-	RecordDigests bool
 	// StrictCongest makes the run fail if any message exceeds the CONGEST
 	// bit limit; otherwise violations are only counted.
 	StrictCongest bool
@@ -58,13 +53,10 @@ type Config struct {
 	// into Result.Mem. Off by default so Results stay comparable across
 	// shard counts and engine reuse.
 	MemReport bool
-	// Trace installs a TraceObserver writing one CSV line per engine event
-	// (wake or delivery) to the writer; see the tracer documentation in
-	// trace.go. Shorthand for stacking NewTraceObserver(w) onto Observer.
-	Trace io.Writer
 	// Observer, when non-nil, receives the engine's event stream; stack
-	// several with StackObservers. The hot path stays allocation-free when
-	// no observer is installed.
+	// several with StackObservers. An observer holds the state of one run,
+	// so give every run a fresh one. The hot path stays allocation-free
+	// when no observer is installed.
 	Observer Observer
 	// Tracer, when non-nil, receives execution spans (setup/run/finish for
 	// sequential runs; per-window busy/barrier/merge/replay spans for
@@ -128,46 +120,66 @@ func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
 	return new(AsyncEngine).Run(cfg, alg)
 }
 
-// setupForRun validates the config and resolves the run's Setup, delayer,
-// and wake schedule.
-func setupForRun(cfg Config, alg Algorithm) (*Setup, Delayer, []Wakeup, error) {
+// setupForRun checks what both engines need — a graph, an algorithm and a
+// wake schedule — and validates the schedule's wake-ups, whose times must
+// lie below wakeLimit. Only then does it resolve the run's Setup, so a bad
+// schedule fails before anything is allocated: cfg.Setup is checked
+// against cfg and reseeded, or a new Setup is built. alg is the run's
+// Algorithm or SyncAlgorithm.
+func setupForRun(cfg Config, alg interface{ Name() string }, wakeLimit Time) (*Setup, []Wakeup, error) {
 	if cfg.Graph == nil {
-		return nil, nil, nil, fmt.Errorf("sim: Config.Graph is required")
+		return nil, nil, fmt.Errorf("sim: Graph is required")
 	}
 	if alg == nil {
-		return nil, nil, nil, fmt.Errorf("sim: algorithm is required")
+		return nil, nil, fmt.Errorf("sim: algorithm is required")
 	}
 	if cfg.Adversary.Schedule == nil {
-		return nil, nil, nil, fmt.Errorf("sim: Config.Adversary.Schedule is required")
+		return nil, nil, fmt.Errorf("sim: wake Schedule is required")
+	}
+	wakeups := cfg.Adversary.Schedule.Wakeups(cfg.Graph)
+	if err := validateSchedule(cfg.Graph, wakeups, wakeLimit); err != nil {
+		return nil, nil, err
+	}
+	if cfg.Setup == nil {
+		s, err := NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
+		if err != nil {
+			return nil, nil, err
+		}
+		return s, wakeups, nil
 	}
 	s := cfg.Setup
-	if s == nil {
-		var err error
-		s, err = NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	} else {
-		if s.Graph != cfg.Graph {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for a different graph")
-		}
-		if s.Model != cfg.Model {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for model %v, config wants %v", s.Model, cfg.Model)
-		}
-		if cfg.Ports != nil && s.Ports != cfg.Ports {
-			return nil, nil, nil, fmt.Errorf("sim: Config.Setup was built for a different port map")
-		}
-		s = s.WithSeed(cfg.Seed)
+	if s.Graph != cfg.Graph {
+		return nil, nil, fmt.Errorf("sim: Setup was built for a different graph")
 	}
-	delays := cfg.Adversary.Delays
-	if delays == nil {
-		delays = UnitDelay{}
+	if s.Model != cfg.Model {
+		return nil, nil, fmt.Errorf("sim: Setup was built for model %v, config wants %v", s.Model, cfg.Model)
 	}
-	wakeups := cfg.Adversary.Schedule.Wakeups(s.Graph)
-	if err := validateSchedule(s.Graph, wakeups); err != nil {
-		return nil, nil, nil, err
+	if cfg.Ports != nil && s.Ports != cfg.Ports {
+		return nil, nil, fmt.Errorf("sim: Setup was built for a different port map")
 	}
-	return s, delays, wakeups, nil
+	return s.WithSeed(cfg.Seed), wakeups, nil
+}
+
+// finishRun is the last step of both engines, in this order: the
+// observer's OnFinish, its error wrapped as "sim: …"; the StrictCongest
+// verdict; the ExecFinish span from t2. The Result is returned beside
+// either error.
+func finishRun(acct *Accounting, obs Observer, strictCongest bool, tr ExecTracer, t2 int64) (*Result, error) {
+	res := acct.Result()
+	if obs != nil {
+		if err := obs.OnFinish(res); err != nil {
+			return res, fmt.Errorf("sim: %w", err)
+		}
+	}
+	if strictCongest {
+		if err := acct.CongestError(); err != nil {
+			return res, err
+		}
+	}
+	if tr != nil {
+		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
+	}
+	return res, nil
 }
 
 // maxEventsFor resolves the run's event budget.
@@ -188,9 +200,13 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	if cfg.Tracer != nil {
 		t0 = cfg.Tracer.ExecNow()
 	}
-	s, delays, wakeups, err := setupForRun(cfg, alg)
+	s, wakeups, err := setupForRun(cfg, alg, infTime)
 	if err != nil {
 		return nil, err
+	}
+	delays := cfg.Adversary.Delays
+	if delays == nil {
+		delays = UnitDelay{}
 	}
 	n := s.Graph.N()
 	part, w := e.shardPlan(cfg.Shards, s, delays)
@@ -222,7 +238,7 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 	c := &e.cores[0]
 	c.reset(r, 0, 0, n)
 	c.acct = NewAccounting(r.s, r.alg.Name(), cfg.TrackPorts)
-	c.obs = cfg.observer()
+	c.obs = cfg.Observer
 	c.staging = false
 	c.recOn = false
 
@@ -272,20 +288,7 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 	if cfg.MemReport {
 		res.Mem = e.memReport(1)
 	}
-	if c.obs != nil {
-		if err := c.obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := c.acct.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	return finishRun(c.acct, c.obs, cfg.StrictCongest, tr, t2)
 }
 
 // eventLimitErr is the event-budget error, shared by both paths so they
@@ -307,17 +310,4 @@ func growClear[E any](s []E, n int) []E {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// observer assembles the run's observer stack from the Trace and
-// RecordDigests shorthands plus the explicit Observer slot.
-func (cfg Config) observer() Observer {
-	var trace, digest Observer
-	if cfg.Trace != nil {
-		trace = NewTraceObserver(cfg.Trace)
-	}
-	if cfg.RecordDigests {
-		digest = NewDigestObserver(false)
-	}
-	return StackObservers(trace, digest, cfg.Observer)
 }

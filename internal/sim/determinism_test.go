@@ -20,6 +20,26 @@ func marshalResult(t *testing.T, res *Result) []byte {
 	return data
 }
 
+// withDigests returns cfg with a fresh DigestObserver stacked in front of
+// its observer. Call it at each Run, never while building a config list:
+// an observer holds the state of one run, so one shared across the runs of
+// a reused config would fold their transcripts together.
+func withDigests(cfg Config) Config {
+	cfg.Observer = StackObservers(NewDigestObserver(false), cfg.Observer)
+	return cfg
+}
+
+// marshalDigested is marshalResult for runs made through withDigests. It
+// fails the test when the Result carries no transcript digests, so a
+// differential comparison cannot lose its digest coverage unnoticed.
+func marshalDigested(t *testing.T, res *Result) []byte {
+	t.Helper()
+	if len(res.TranscriptDigests) == 0 {
+		t.Fatal("Result carries no transcript digests")
+	}
+	return marshalResult(t, res)
+}
+
 // TestAsyncResultsByteIdentical runs the same async configuration twice
 // and requires the serialized Results to match byte for byte — the
 // regression guard behind the wakeuplint determinism contract.

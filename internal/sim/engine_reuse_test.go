@@ -73,11 +73,10 @@ func tieHeavyConfigs(delayers ...Delayer) []Config {
 		for si, sched := range schedules {
 			for _, d := range delayers {
 				cfgs = append(cfgs, Config{
-					Graph:         g,
-					Model:         Model{Knowledge: KT0, Bandwidth: Local},
-					Adversary:     Adversary{Schedule: sched, Delays: d},
-					Seed:          int64(gi*10 + si),
-					RecordDigests: true,
+					Graph:     g,
+					Model:     Model{Knowledge: KT0, Bandwidth: Local},
+					Adversary: Adversary{Schedule: sched, Delays: d},
+					Seed:      int64(gi*10 + si),
 				})
 			}
 		}
@@ -106,8 +105,7 @@ func reuseConfigs(t *testing.T) []Config {
 					Schedule: RandomWake{Count: 2 + i, Window: 3, Seed: seed},
 					Delays:   RandomDelay{Seed: seed + 11},
 				},
-				Seed:          seed,
-				RecordDigests: true,
+				Seed: seed,
 			})
 		}
 	}
@@ -121,15 +119,15 @@ func TestEngineReuseByteIdentical(t *testing.T) {
 	eng := &AsyncEngine{}
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
-		fresh, err := RunAsync(cfg, alg)
+		fresh, err := RunAsync(withDigests(cfg), alg)
 		if err != nil {
 			t.Fatalf("run %d fresh: %v", i, err)
 		}
-		reused, err := eng.Run(cfg, alg)
+		reused, err := eng.Run(withDigests(cfg), alg)
 		if err != nil {
 			t.Fatalf("run %d reused: %v", i, err)
 		}
-		a, b := marshalResult(t, fresh), marshalResult(t, reused)
+		a, b := marshalDigested(t, fresh), marshalDigested(t, reused)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("run %d: reused engine diverged from fresh engine\nfresh:  %s\nreused: %s", i, a, b)
 		}
@@ -159,21 +157,21 @@ func TestEngineReuseAcrossShardCounts(t *testing.T) {
 	sharded := 0
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
-		fresh, err := RunAsync(cfg, alg)
+		fresh, err := RunAsync(withDigests(cfg), alg)
 		if err != nil {
 			t.Fatalf("config %d fresh: %v", i, err)
 		}
-		want := marshalResult(t, fresh)
+		want := marshalDigested(t, fresh)
 		lh, _ := cfg.Adversary.Delays.(Lookahead)
 		for _, p := range []int{0, 2, 0, 4, 1} {
 			tr := &trackTracer{}
 			cfg.Shards = p
 			cfg.Tracer = tr
-			res, err := eng.Run(cfg, alg)
+			res, err := eng.Run(withDigests(cfg), alg)
 			if err != nil {
 				t.Fatalf("config %d shards %d: %v", i, p, err)
 			}
-			if got := marshalResult(t, res); !bytes.Equal(want, got) {
+			if got := marshalDigested(t, res); !bytes.Equal(want, got) {
 				t.Fatalf("config %d shards %d: reused engine diverged from fresh sequential run\nfresh:  %s\nreused: %s", i, p, want, got)
 			}
 			wantTracks := 1
@@ -203,7 +201,7 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 	eng := &AsyncEngine{}
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
-		fresh, err := RunAsync(cfg, alg)
+		fresh, err := RunAsync(withDigests(cfg), alg)
 		if err != nil {
 			t.Fatalf("run %d fresh: %v", i, err)
 		}
@@ -216,11 +214,11 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 			setups[cfg.Graph] = s
 		}
 		cfg.Setup = s
-		reused, err := eng.Run(cfg, alg)
+		reused, err := eng.Run(withDigests(cfg), alg)
 		if err != nil {
 			t.Fatalf("run %d with shared setup: %v", i, err)
 		}
-		a, b := marshalResult(t, fresh), marshalResult(t, reused)
+		a, b := marshalDigested(t, fresh), marshalDigested(t, reused)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("run %d: shared-Setup run diverged\nfresh:  %s\nshared: %s", i, a, b)
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -64,8 +63,8 @@ func TestFlatArrayFIFOUnderRandomDelay(t *testing.T) {
 					Schedule: WakeAll{},
 					Delays:   RandomDelay{Seed: 11},
 				},
-				Seed:  7,
-				Trace: &trace,
+				Seed:     7,
+				Observer: NewTraceObserver(&trace),
 			}, chattyAlg{})
 			if err != nil {
 				t.Fatal(err)
@@ -194,9 +193,8 @@ func FuzzFIFODeterminism(f *testing.F) {
 					Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
 					Delays:   quantizedDelay{inner: RandomDelay{Seed: seed}, q: q},
 				},
-				Seed:          seed,
-				RecordDigests: true,
-				Trace:         &trace,
+				Seed:     seed,
+				Observer: StackObservers(NewTraceObserver(&trace), NewDigestObserver(false)),
 			}, fuzzAlg{budget: int(budget)%16 + 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -209,15 +207,7 @@ func FuzzFIFODeterminism(f *testing.F) {
 		if freshTrace != reusedTrace {
 			t.Fatal("reused engine produced a different event trace")
 		}
-		a, err := json.Marshal(fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(again)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if a, b := marshalDigested(t, fresh), marshalDigested(t, again); !bytes.Equal(a, b) {
 			t.Fatalf("reused engine produced a different Result:\nfresh:  %s\nreused: %s", a, b)
 		}
 

@@ -138,8 +138,8 @@ func TestDigestsDeterministic(t *testing.T) {
 				Schedule: WakeSingle(0),
 				Delays:   RandomDelay{Seed: delaySeed},
 			},
-			Seed:          7,
-			RecordDigests: true,
+			Seed:     7,
+			Observer: NewDigestObserver(false),
 		}, fuzzAlg{budget: 10})
 		if err != nil {
 			t.Fatal(err)

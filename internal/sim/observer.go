@@ -11,6 +11,12 @@ import (
 // one optional Observer through their hot paths behind a nil check, so an
 // unobserved run pays a single comparison per event and zero allocations.
 //
+// A config's Observer field is the only way an observer enters a run;
+// StackObservers fits several into that one slot. An observer holds the
+// state of one run — a transcript, a trace writer, a frontier — and
+// nothing resets it, so build a fresh one for every run: one observer
+// passed to two runs, even one after the other, folds them together.
+//
 // Times are engine times: simulated time in the asynchronous engine, the
 // round number in the synchronous engine, and the per-node delivery-count
 // pseudo-time in the goroutine runtime (see runtime.Config). Under the
@@ -18,8 +24,6 @@ import (
 // implementation does not need to be safe for concurrent use; OnDeliver is
 // always invoked before the receiving machine's handler runs, so the
 // payload is observed exactly as delivered.
-//
-// Observers compose: StackObservers fans one event stream out to several.
 type Observer interface {
 	// OnWake is called when a node wakes (at most once per node);
 	// adversarial reports a direct adversarial wake-up.

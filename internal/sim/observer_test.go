@@ -81,42 +81,6 @@ func TestCountObserverZeroValueGrows(t *testing.T) {
 	}
 }
 
-// TestObserverSlotMatchesRecordDigests: installing a DigestObserver through
-// the Observer slot publishes exactly the digests the RecordDigests
-// shorthand does.
-func TestObserverSlotMatchesRecordDigests(t *testing.T) {
-	g := graph.RandomConnected(30, 0.12, newTestRand(5))
-	cfg := Config{
-		Graph: g,
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: RandomWake{Count: 3, Seed: 6},
-			Delays:   RandomDelay{Seed: 7},
-		},
-		Seed: 8,
-	}
-	sugar := cfg
-	sugar.RecordDigests = true
-	resA, err := RunAsync(sugar, broadcastOnWake{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := cfg
-	explicit.Observer = NewDigestObserver(false)
-	resB, err := RunAsync(explicit, broadcastOnWake{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resA.TranscriptDigests) != g.N() || len(resB.TranscriptDigests) != g.N() {
-		t.Fatalf("digest lengths %d/%d, want %d", len(resA.TranscriptDigests), len(resB.TranscriptDigests), g.N())
-	}
-	for v := range resA.TranscriptDigests {
-		if resA.TranscriptDigests[v] != resB.TranscriptDigests[v] {
-			t.Fatalf("node %d: sugar digest %x != observer digest %x", v, resA.TranscriptDigests[v], resB.TranscriptDigests[v])
-		}
-	}
-}
-
 // finishError is an observer whose OnFinish fails, standing in for any
 // deferred-I/O observer.
 type finishError struct {

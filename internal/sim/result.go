@@ -57,8 +57,8 @@ type Result struct {
 	AdviceTotalBits int64
 
 	// TranscriptDigests[v] is an order-sensitive hash of all deliveries
-	// received by node v (tracked when Config.RecordDigests is set; nil
-	// otherwise).
+	// received by node v, published by a DigestObserver in the run's
+	// observer stack; nil without one.
 	TranscriptDigests []uint64
 
 	// AwakeTime is the total node-time spent awake, Σ_v (end − WakeAt[v]),

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -106,7 +105,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		e.cursors = make([]int, p)
 	}
 
-	obs := cfg.observer()
+	obs := cfg.Observer
 	master := NewAccounting(r.s, alg.Name(), cfg.TrackPorts)
 
 	for i := 0; i < p; i++ {
@@ -286,20 +285,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 	if cfg.MemReport {
 		res.Mem = e.memReport(p)
 	}
-	if obs != nil {
-		if err := obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := master.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	return finishRun(master, obs, cfg.StrictCongest, tr, t2)
 }
 
 // minErrCore returns the erroring core whose failing event has the minimal

@@ -52,20 +52,20 @@ func shardedConfigs(t *testing.T) []Config {
 					Schedule: RandomWake{Count: 1 + (i+j)%4, Window: 2, Seed: int64(i*7 + j)},
 					Delays:   d,
 				},
-				Seed:          int64(i + j*5),
-				RecordDigests: true,
+				Seed: int64(i + j*5),
 			})
 		}
 	}
 	return append(cfgs, tieHeavyConfigs(UnitDelay{}, RandomDelay{Seed: 7, Min: 0.25})...)
 }
 
-// runTraced executes cfg on the given engine with a trace attached and
-// returns the Result plus the raw trace bytes.
+// runTraced executes cfg on the given engine with a trace and transcript
+// digests attached and returns the Result plus the raw trace bytes.
 func runTraced(t *testing.T, run func(Config, Algorithm) (*Result, error), cfg Config, alg Algorithm) (*Result, string) {
 	t.Helper()
 	var trace bytes.Buffer
-	cfg.Trace = &trace
+	cfg = withDigests(cfg)
+	cfg.Observer = StackObservers(NewTraceObserver(&trace), cfg.Observer)
 	res, err := run(cfg, alg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -85,11 +85,11 @@ func TestShardedByteIdentical(t *testing.T) {
 	for i, cfg := range shardedConfigs(t) {
 		alg := fuzzAlg{budget: 12}
 		seqRes, seqTrace := runTraced(t, RunAsync, cfg, alg)
-		want := marshalResult(t, seqRes)
+		want := marshalDigested(t, seqRes)
 		for _, p := range shardCounts {
 			cfg.Shards = p
 			shRes, shTrace := runTraced(t, engines[p].Run, cfg, alg)
-			if got := marshalResult(t, shRes); !bytes.Equal(want, got) {
+			if got := marshalDigested(t, shRes); !bytes.Equal(want, got) {
 				t.Fatalf("config %d shards %d: Result diverged\nseq:     %s\nsharded: %s", i, p, want, got)
 			}
 			if shTrace != seqTrace {
@@ -132,13 +132,12 @@ func TestShardedFallbackWithoutLookahead(t *testing.T) {
 			Schedule: RandomWake{Count: 2, Window: 1, Seed: 4},
 			Delays:   RandomDelay{Seed: 8}, // Min = 0: lookahead 0
 		},
-		Seed:          3,
-		Shards:        4,
-		RecordDigests: true,
-		MemReport:     true,
+		Seed:      3,
+		Shards:    4,
+		MemReport: true,
 	}
 	alg := fuzzAlg{budget: 10}
-	shRes, err := RunAsync(cfg, alg)
+	shRes, err := RunAsync(withDigests(cfg), alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +145,11 @@ func TestShardedFallbackWithoutLookahead(t *testing.T) {
 		t.Fatalf("zero-lookahead run used %d shards, want the sequential path", shRes.Mem.Shards)
 	}
 	cfg.Shards = 0
-	seqRes, err := RunAsync(cfg, alg)
+	seqRes, err := RunAsync(withDigests(cfg), alg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := marshalResult(t, seqRes), marshalResult(t, shRes); !bytes.Equal(a, b) {
+	if a, b := marshalDigested(t, seqRes), marshalDigested(t, shRes); !bytes.Equal(a, b) {
 		t.Fatalf("fallback diverged\nseq:      %s\nfallback: %s", a, b)
 	}
 }
@@ -263,19 +262,18 @@ func FuzzShardedFIFO(f *testing.F) {
 				Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
 				Delays:   quantizedLookahead{quantizedDelay{inner: RandomDelay{Seed: seed}, q: q}},
 			},
-			Seed:          seed,
-			RecordDigests: true,
+			Seed: seed,
 		}
 		alg := fuzzAlg{budget: int(budget)%16 + 1}
 		seqRes, seqTrace := runTraced(t, RunAsync, cfg, alg)
-		want := marshalResult(t, seqRes)
+		want := marshalDigested(t, seqRes)
 		for _, p := range shardCounts {
 			cfg.Shards = p
 			shRes, shTrace := runTraced(t, engines[p].Run, cfg, alg)
 			if shTrace != seqTrace {
 				t.Fatalf("shards %d: trace diverged from sequential", p)
 			}
-			if got := marshalResult(t, shRes); !bytes.Equal(want, got) {
+			if got := marshalDigested(t, shRes); !bytes.Equal(want, got) {
 				t.Fatalf("shards %d: Result diverged\nseq:     %s\nsharded: %s", p, want, got)
 			}
 			assertTraceFIFO(t, shTrace, shRes.Messages)

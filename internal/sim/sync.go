@@ -11,9 +11,16 @@ import (
 // DefaultMaxRounds caps synchronous executions unless overridden.
 const DefaultMaxRounds = 1_000_000
 
+// maxSyncWake bounds the synchronous engine's rounds, wake rounds
+// included. Rounds are ints that reach the Result as Times: below 2⁵³ the
+// conversion is exact both ways, while a larger wake time would lose
+// precision and, from 2⁶³, overflow the int.
+const maxSyncWake Time = 1 << 53
+
 // SyncConfig describes one execution of the synchronous engine. Message
 // delays are fixed at one round, so only the wake schedule of the
-// adversary applies; wake times are truncated to round numbers.
+// adversary applies; wake times are truncated to round numbers and must
+// lie below 2⁵³.
 type SyncConfig struct {
 	Graph      *graph.Graph
 	Ports      *graph.PortMap
@@ -100,39 +107,20 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 		tr.ExecBegin(1)
 		t0 = tr.ExecNow()
 	}
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("sim: SyncConfig.Graph is required")
-	}
-	if alg == nil {
-		return nil, fmt.Errorf("sim: algorithm is required")
-	}
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("sim: SyncConfig.Schedule is required")
-	}
-	s := cfg.Setup
-	if s == nil {
-		var err error
-		s, err = NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if s.Graph != cfg.Graph {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for a different graph")
-		}
-		if s.Model != cfg.Model {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for model %v, config wants %v", s.Model, cfg.Model)
-		}
-		if cfg.Ports != nil && s.Ports != cfg.Ports {
-			return nil, fmt.Errorf("sim: SyncConfig.Setup was built for a different port map")
-		}
-		s = s.WithSeed(cfg.Seed)
-	}
-	g := s.Graph
-	wakeups := cfg.Schedule.Wakeups(g)
-	if err := validateSchedule(g, wakeups); err != nil {
+	s, wakeups, err := setupForRun(Config{
+		Graph:      cfg.Graph,
+		Ports:      cfg.Ports,
+		Model:      cfg.Model,
+		Adversary:  Adversary{Schedule: cfg.Schedule},
+		Seed:       cfg.Seed,
+		Advice:     cfg.Advice,
+		AdviceBits: cfg.AdviceBits,
+		Setup:      cfg.Setup,
+	}, alg, maxSyncWake)
+	if err != nil {
 		return nil, err
 	}
+	g := s.Graph
 
 	n := g.N()
 	e := &syncEngine{
@@ -151,14 +139,10 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 
 	// Bucket the wake schedule by round.
 	wakeByRound := make(map[int][]int)
-	lastWakeRound := 0
 	firstWakeRound := int(^uint(0) >> 1)
 	for _, w := range wakeups {
 		r := int(w.At)
 		wakeByRound[r] = append(wakeByRound[r], w.Node)
-		if r > lastWakeRound {
-			lastWakeRound = r
-		}
 		if r < firstWakeRound {
 			firstWakeRound = r
 		}
@@ -183,6 +167,9 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 	for e.round = firstWakeRound; ; e.round++ {
 		if e.round-firstWakeRound > maxRounds {
 			return nil, fmt.Errorf("sim: round limit %d exceeded (algorithm %q may not terminate)", maxRounds, alg.Name())
+		}
+		if Time(e.round) >= maxSyncWake {
+			return nil, fmt.Errorf("sim: round %d is at or above the engine's limit %v", e.round, maxSyncWake)
 		}
 		active := false
 
@@ -259,20 +246,7 @@ func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
 
 	res.Rounds = lastActive - firstWakeRound
 	e.acct.Finish(Time(lastActive), func(v int) *NodeTally { return &e.tallies[v] })
-	if e.obs != nil {
-		if err := e.obs.OnFinish(res); err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-	}
-	if cfg.StrictCongest {
-		if err := e.acct.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
-	return res, nil
+	return finishRun(e.acct, e.obs, cfg.StrictCongest, tr, t2)
 }
 
 func (e *syncEngine) allQuiescent() bool {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,6 +159,41 @@ func TestSyncLateAdversarialWake(t *testing.T) {
 	// Rounds are counted from the first wake round.
 	if res.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2", res.Rounds)
+	}
+}
+
+// TestSyncWakeTimeLimit: rounds are ints and reported wake times are
+// Times, so a wake at or above 2⁵³ — where whole rounds stop being exact
+// Times, and from 2⁶³ stop fitting an int — is rejected before the run,
+// with an error naming the limit. At 2⁵² the run is exact, and a run that
+// would reach round 2⁵³ stops with an error instead of misreporting.
+func TestSyncWakeTimeLimit(t *testing.T) {
+	run := func(at Time) (*Result, error) {
+		var rounds []int
+		return RunSync(SyncConfig{
+			Graph:    graph.Path(3),
+			Model:    Model{Knowledge: KT0, Bandwidth: Local},
+			Schedule: WakeSet{Nodes: []int{0}, At: at},
+		}, relayAlg{recvRound: &rounds})
+	}
+	for _, at := range []Time{1 << 53, 1e19, math.MaxFloat64} {
+		res, err := run(at)
+		if err == nil || !strings.Contains(err.Error(), "limit 9.007199254740992e+15") {
+			t.Errorf("wake at %v: error %v, want one naming the limit 2⁵³", at, err)
+		}
+		if res != nil {
+			t.Errorf("wake at %v: got a Result beside the error", at)
+		}
+	}
+	res, err := run(1 << 52)
+	if err != nil {
+		t.Fatalf("wake at 2⁵²: %v", err)
+	}
+	if want := []Time{1 << 52, 1<<52 + 1, 1<<52 + 2}; !slices.Equal(res.WakeAt, want) {
+		t.Errorf("wake at 2⁵²: WakeAt = %v, want %v", res.WakeAt, want)
+	}
+	if _, err := run(1<<53 - 1); err == nil || !strings.Contains(err.Error(), "round 9007199254740992") {
+		t.Errorf("wake at 2⁵³-1: error %v, want the round limit at 2⁵³", err)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"io"
 )
 
-// Tracer is the CSV backend of TraceObserver (installed via Config.Trace
-// or an explicit observer stack). The stream starts with a header line;
+// Tracer is the CSV backend of TraceObserver (installed through the
+// Observer slot of a run's config). The stream starts with a header line;
 // each subsequent line is
 //
 //	time,kind,node,port,sender_port,from,bits,payload

@@ -16,7 +16,7 @@ func TestTraceOutput(t *testing.T) {
 		Adversary: Adversary{
 			Schedule: WakeSingle(0),
 		},
-		Trace: &buf,
+		Observer: NewTraceObserver(&buf),
 	}, broadcastOnWake{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestTraceWriterErrorSurfaces(t *testing.T) {
 		Adversary: Adversary{
 			Schedule: WakeSingle(0),
 		},
-		Trace: failingWriter{},
+		Observer: NewTraceObserver(failingWriter{}),
 	}, broadcastOnWake{})
 	if err == nil || !strings.Contains(err.Error(), "trace writer") {
 		t.Fatalf("expected trace-writer error, got %v", err)

@@ -43,12 +43,13 @@ func TestPrepareRunEquivalence(t *testing.T) {
 				cfg.Schedule = riseandshine.RandomWake{Count: 3, Seed: 5 * seed}
 				cfg.Delays = riseandshine.RandomDelay{Seed: 7}
 				cfg.Seed = seed
-				cfg.RecordDigests = true
+				cfg.Observer = riseandshine.NewDigestObserver(false)
 				direct, err := riseandshine.Run(cfg)
 				if err != nil {
 					t.Fatalf("seed %d direct: %v", seed, err)
 				}
 				cfg.Engine = eng
+				cfg.Observer = riseandshine.NewDigestObserver(false)
 				prepared, err := p.Run(cfg)
 				if err != nil {
 					t.Fatalf("seed %d prepared: %v", seed, err)

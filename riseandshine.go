@@ -87,8 +87,8 @@ type (
 	// MetricsSnapshot is a point-in-time copy of a registry.
 	MetricsSnapshot = metrics.Snapshot
 	// MetricsObserver records an engine's event stream into a registry,
-	// including a frontier time series; install via RunConfig.Metrics (or
-	// stack it explicitly via RunConfig.Observer).
+	// including a frontier time series; install a fresh one per run via
+	// RunConfig.Observer.
 	MetricsObserver = metrics.Observer
 	// FrontierPoint is one sample of the wake-up frontier.
 	FrontierPoint = metrics.FrontierPoint

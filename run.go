@@ -2,10 +2,8 @@ package riseandshine
 
 import (
 	"fmt"
-	"io"
 
 	"riseandshine/internal/graph"
-	"riseandshine/internal/metrics"
 	"riseandshine/internal/sim"
 )
 
@@ -37,20 +35,11 @@ type RunConfig struct {
 	Model Model
 	// StrictCongest fails the run if a message exceeds the CONGEST limit.
 	StrictCongest bool
-	// Trace, when non-nil, receives a CSV event trace from either engine.
-	// Shorthand for stacking NewTraceObserver(w) onto Observer.
-	Trace io.Writer
-	// RecordDigests publishes per-node FNV transcript digests into
-	// Result.TranscriptDigests. Shorthand for stacking NewDigestObserver
-	// onto Observer.
-	RecordDigests bool
-	// Metrics, when non-nil, records the run into the registry. Shorthand
-	// for stacking NewMetricsObserver(Metrics, n) onto Observer; use the
-	// observer directly when the frontier time series is needed.
-	Metrics *MetricsRegistry
-	// Observer, when non-nil, receives the engine's event stream; stack
-	// several with StackObservers. Runs without any observer keep the
-	// engines' allocation-free hot path.
+	// Observer, when non-nil, receives the engine's event stream: stack
+	// NewTraceObserver, NewDigestObserver, NewMetricsObserver and others
+	// with StackObservers. An observer holds the state of one run, so give
+	// every Run a fresh one. Runs without any observer keep the engines'
+	// allocation-free hot path.
 	Observer Observer
 	// Engine, when non-nil, supplies reusable asynchronous-engine scratch
 	// for sequential and sharded runs alike: the run resets the engine's
@@ -181,11 +170,6 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		schedule = WakeSet{Nodes: awake}
 	}
 
-	observer := cfg.Observer
-	if cfg.Metrics != nil {
-		observer = sim.StackObservers(metrics.NewObserver(cfg.Metrics, p.graph.N()), observer)
-	}
-
 	// The explicit nil check keeps a nil *ExecRecorder from becoming a
 	// non-nil ExecTracer interface value in the engine configs.
 	var tracer sim.ExecTracer
@@ -194,15 +178,6 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	}
 
 	if p.info.Synchronous {
-		// The synchronous engine takes only the explicit observer slot, so
-		// the façade desugars Trace/RecordDigests into the stack here.
-		var trace, digests sim.Observer
-		if cfg.Trace != nil {
-			trace = sim.NewTraceObserver(cfg.Trace)
-		}
-		if cfg.RecordDigests {
-			digests = sim.NewDigestObserver(false)
-		}
 		return sim.RunSync(sim.SyncConfig{
 			Graph:         p.graph,
 			Ports:         p.ports,
@@ -213,7 +188,7 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 			AdviceBits:    p.adviceBits,
 			Setup:         p.setup,
 			StrictCongest: cfg.StrictCongest,
-			Observer:      sim.StackObservers(trace, digests, observer),
+			Observer:      cfg.Observer,
 			Tracer:        tracer,
 		}, p.info.newSync(cfg.Options))
 	}
@@ -230,9 +205,7 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		AdviceBits:    p.adviceBits,
 		Setup:         p.setup,
 		StrictCongest: cfg.StrictCongest,
-		Trace:         cfg.Trace,
-		RecordDigests: cfg.RecordDigests,
-		Observer:      observer,
+		Observer:      cfg.Observer,
 		MemReport:     cfg.MemReport,
 		Shards:        cfg.Shards,
 		Tracer:        tracer,
