@@ -67,7 +67,6 @@ var suite = []*analysis.Analyzer{
 var deterministicPrefixes = []string{
 	"riseandshine/internal/sim",
 	"riseandshine/internal/core",
-	"riseandshine/internal/runtime",
 	"riseandshine/internal/experiment",
 	"riseandshine/internal/exectrace",
 	"riseandshine/internal/graph",

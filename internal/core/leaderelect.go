@@ -23,8 +23,9 @@ type LeaderElect struct {
 	// RankBits is as in DFSRank.
 	RankBits int
 	// Report, when non-nil, is called once per node when it learns the
-	// leader. The deterministic engine invokes it sequentially; for the
-	// concurrent runtime, the callback must be safe for concurrent use.
+	// leader. A sequential run invokes it from one goroutine; a sharded
+	// run (Config.Shards) calls it from several at once, so the callback
+	// must then be safe for concurrent use.
 	Report func(node, leader graph.NodeID)
 }
 

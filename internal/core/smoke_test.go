@@ -49,6 +49,25 @@ func schedules(g *graph.Graph) []namedSchedule {
 	}
 }
 
+// biasedDelay slows a seeded half of g's directed edges to τ and sets the
+// rest to 2⁻²⁰: long chains of fast messages overtake single slow ones, as
+// thread scheduling reorders deliveries in a concurrent execution.
+func biasedDelay(g *graph.Graph, seed int64) sim.BiasedDelay {
+	rng := rand.New(rand.NewSource(seed))
+	slow := make(map[[2]int]bool)
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if rng.Intn(2) == 0 {
+				slow[[2]int{u, int(v)}] = true
+			}
+		}
+	}
+	return sim.BiasedDelay{Slow: slow, Fast: 1.0 / (1 << 20)}
+}
+
+// TestAsyncAlgorithmsWakeEveryone runs every asynchronous algorithm on
+// every test graph, schedule and delayer, with a fresh ModelCheck on each
+// run: everyone must wake, and the engine must honour the model.
 func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 	algs := []struct {
 		name   string
@@ -67,15 +86,16 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 		{name: "cdfs", alg: core.CongestDFS{}, model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}},
 		{name: "leader", alg: core.LeaderElect{}, model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}},
 	}
-	delayers := []struct {
-		name  string
-		delay sim.Delayer
-	}{
-		{"unit", sim.UnitDelay{}},
-		{"random", sim.RandomDelay{Seed: 3}},
-	}
 	for _, tg := range testGraphs(t) {
 		gname, g := tg.name, tg.g
+		delayers := []struct {
+			name  string
+			delay sim.Delayer
+		}{
+			{"unit", sim.UnitDelay{}},
+			{"random", sim.RandomDelay{Seed: 3}},
+			{"biased", biasedDelay(g, 3)},
+		}
 		for _, tc := range algs {
 			aname := tc.name
 			for _, ts := range schedules(g) {
@@ -95,6 +115,7 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 							},
 							Seed:          99,
 							StrictCongest: tc.model.Bandwidth == sim.Congest,
+							Observer:      sim.NewModelCheck(g, pm, tc.model),
 						}
 						if tc.oracle != nil {
 							adv, bits, err := tc.oracle.Advise(g, pm)
@@ -117,6 +138,8 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 	}
 }
 
+// TestSyncAlgorithmsWakeEveryone is the synchronous counterpart, also
+// under a fresh ModelCheck per run.
 func TestSyncAlgorithmsWakeEveryone(t *testing.T) {
 	algs := []struct {
 		name  string
@@ -139,6 +162,7 @@ func TestSyncAlgorithmsWakeEveryone(t *testing.T) {
 						Model:    tc.model,
 						Schedule: sched,
 						Seed:     42,
+						Observer: sim.NewModelCheck(g, nil, tc.model),
 					}, tc.alg)
 					if err != nil {
 						t.Fatalf("run: %v", err)

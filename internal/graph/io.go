@@ -68,11 +68,15 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				maxIdx = v
 			}
 		case len(fields) == 2:
-			u, err1 := strconv.Atoi(fields[0])
-			v, err2 := strconv.Atoi(fields[1])
+			// Endpoints are parsed as int32, the node index width, so a
+			// larger index is an error here rather than wrapping onto
+			// another node in Builder.AddEdge.
+			u64, err1 := strconv.ParseInt(fields[0], 10, 32)
+			v64, err2 := strconv.ParseInt(fields[1], 10, 32)
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge %q", lineNo, line)
 			}
+			u, v := int(u64), int(v64)
 			edges = append(edges, [2]int{u, v})
 			if u > maxIdx {
 				maxIdx = u

@@ -83,6 +83,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"id 0 x\n",
 		"n 2\nid 9 4\n",
 		"n 2\n0 0\n", // self loop caught by Build
+		// Endpoints outside int32 used to wrap onto node 1.
+		"n 3\n0 4294967297\n1 2\n",
+		"n 3\n0 -4294967295\n1 2\n",
 	} {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
 			t.Errorf("input %q should fail", in)

@@ -2,22 +2,20 @@ package sim
 
 import "fmt"
 
-// Accounting owns the execution metrics every executor maintains: CONGEST
+// Accounting owns the execution metrics both engines maintain: CONGEST
 // enforcement, message and wake bookkeeping, and the final Result
-// assembly. The asynchronous engine, the synchronous engine, and the
-// concurrent goroutine runtime all tally through one Accounting, so a
-// metric means the same thing under every scheduler.
+// assembly. The asynchronous and synchronous engines tally through one
+// Accounting, so a metric means the same thing under either.
 //
-// The per-node tallies live with the executor, one NodeTally per node:
-// the asynchronous engine keeps it inside its node record, beside
-// everything else a wake or a delivery writes, and the other two keep a
+// The per-node tallies live with the engine, one NodeTally per node: the
+// asynchronous engine keeps it inside its node record, beside everything
+// else a wake or a delivery writes, and the synchronous engine keeps a
 // plain slice. Wake, Send and Deliver take the node's tally; Finish reads
 // every tally back into the Result's per-node arrays, which are allocated
 // only then.
 //
-// Accounting is not safe for concurrent use; the goroutine runtime
-// serializes its calls behind a mutex (measurement there is advisory —
-// complexity numbers belong to the deterministic engines).
+// Accounting is not safe for concurrent use; a sharded run gives each core
+// its own view (shardView) and folds them together at the end.
 type Accounting struct {
 	res      Result
 	limit    int

@@ -10,8 +10,8 @@ import (
 // the engine's event stream. Every send is attributed to the delivery the
 // sender had most recently processed (or, for the burst an algorithm emits
 // while waking, to the delivery that woke the sender), and sends are
-// matched to their deliveries through the per-directed-edge FIFO order all
-// three executors guarantee. The depth of a delivery is then the length of
+// matched to their deliveries through the per-directed-edge FIFO order
+// both engines guarantee. The depth of a delivery is then the length of
 // the causal chain of messages behind it, and the critical path — the
 // longest chain ending at the last wake-up — is the empirical counterpart
 // of the causal-chain arguments behind the paper's O(ρ_awk + log n) bound:
@@ -19,33 +19,25 @@ import (
 // exactly, and the gap between a run's wake span and its critical-path
 // length is the algorithm's scheduling overhead.
 //
-// All three engines invoke the waking machine's handler (whose sends the
-// observer must attribute to the wake-causing delivery) before that
-// delivery itself is observed, and under the goroutine runtime a
-// neighbor may even observe the resulting delivery first. The observer
-// therefore records causal parents symbolically — "the delivery that woke
-// node u" — and resolves depths after the run, in Report. Under the
-// synchronous engine all of a node's same-round arrivals share the round
-// frontier: wake-burst sends attribute to the node's first arrival of the
-// round and computing-step sends to its last, both with the same depth
-// semantics.
+// Both engines invoke the waking machine's handler, whose sends the
+// observer must attribute to the wake-causing delivery, before that
+// delivery itself is observed; such a send is recorded as "the delivery
+// that woke node u". The wake-causing delivery is always observed before
+// any delivery of those sends, so every delivery's depth is one more than
+// its parent's, known as it arrives. Under the synchronous engine all of
+// a node's same-round arrivals share the round frontier: wake-burst sends
+// attribute to the node's first arrival of the round and computing-step
+// sends to its last, both with the same depth semantics.
 //
 // Memory: one record per delivery plus one pending-send slot per in-flight
 // message, so tracing a run costs O(messages) space.
 type CausalObserver struct {
-	g  *graph.Graph
-	pm *graph.PortMap
-
-	// Directed-edge index, CSR-style as in the async engine: the out-edge
-	// of node v addressed by port p is edgeStart[v]+p-1.
-	edgeStart []int32
-	// queues[e] / qhead[e] is the FIFO of sends in flight on directed edge
-	// e, each entry a parent code (see parentCode).
-	queues [][]int32
-	qhead  []int32
+	// edges holds each send in flight as a parent code (see parentOfWake).
+	edges edgeFIFO[int32]
 
 	lastDeliv []int32 // last delivery index processed at node v; -1 = none yet
 	deliv     []causalDelivery
+	maxDepth  int32
 
 	woken       []bool
 	pendingWake []bool // woken by a message whose delivery has not been observed yet
@@ -56,19 +48,18 @@ type CausalObserver struct {
 	err error
 }
 
-// causalDelivery is one delivery event in the DAG. parent is a parent
-// code: a delivery index (≥ 0), parentRoot for a send attributed to an
-// adversarial wake, or parentOfWake(u) for a send emitted while node u was
-// waking — resolved to u's wake-causing delivery in Report, because that
-// delivery may not have been observed yet when the send happens.
+// causalDelivery is one delivery event in the DAG: parent is the index of
+// the delivery behind its send, or -1 for a send attributed to an
+// adversarial wake, and depth the length of its causal chain.
 type causalDelivery struct {
-	node, from int32
-	parent     int32
-	at         Time
+	node, from    int32
+	parent, depth int32
+	at            Time
 }
 
-const parentRoot = int32(-1)
-
+// A send's parent code is the index of the sender's last delivery, -1 for
+// an adversarial wake, or parentOfWake(u) for a send emitted while node u
+// was waking, resolved to u's wake-causing delivery once that is observed.
 func parentOfWake(u int32) int32 { return -u - 2 }
 
 // CausalStep is one event on the critical path: the origin wake-up (depth
@@ -113,9 +104,7 @@ func NewCausalObserver(g *graph.Graph, pm *graph.PortMap) *CausalObserver {
 	}
 	n := g.N()
 	o := &CausalObserver{
-		g:           g,
-		pm:          pm,
-		edgeStart:   make([]int32, n+1),
+		edges:       newEdgeFIFO[int32](pm),
 		lastDeliv:   make([]int32, n),
 		woken:       make([]bool, n),
 		pendingWake: make([]bool, n),
@@ -124,13 +113,9 @@ func NewCausalObserver(g *graph.Graph, pm *graph.PortMap) *CausalObserver {
 		wakeCause:   make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
-		o.edgeStart[v+1] = o.edgeStart[v] + int32(g.Degree(v))
 		o.lastDeliv[v] = -1
 		o.wakeCause[v] = -1
 	}
-	dir := o.edgeStart[n]
-	o.queues = make([][]int32, dir)
-	o.qhead = make([]int32, dir)
 	return o
 }
 
@@ -153,7 +138,8 @@ func (o *CausalObserver) OnWake(at Time, node int, adversarial bool) {
 // OnSend implements Observer: the send joins the edge's FIFO carrying the
 // sender's current causal frontier.
 func (o *CausalObserver) OnSend(at Time, from, port int, m Message) {
-	if from < 0 || from >= len(o.lastDeliv) || port < 1 || o.edgeStart[from]+int32(port)-1 > o.edgeStart[from+1]-1 {
+	e := o.edges.out(from, port)
+	if e < 0 {
 		o.fail(fmt.Errorf("causal: send from node %d on invalid port %d", from, port))
 		return
 	}
@@ -163,34 +149,42 @@ func (o *CausalObserver) OnSend(at Time, from, port int, m Message) {
 		// that woke the sender.
 		parent = parentOfWake(int32(from))
 	}
-	ei := o.edgeStart[from] + int32(port) - 1
-	o.queues[ei] = append(o.queues[ei], parent)
+	o.edges.push(e, parent)
 }
 
 // OnDeliver implements Observer: the delivery is matched to the oldest
-// in-flight send on its directed edge.
+// in-flight send on its directed edge and takes its depth from the
+// delivery behind that send.
 func (o *CausalObserver) OnDeliver(at Time, node int, d Delivery) {
-	if node < 0 || node >= len(o.lastDeliv) || d.Port < 1 || d.Port > o.g.Degree(node) {
-		o.fail(fmt.Errorf("causal: delivery to node %d on invalid port %d", node, d.Port))
+	from, e := o.edges.in(node, d.Port, d.SenderPort)
+	if e < 0 {
+		o.fail(fmt.Errorf("causal: delivery to node %d on port %d, sender port %d, does not match the port map", node, d.Port, d.SenderPort))
 		return
 	}
-	from := o.pm.Neighbor(node, d.Port)
-	if d.SenderPort < 1 || o.edgeStart[from]+int32(d.SenderPort)-1 > o.edgeStart[from+1]-1 {
-		o.fail(fmt.Errorf("causal: delivery to node %d reports invalid sender port %d", node, d.SenderPort))
-		return
-	}
-	ei := o.edgeStart[from] + int32(d.SenderPort) - 1
-	if o.qhead[ei] >= int32(len(o.queues[ei])) {
+	parent, ok := o.edges.pop(e)
+	if !ok {
 		o.fail(fmt.Errorf("causal: delivery on edge %d→%d without a matching send (observer saw a partial event stream?)", from, node))
 		return
 	}
-	parent := o.queues[ei][o.qhead[ei]]
-	o.qhead[ei]++
+	if parent < -1 {
+		u := -parent - 2
+		if o.pendingWake[u] {
+			o.fail(fmt.Errorf("causal: delivery on edge %d→%d observed before the delivery that woke node %d", from, node, u))
+			return
+		}
+		parent = o.wakeCause[u]
+	}
+	depth := int32(1)
+	if parent >= 0 {
+		depth += o.deliv[parent].depth
+	}
+	o.maxDepth = max(o.maxDepth, depth)
 	idx := int32(len(o.deliv))
 	o.deliv = append(o.deliv, causalDelivery{
 		node:   int32(node),
 		from:   int32(from),
 		parent: parent,
+		depth:  depth,
 		at:     at,
 	})
 	o.lastDeliv[node] = idx
@@ -210,68 +204,26 @@ func (o *CausalObserver) fail(err error) {
 	}
 }
 
-// resolveParent maps a parent code to a delivery index, or -1 for a chain
-// root (an adversarial wake, or a wake whose cause was never observed).
-func (o *CausalObserver) resolveParent(code int32) int32 {
-	if code >= parentRoot {
-		return code
-	}
-	return o.wakeCause[-code-2]
-}
-
 // Report reconstructs the critical path. Call it after the run finished;
 // the report is deterministic for deterministic engines.
 func (o *CausalObserver) Report() CausalReport {
-	// Depth of each delivery, memoized over the parent DAG. Parents are
-	// not index-ordered (under the goroutine runtime a neighbor can
-	// observe a wake-burst send before the wake's own cause), so chains
-	// are walked explicitly instead of filled in one forward pass.
-	depth := make([]int32, len(o.deliv))
-	for i := range depth {
-		depth[i] = -1
-	}
-	var chain []int32
-	depthOf := func(i int32) int32 {
-		chain = chain[:0]
-		for i >= 0 && depth[i] < 0 {
-			chain = append(chain, i)
-			i = o.resolveParent(o.deliv[i].parent)
-		}
-		d := int32(0)
-		if i >= 0 {
-			d = depth[i]
-		}
-		for k := len(chain) - 1; k >= 0; k-- {
-			d++
-			depth[chain[k]] = d
-		}
-		return d
-	}
-
-	rep := CausalReport{LastWakeNode: -1, WakeDepth: make([]int, len(o.woken))}
-	wakeDepth := make([]int32, len(o.woken))
+	rep := CausalReport{LastWakeNode: -1, MaxDepth: int(o.maxDepth), WakeDepth: make([]int, len(o.woken))}
 	for v := range o.woken {
 		switch {
 		case !o.woken[v]:
-			wakeDepth[v] = -1
+			rep.WakeDepth[v] = -1
 		case o.wakeAdv[v] || o.wakeCause[v] < 0:
-			wakeDepth[v] = 0
+			rep.WakeDepth[v] = 0
 		default:
-			wakeDepth[v] = depthOf(o.wakeCause[v])
+			rep.WakeDepth[v] = int(o.deliv[o.wakeCause[v]].depth)
 		}
-		rep.WakeDepth[v] = int(wakeDepth[v])
 		if !o.woken[v] {
 			continue
 		}
 		last := rep.LastWakeNode
 		if last == -1 || o.wakeAt[v] > o.wakeAt[last] ||
-			(o.wakeAt[v] == o.wakeAt[last] && wakeDepth[v] > wakeDepth[last]) {
+			(o.wakeAt[v] == o.wakeAt[last] && rep.WakeDepth[v] > rep.WakeDepth[last]) {
 			rep.LastWakeNode = v
-		}
-	}
-	for i := range o.deliv {
-		if d := int(depthOf(int32(i))); d > rep.MaxDepth {
-			rep.MaxDepth = d
 		}
 	}
 	if rep.LastWakeNode == -1 {
@@ -279,7 +231,7 @@ func (o *CausalObserver) Report() CausalReport {
 	}
 	last := rep.LastWakeNode
 	rep.LastWakeAt = o.wakeAt[last]
-	rep.CriticalPathLength = int(wakeDepth[last])
+	rep.CriticalPathLength = rep.WakeDepth[last]
 
 	// Walk the chain backwards from the delivery that caused the last
 	// wake, then reverse; the origin is the adversarial wake of the first
@@ -288,9 +240,9 @@ func (o *CausalObserver) Report() CausalReport {
 	var rev []CausalStep
 	for cur := o.wakeCause[last]; cur >= 0; {
 		d := o.deliv[cur]
-		rev = append(rev, CausalStep{Node: int(d.node), At: d.at, Depth: int(depth[cur])})
+		rev = append(rev, CausalStep{Node: int(d.node), At: d.at, Depth: int(d.depth)})
 		origin = int(d.from)
-		cur = o.resolveParent(d.parent)
+		cur = d.parent
 	}
 	rep.Path = make([]CausalStep, 0, len(rev)+1)
 	rep.Path = append(rep.Path, CausalStep{Node: origin, At: o.wakeAt[origin], Depth: 0})

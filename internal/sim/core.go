@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"riseandshine/internal/graph"
@@ -325,6 +326,11 @@ func (c *engineCore) send(from, port int, m Message) {
 		return
 	}
 	at := c.now + Time(delay)
+	if !(at > c.now) {
+		// A delay below half an ulp of now rounds away; the message still
+		// takes positive time.
+		at = Time(math.Nextafter(float64(c.now), math.Inf(1)))
+	}
 	if last := r.fifoLast[ei]; at < last {
 		at = last // enforce per-edge FIFO delivery
 	}

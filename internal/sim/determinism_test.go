@@ -20,12 +20,17 @@ func marshalResult(t *testing.T, res *Result) []byte {
 	return data
 }
 
-// withDigests returns cfg with a fresh DigestObserver stacked in front of
-// its observer. Call it at each Run, never while building a config list:
-// an observer holds the state of one run, so one shared across the runs of
-// a reused config would fold their transcripts together.
+// withDigests returns cfg with a fresh DigestObserver and a fresh
+// ModelCheck stacked in front of its observer, so every differential run
+// is also checked against the model. Call it at each Run, never while
+// building a config list: an observer holds the state of one run, so one
+// shared across the runs of a reused config would fold them together.
 func withDigests(cfg Config) Config {
-	cfg.Observer = StackObservers(NewDigestObserver(false), cfg.Observer)
+	pm := cfg.Ports
+	if cfg.Setup != nil {
+		pm = cfg.Setup.Ports
+	}
+	cfg.Observer = StackObservers(NewDigestObserver(false), NewModelCheck(cfg.Graph, pm, cfg.Model), cfg.Observer)
 	return cfg
 }
 

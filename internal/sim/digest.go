@@ -27,17 +27,14 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// digestDelivery folds one delivery into a node's transcript digest. The
-// payload is hashed through its Go-syntax representation, which is stable
-// for the value-type messages the algorithms use.
+// digestDelivery folds one delivery into a node's transcript digest.
 func digestDelivery(h uint64, at Time, d Delivery) uint64 {
 	h = fnvUint64(h, math.Float64bits(float64(at)))
 	return digestDeliveryContent2(h, d)
 }
 
-// digestDeliveryContent hashes one delivery without its time — the
-// engine-independent view used for cross-scheduler comparisons, where
-// simulated time and the runtime's pseudo-time never agree.
+// digestDeliveryContent hashes one delivery without its time — the view
+// that compares runs whose delivery times differ.
 func digestDeliveryContent(d Delivery) uint64 {
 	return digestDeliveryContent2(fnvOffset, d)
 }
@@ -57,5 +54,12 @@ func digestDeliveryContent2(h uint64, d Delivery) uint64 {
 	h = fnvUint64(h, uint64(d.Port))
 	h = fnvUint64(h, uint64(d.SenderPort))
 	h = fnvUint64(h, uint64(d.From))
-	return fnvString(h, fmt.Sprintf("%#v", d.Msg))
+	return digestMessage(h, d.Msg)
+}
+
+// digestMessage folds a payload into h through its Go-syntax
+// representation, which is stable for the value-type messages the
+// algorithms use.
+func digestMessage(h uint64, m Message) uint64 {
+	return fnvString(h, fmt.Sprintf("%#v", m))
 }

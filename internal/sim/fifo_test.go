@@ -183,18 +183,20 @@ func FuzzFIFODeterminism(f *testing.F) {
 		n := int(nRaw)%40 + 2
 		q := int(qRaw)%8 + 1 // coarse grids maximize timestamp collisions
 		g := graph.RandomConnected(n, 0.15, newTestRand(seed))
+		pm := graph.RandomPorts(g, newTestRand(seed+1))
+		model := Model{Knowledge: KT0, Bandwidth: Local}
 		run := func(eng *AsyncEngine) (*Result, string) {
 			var trace bytes.Buffer
 			res, err := eng.Run(Config{
 				Graph: g,
-				Ports: graph.RandomPorts(g, newTestRand(seed+1)),
-				Model: Model{Knowledge: KT0, Bandwidth: Local},
+				Ports: pm,
+				Model: model,
 				Adversary: Adversary{
 					Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
 					Delays:   quantizedDelay{inner: RandomDelay{Seed: seed}, q: q},
 				},
 				Seed:     seed,
-				Observer: StackObservers(NewTraceObserver(&trace), NewDigestObserver(false)),
+				Observer: StackObservers(NewTraceObserver(&trace), NewDigestObserver(false), NewModelCheck(g, pm, model)),
 			}, fuzzAlg{budget: int(budget)%16 + 1})
 			if err != nil {
 				t.Fatalf("run: %v", err)

@@ -97,7 +97,7 @@ func (m Model) congestLimit(n int) int {
 // paper's model (§1.1), used to size NodeInfo.LogN, ranks, and the default
 // CONGEST limit. The clamp means n ≤ 1 (including the degenerate n = 0)
 // still grants one bit, so a single-node network has a well-defined
-// message budget. This is the single helper shared by every executor;
+// message budget. This is the single helper shared by both engines;
 // keep it the only ⌈log2⌉ in the tree.
 func CeilLog2(n int) int {
 	if n <= 1 {
@@ -178,14 +178,11 @@ const AsyncRound = -1
 type Context interface {
 	// Info returns the node's static information.
 	Info() NodeInfo
-	// Now returns the engine clock. Its meaning is engine-specific: the
-	// asynchronous engine reports simulated time in units of τ, the
-	// synchronous engine reports the current round number, and the
-	// goroutine runtime reports a per-node pseudo-time (the number of
-	// messages delivered to the node so far). All three clocks increase
-	// monotonically from any one node's point of view, which is the only
-	// property portable algorithms may rely on; values are not comparable
-	// across engines.
+	// Now returns the engine clock: simulated time in units of τ in the
+	// asynchronous engine, the current round number in the synchronous
+	// engine. Both clocks increase monotonically from any one node's point
+	// of view, which is the only property portable algorithms may rely on;
+	// values are not comparable across engines.
 	Now() Time
 	// Round returns the current round (≥ 0) in the synchronous engine and
 	// the AsyncRound sentinel in the asynchronous engines — the sequential

@@ -7,8 +7,8 @@ import (
 	"slices"
 )
 
-// Observer receives the engine's event stream. All three executors thread
-// one optional Observer through their hot paths behind a nil check, so an
+// Observer receives the engine's event stream. Both engines thread one
+// optional Observer through their hot paths behind a nil check, so an
 // unobserved run pays a single comparison per event and zero allocations.
 //
 // A config's Observer field is the only way an observer enters a run;
@@ -17,13 +17,12 @@ import (
 // nothing resets it, so build a fresh one for every run: one observer
 // passed to two runs, even one after the other, folds them together.
 //
-// Times are engine times: simulated time in the asynchronous engine, the
-// round number in the synchronous engine, and the per-node delivery-count
-// pseudo-time in the goroutine runtime (see runtime.Config). Under the
-// goroutine runtime, calls are serialized by the engine, so an Observer
-// implementation does not need to be safe for concurrent use; OnDeliver is
-// always invoked before the receiving machine's handler runs, so the
-// payload is observed exactly as delivered.
+// Times are engine times: simulated time in the asynchronous engine and
+// the round number in the synchronous engine. Calls come from one
+// goroutine at a time, even in a sharded run, so an Observer need not be
+// safe for concurrent use. OnDeliver is always invoked before the
+// receiving machine's handler runs, so the payload is observed exactly as
+// delivered. ModelCheck checks a stream against the paper's model.
 type Observer interface {
 	// OnWake is called when a node wakes (at most once per node);
 	// adversarial reports a direct adversarial wake-up.
@@ -133,10 +132,10 @@ func (o *TraceObserver) OnFinish(*Result) error {
 // digests as Result.TranscriptDigests.
 //
 // With perDelivery enabled the observer additionally keeps each delivery's
-// individual time-free digest. Those sets compare executions across
-// schedulers — engine times never agree between the deterministic engines
-// and the goroutine runtime, but the multiset of deliveries a node
-// receives does whenever algorithm behavior is scheduler-independent.
+// individual time-free digest. Those sets compare executions across delay
+// adversaries — times differ between the runs, but the multiset of
+// deliveries a node receives does not whenever algorithm behavior is
+// schedule-independent.
 type DigestObserver struct {
 	transcripts []uint64
 	perDelivery bool
@@ -212,66 +211,4 @@ func (o *DigestObserver) DeliveryDigests(v int) []uint64 {
 	out := append([]uint64(nil), o.deliveries[v]...)
 	slices.Sort(out)
 	return out
-}
-
-// CountObserver tallies per-node engine events — wakes, deliveries, and
-// sends — as a histogram over nodes. It allocates nothing per event after
-// the per-node counters exist, so it is cheap enough to stack onto long
-// sweeps; Totals gives the aggregate view.
-type CountObserver struct {
-	Wakes      []int
-	Deliveries []int
-	Sends      []int
-}
-
-// NewCountObserver returns a count observer pre-sized for n nodes (lazily
-// grown past n if events name higher indices).
-func NewCountObserver(n int) *CountObserver {
-	return &CountObserver{
-		Wakes:      make([]int, n),
-		Deliveries: make([]int, n),
-		Sends:      make([]int, n),
-	}
-}
-
-func growCounts(s []int, v int) []int {
-	if v < len(s) {
-		return s
-	}
-	return append(s, make([]int, v+1-len(s))...)
-}
-
-// OnWake implements Observer.
-func (o *CountObserver) OnWake(_ Time, node int, _ bool) {
-	o.Wakes = growCounts(o.Wakes, node)
-	o.Wakes[node]++
-}
-
-// OnDeliver implements Observer.
-func (o *CountObserver) OnDeliver(_ Time, node int, _ Delivery) {
-	o.Deliveries = growCounts(o.Deliveries, node)
-	o.Deliveries[node]++
-}
-
-// OnSend implements Observer.
-func (o *CountObserver) OnSend(_ Time, from, _ int, _ Message) {
-	o.Sends = growCounts(o.Sends, from)
-	o.Sends[from]++
-}
-
-// OnFinish implements Observer.
-func (o *CountObserver) OnFinish(*Result) error { return nil }
-
-// Totals returns the summed wake, delivery, and send counts.
-func (o *CountObserver) Totals() (wakes, deliveries, sends int) {
-	for _, c := range o.Wakes {
-		wakes += c
-	}
-	for _, c := range o.Deliveries {
-		deliveries += c
-	}
-	for _, c := range o.Sends {
-		sends += c
-	}
-	return
 }

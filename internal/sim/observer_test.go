@@ -15,76 +15,20 @@ func TestStackObservers(t *testing.T) {
 	if obs := StackObservers(nil, nil); obs != nil {
 		t.Errorf("all-nil stack = %v, want nil", obs)
 	}
-	single := NewCountObserver(0)
+	single := NewDigestObserver(false)
 	if obs := StackObservers(nil, single, nil); obs != Observer(single) {
 		t.Errorf("one-element stack should return it unwrapped, got %T", obs)
 	}
-	double := StackObservers(NewCountObserver(0), NewCountObserver(0))
+	double := StackObservers(NewDigestObserver(false), NewDigestObserver(false))
 	if _, ok := double.(multiObserver); !ok {
 		t.Errorf("two-element stack = %T, want multiObserver", double)
-	}
-}
-
-// TestCountObserverAsync: the event-count histogram agrees with the
-// engine's own accounting on every axis it mirrors.
-func TestCountObserverAsync(t *testing.T) {
-	g := graph.RandomConnected(40, 0.1, newTestRand(3))
-	counts := NewCountObserver(g.N())
-	res, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-			Delays:   RandomDelay{Seed: 4},
-		},
-		Observer: counts,
-	}, broadcastOnWake{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wakes, deliveries, sends := counts.Totals()
-	if wakes != res.AwakeCount {
-		t.Errorf("observer wakes = %d, Result.AwakeCount = %d", wakes, res.AwakeCount)
-	}
-	if sends != res.Messages {
-		t.Errorf("observer sends = %d, Result.Messages = %d", sends, res.Messages)
-	}
-	if deliveries != res.Messages {
-		t.Errorf("observer deliveries = %d, want %d (every message delivered)", deliveries, res.Messages)
-	}
-	for v := 0; v < g.N(); v++ {
-		if counts.Sends[v] != res.SentBy[v] {
-			t.Fatalf("node %d: observer sends = %d, Result.SentBy = %d", v, counts.Sends[v], res.SentBy[v])
-		}
-		if counts.Deliveries[v] != res.ReceivedBy[v] {
-			t.Fatalf("node %d: observer deliveries = %d, Result.ReceivedBy = %d", v, counts.Deliveries[v], res.ReceivedBy[v])
-		}
-	}
-}
-
-// TestCountObserverZeroValueGrows: a zero-value CountObserver lazily grows
-// its per-node slices as events name nodes.
-func TestCountObserverZeroValueGrows(t *testing.T) {
-	var counts CountObserver
-	_, err := RunAsync(Config{
-		Graph:     graph.Path(4),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Observer:  &counts,
-	}, broadcastOnWake{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wakes, _, sends := counts.Totals()
-	if wakes != 4 || sends != 6 {
-		t.Errorf("zero-value observer counted wakes=%d sends=%d, want 4 and 6", wakes, sends)
 	}
 }
 
 // finishError is an observer whose OnFinish fails, standing in for any
 // deferred-I/O observer.
 type finishError struct {
-	CountObserver
+	DigestObserver
 	msg string
 }
 
@@ -115,17 +59,18 @@ func TestObserverFinishErrorPropagates(t *testing.T) {
 }
 
 // TestSyncObserverStack: the synchronous engine feeds the same observer
-// interface — a stacked trace + count observer sees the full run.
+// interface — a stacked trace observer and model checker see the full run,
+// and the checker's tallies agree with the Result.
 func TestSyncObserverStack(t *testing.T) {
 	var buf strings.Builder
-	counts := NewCountObserver(0)
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Star(5),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
+	g := graph.Star(5)
+	model := Model{Knowledge: KT0, Bandwidth: Local}
+	if _, err := RunSync(SyncConfig{
+		Graph:    g,
+		Model:    model,
 		Schedule: WakeSingle(0),
-		Observer: StackObservers(NewTraceObserver(&buf), counts),
-	}, AsSync(broadcastOnWake{}))
-	if err != nil {
+		Observer: StackObservers(NewTraceObserver(&buf), NewModelCheck(g, nil, model)),
+	}, AsSync(broadcastOnWake{})); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "time,kind,node") {
@@ -133,10 +78,6 @@ func TestSyncObserverStack(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "wake-adversary,0") {
 		t.Errorf("sync trace missing adversary wake:\n%s", buf.String())
-	}
-	wakes, _, sends := counts.Totals()
-	if wakes != res.AwakeCount || sends != res.Messages {
-		t.Errorf("sync counts wakes=%d sends=%d, Result says %d and %d", wakes, sends, res.AwakeCount, res.Messages)
 	}
 }
 

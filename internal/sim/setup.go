@@ -10,10 +10,9 @@ import (
 // Setup is the shared pre-flight state of one execution: the validated
 // topology, the port mapping, the per-node static information, the CONGEST
 // limit, and the seed from which every node-private random stream derives.
-// All three executors — the deterministic asynchronous and synchronous
-// engines in this package and the concurrent goroutine runtime — build
-// exactly one Setup and route node construction through it, so a node sees
-// identical NodeInfo and randomness regardless of which engine runs it.
+// Both engines — asynchronous and synchronous — build exactly one Setup
+// and route node construction through it, so a node sees identical
+// NodeInfo and randomness regardless of which engine runs it.
 type Setup struct {
 	// Graph is the network topology.
 	Graph *graph.Graph
@@ -29,7 +28,7 @@ type Setup struct {
 	CongestLimit int
 
 	// EdgeStart, EdgeTo and RevPort are the CSR edge-metadata arrays shared
-	// by every executor's send path (see graph.PortMap.CSR): the out-edge of
+	// by both engines' send paths (see graph.PortMap.CSR): the out-edge of
 	// node v addressed by port p lives at flat index EdgeStart[v]+p-1,
 	// EdgeTo[ei] is the receiving node, and RevPort[ei] is the receiver-side
 	// port — PortTo precomputed once per topology, so no per-message binary

@@ -71,8 +71,6 @@ type (
 	TraceObserver = sim.TraceObserver
 	// DigestObserver folds deliveries into per-node transcript digests.
 	DigestObserver = sim.DigestObserver
-	// CountObserver tallies per-node wake/delivery/send histograms.
-	CountObserver = sim.CountObserver
 	// CausalObserver reconstructs the causal DAG of an execution and its
 	// critical path (the longest causal chain ending at the last wake).
 	CausalObserver = sim.CausalObserver
@@ -129,7 +127,6 @@ var FormatBytes = sim.FormatBytes
 var (
 	NewTraceObserver  = sim.NewTraceObserver
 	NewDigestObserver = sim.NewDigestObserver
-	NewCountObserver  = sim.NewCountObserver
 	NewCausalObserver = sim.NewCausalObserver
 	StackObservers    = sim.StackObservers
 	// CombineDigests folds per-node transcript digests into one value.
