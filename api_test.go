@@ -122,20 +122,6 @@ func TestRunModelOverride(t *testing.T) {
 	}
 }
 
-func TestRunStrictCongestPropagates(t *testing.T) {
-	// dfs-rank tokens are LOCAL-sized; forcing CONGEST must fail loudly.
-	g := riseandshine.Cycle(30)
-	_, err := riseandshine.Run(riseandshine.RunConfig{
-		Graph:         g,
-		Algorithm:     "dfs-rank",
-		Model:         riseandshine.Model{Knowledge: riseandshine.KT1, Bandwidth: riseandshine.Congest},
-		StrictCongest: true,
-	})
-	if err == nil {
-		t.Error("expected CONGEST violation error")
-	}
-}
-
 func TestGraphConstructorsExported(t *testing.T) {
 	if riseandshine.Grid(3, 3).N() != 9 {
 		t.Error("Grid broken")

@@ -343,11 +343,11 @@ func BenchmarkAblation(b *testing.B) {
 				b.ReportAllocs()
 				var msgs float64
 				for i := 0; i < b.N; i++ {
-					res, err := sim.RunSync(sim.SyncConfig{
-						Graph:    g,
-						Model:    sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-						Schedule: riseandshine.WakeAll{},
-						Seed:     int64(i),
+					res, err := sim.RunSync(sim.Config{
+						Graph:     g,
+						Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
+						Adversary: sim.Adversary{Schedule: riseandshine.WakeAll{}},
+						Seed:      int64(i),
 					}, core.FastWakeUp{RootProb: tc.prob})
 					if err != nil {
 						b.Fatal(err)
@@ -479,7 +479,7 @@ func BenchmarkRunAsyncLarge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(eng *sim.AsyncEngine, i int) *sim.Result {
+	run := func(eng *sim.Engine, i int) *sim.Result {
 		res, err := eng.Run(sim.Config{
 			Graph: g,
 			Model: model,
@@ -497,7 +497,7 @@ func BenchmarkRunAsyncLarge(b *testing.B) {
 	}
 	b.Run(spec, func(b *testing.B) {
 		b.ReportAllocs()
-		eng := &sim.AsyncEngine{}
+		eng := &sim.Engine{}
 		run(eng, -1) // grows the engine scratch outside the timer
 		b.ResetTimer()
 		events := 0
@@ -562,7 +562,7 @@ func BenchmarkRunAsyncReuse(b *testing.B) {
 	}
 	b.Run("complete:2000", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := &sim.AsyncEngine{}
+		eng := &sim.Engine{}
 		events := 0
 		for i := 0; i < b.N; i++ {
 			res, err := eng.Run(sim.Config{
@@ -639,7 +639,7 @@ func BenchmarkRunSharded(b *testing.B) {
 		for _, p := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/shards:%d", spec, p), func(b *testing.B) {
 				b.ReportAllocs()
-				eng := &sim.AsyncEngine{}
+				eng := &sim.Engine{}
 				events := 0
 				for i := 0; i < b.N; i++ {
 					res, err := eng.Run(sim.Config{
@@ -683,7 +683,7 @@ func BenchmarkRunShardedExecTrace(b *testing.B) {
 	for _, p := range []int{2, 4} {
 		b.Run(fmt.Sprintf("%s/shards:%d", spec, p), func(b *testing.B) {
 			b.ReportAllocs()
-			eng := &sim.AsyncEngine{}
+			eng := &sim.Engine{}
 			rec := riseandshine.NewExecRecorder(riseandshine.ExecTimeClock())
 			events := 0
 			for i := 0; i < b.N; i++ {

@@ -281,9 +281,6 @@ func run() error {
 		for i, n := range sizes {
 			rr := results[i*(*seeds)]
 			m := rr.Res.Mem
-			if m == nil {
-				continue
-			}
 			shardsCol := m.Shards
 			if shardsCol < 1 {
 				shardsCol = 1

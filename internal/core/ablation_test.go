@@ -103,11 +103,11 @@ func TestAblationFastWakeUpSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomConnected(250, 0.25, rng)
 	run := func(prob float64) int {
-		res, err := sim.RunSync(sim.SyncConfig{
-			Graph:    g,
-			Model:    sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Schedule: sim.WakeAll{},
-			Seed:     8,
+		res, err := sim.RunSync(sim.Config{
+			Graph:     g,
+			Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
+			Adversary: sim.Adversary{Schedule: sim.WakeAll{}},
+			Seed:      8,
 		}, core.FastWakeUp{RootProb: prob})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"riseandshine/internal/sim"
 )
 
-func runCongestDFS(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.Delayer, seed int64, strict bool) *sim.Result {
+func runCongestDFS(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.Delayer, seed int64) *sim.Result {
 	t.Helper()
 	res, err := sim.RunAsync(sim.Config{
 		Graph: g,
@@ -20,8 +20,7 @@ func runCongestDFS(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays
 			Schedule: sched,
 			Delays:   delays,
 		},
-		Seed:          seed,
-		StrictCongest: strict,
+		Seed: seed,
 	}, core.CongestDFS{})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +41,7 @@ func TestCongestDFSWakesEveryone(t *testing.T) {
 	for name, g := range graphs {
 		for seed := int64(0); seed < 3; seed++ {
 			res := runCongestDFS(t, g, sim.RandomWake{Count: 3, Seed: seed},
-				sim.RandomDelay{Seed: seed}, seed, false)
+				sim.RandomDelay{Seed: seed}, seed)
 			if !res.AllAwake {
 				t.Fatalf("%s seed %d: only %d/%d awake", name, seed, res.AwakeCount, res.N)
 			}
@@ -55,7 +54,7 @@ func TestCongestDFSWakesEveryone(t *testing.T) {
 func TestCongestDFSFitsCongest(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomConnected(200, 0.04, rng)
-	res := runCongestDFS(t, g, sim.WakeSingle(0), sim.UnitDelay{}, 3, true)
+	res := runCongestDFS(t, g, sim.WakeSingle(0), sim.UnitDelay{}, 3)
 	if !res.AllAwake {
 		t.Fatal("not all awake")
 	}
@@ -69,7 +68,7 @@ func TestCongestDFSFitsCongest(t *testing.T) {
 func TestCongestDFSSingleSourceMessages(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.RandomConnected(150, 0.06, rng)
-	res := runCongestDFS(t, g, sim.WakeSingle(0), sim.RandomDelay{Seed: 4}, 4, false)
+	res := runCongestDFS(t, g, sim.WakeSingle(0), sim.RandomDelay{Seed: 4}, 4)
 	if !res.AllAwake {
 		t.Fatal("not all awake")
 	}
@@ -96,7 +95,7 @@ func TestCongestVsLocalDFSSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	congest := runCongestDFS(t, g, sim.WakeSingle(0), sim.UnitDelay{}, 6, false)
+	congest := runCongestDFS(t, g, sim.WakeSingle(0), sim.UnitDelay{}, 6)
 	if !local.AllAwake || !congest.AllAwake {
 		t.Fatal("not all awake")
 	}
@@ -114,7 +113,7 @@ func TestCongestVsLocalDFSSeparation(t *testing.T) {
 func TestCongestDFSManySources(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomConnected(150, 0.05, rng)
-	res := runCongestDFS(t, g, sim.WakeAll{}, sim.RandomDelay{Seed: 8}, 8, false)
+	res := runCongestDFS(t, g, sim.WakeAll{}, sim.RandomDelay{Seed: 8}, 8)
 	if !res.AllAwake {
 		t.Fatal("not all awake")
 	}

@@ -30,11 +30,13 @@ func runCounting(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays s
 			Schedule: sched,
 			Delays:   delays,
 		},
-		Seed:          seed,
-		StrictCongest: true,
+		Seed: seed,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.CongestViolations != 0 {
+		t.Fatalf("%d CONGEST violations", res.CongestViolations)
 	}
 	return reports, res
 }

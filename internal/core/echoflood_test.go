@@ -29,11 +29,13 @@ func runEcho(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.D
 			Schedule: sched,
 			Delays:   delays,
 		},
-		Seed:          seed,
-		StrictCongest: true,
+		Seed: seed,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.CongestViolations != 0 {
+		t.Fatalf("%d CONGEST violations", res.CongestViolations)
 	}
 	return completions, res
 }

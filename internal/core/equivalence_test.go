@@ -67,11 +67,11 @@ func TestEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			syncRes, err := sim.RunSync(sim.SyncConfig{
+			syncRes, err := sim.RunSync(sim.Config{
 				Graph:      g,
 				Ports:      pm,
 				Model:      tc.model,
-				Schedule:   sched,
+				Adversary:  sim.Adversary{Schedule: sched},
 				Seed:       9,
 				Advice:     adv,
 				AdviceBits: bits,

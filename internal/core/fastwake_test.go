@@ -12,11 +12,11 @@ import (
 
 func runFastWake(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, seed int64, prob float64) *sim.Result {
 	t.Helper()
-	res, err := sim.RunSync(sim.SyncConfig{
-		Graph:    g,
-		Model:    sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-		Schedule: sched,
-		Seed:     seed,
+	res, err := sim.RunSync(sim.Config{
+		Graph:     g,
+		Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
+		Adversary: sim.Adversary{Schedule: sched},
+		Seed:      seed,
 	}, core.FastWakeUp{RootProb: prob})
 	if err != nil {
 		t.Fatal(err)

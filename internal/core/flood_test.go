@@ -18,10 +18,12 @@ func runFlood(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.
 			Schedule: sched,
 			Delays:   delays,
 		},
-		StrictCongest: true,
 	}, core.Flood{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.CongestViolations != 0 {
+		t.Fatalf("%d CONGEST violations", res.CongestViolations)
 	}
 	return res
 }

@@ -11,11 +11,11 @@ import (
 
 func runGossip(t *testing.T, g *graph.Graph, rounds int, sched sim.WakeScheduler, seed int64) *sim.Result {
 	t.Helper()
-	res, err := sim.RunSync(sim.SyncConfig{
-		Graph:    g,
-		Model:    sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Congest},
-		Schedule: sched,
-		Seed:     seed,
+	res, err := sim.RunSync(sim.Config{
+		Graph:     g,
+		Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Congest},
+		Adversary: sim.Adversary{Schedule: sched},
+		Seed:      seed,
 	}, core.PushGossip{Rounds: rounds})
 	if err != nil {
 		t.Fatal(err)

@@ -28,12 +28,14 @@ func runScheme(t *testing.T, g *graph.Graph, pm *graph.PortMap, oracle advice.Or
 			Schedule: sched,
 			Delays:   delays,
 		},
-		Advice:        adv,
-		AdviceBits:    bits,
-		StrictCongest: true,
+		Advice:     adv,
+		AdviceBits: bits,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.CongestViolations != 0 {
+		t.Fatalf("%d CONGEST violations", res.CongestViolations)
 	}
 	return res
 }

@@ -113,9 +113,8 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 								Schedule: sched,
 								Delays:   delay,
 							},
-							Seed:          99,
-							StrictCongest: tc.model.Bandwidth == sim.Congest,
-							Observer:      sim.NewModelCheck(g, pm, tc.model),
+							Seed:     99,
+							Observer: sim.NewModelCheck(g, pm, tc.model),
 						}
 						if tc.oracle != nil {
 							adv, bits, err := tc.oracle.Advise(g, pm)
@@ -157,12 +156,12 @@ func TestSyncAlgorithmsWakeEveryone(t *testing.T) {
 				sname, sched := ts.name, ts.sched
 				name := gname + "/" + aname + "/" + sname
 				t.Run(name, func(t *testing.T) {
-					res, err := sim.RunSync(sim.SyncConfig{
-						Graph:    g,
-						Model:    tc.model,
-						Schedule: sched,
-						Seed:     42,
-						Observer: sim.NewModelCheck(g, nil, tc.model),
+					res, err := sim.RunSync(sim.Config{
+						Graph:     g,
+						Model:     tc.model,
+						Adversary: sim.Adversary{Schedule: sched},
+						Seed:      42,
+						Observer:  sim.NewModelCheck(g, nil, tc.model),
 					}, tc.alg)
 					if err != nil {
 						t.Fatalf("run: %v", err)
@@ -189,11 +188,11 @@ func TestFastWakeUpRhoAwkTime(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sched := sim.WakeSingle(0)
 			rho := g.AwakeDistance([]int{0})
-			res, err := sim.RunSync(sim.SyncConfig{
-				Graph:    g,
-				Model:    sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-				Schedule: sched,
-				Seed:     7,
+			res, err := sim.RunSync(sim.Config{
+				Graph:     g,
+				Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
+				Adversary: sim.Adversary{Schedule: sched},
+				Seed:      7,
 			}, core.FastWakeUp{})
 			if err != nil {
 				t.Fatalf("run: %v", err)

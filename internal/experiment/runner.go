@@ -188,8 +188,8 @@ func (r Runner) Run(specs []RunSpec) ([]RunResult, error) {
 		go func() {
 			defer wg.Done()
 			// Per-worker scratch: an engine is single-run state, so one per
-			// goroutine is both safe and maximally reusable, for sequential
-			// and sharded cells alike.
+			// goroutine is both safe and maximally reusable, for sequential,
+			// sharded and synchronous cells alike.
 			eng := &riseandshine.Engine{}
 			for i := range indices {
 				var start time.Time

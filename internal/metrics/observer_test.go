@@ -161,11 +161,11 @@ func TestObserverSyncEngine(t *testing.T) {
 	g := graph.Star(8)
 	reg := metrics.NewRegistry()
 	obs := metrics.NewObserver(reg, g.N())
-	res, err := sim.RunSync(sim.SyncConfig{
-		Graph:    g,
-		Model:    sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
-		Schedule: sim.WakeSingle(1), // a leaf: wake center in round 1, leaves in round 2
-		Observer: obs,
+	res, err := sim.RunSync(sim.Config{
+		Graph:     g,
+		Model:     sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
+		Adversary: sim.Adversary{Schedule: sim.WakeSingle(1)}, // a leaf: wake center in round 1, leaves in round 2
+		Observer:  obs,
 	}, sim.AsSync(core.Flood{}))
 	if err != nil {
 		t.Fatal(err)

@@ -2,17 +2,15 @@ package sim
 
 import "fmt"
 
-// Accounting owns the execution metrics both engines maintain: CONGEST
-// enforcement, message and wake bookkeeping, and the final Result
-// assembly. The asynchronous and synchronous engines tally through one
-// Accounting, so a metric means the same thing under either.
+// Accounting owns the execution metrics of a run: CONGEST accounting,
+// message and wake bookkeeping, and the final Result assembly. Runs in
+// both timing models tally through one Accounting, so a metric means the
+// same thing under either.
 //
-// The per-node tallies live with the engine, one NodeTally per node: the
-// asynchronous engine keeps it inside its node record, beside everything
-// else a wake or a delivery writes, and the synchronous engine keeps a
-// plain slice. Wake, Send and Deliver take the node's tally; Finish reads
-// every tally back into the Result's per-node arrays, which are allocated
-// only then.
+// The per-node tallies live with the engine, one NodeTally per node inside
+// its node record, beside everything else a wake or a delivery writes.
+// Wake, Send and Deliver take the node's tally; finish reads every tally
+// back into the Result's per-node arrays, which are allocated only then.
 //
 // Accounting is not safe for concurrent use; a sharded run gives each core
 // its own view (shardView) and folds them together at the end.
@@ -36,10 +34,9 @@ type NodeTally struct {
 	received int
 	awake    bool
 	adv      bool // woken directly by the adversary
-	// seeded is the asynchronous engine's, not the accounting's: the
-	// node's generator was bound and seeded this run (coreCtx.Rand). It
-	// takes a byte of padding the tally has anyway, which keeps nodeSlot
-	// at 48 bytes.
+	// seeded is the engine's, not the accounting's: the node's generator
+	// was bound and seeded this run (coreCtx.Rand). It takes a byte of
+	// padding the tally has anyway, which keeps nodeSlot at 48 bytes.
 	seeded bool
 }
 
@@ -69,7 +66,7 @@ func NewAccounting(s *Setup, algName string, trackPorts bool) *Accounting {
 
 // Result exposes the metrics being assembled. Engines may set fields only
 // they can know (Events, Rounds); everything shared flows through the
-// Wake/Send/Deliver/Finish methods.
+// Wake/Send/Deliver/finish methods.
 func (a *Accounting) Result() *Result { return &a.res }
 
 // Wake records the node whose tally is t waking at the given time,
@@ -93,8 +90,7 @@ func (a *Accounting) Wake(t *NodeTally, at Time, adversarial bool) {
 
 // Send records one message of the given size leaving node from, whose
 // tally is t, over the given port. It rejects negative sizes and counts
-// CONGEST violations; whether a violation is fatal is the engine's
-// StrictCongest decision, checked at the end via CongestError.
+// CONGEST violations into Result.CongestViolations.
 //
 //wakeup:noalloc
 func (a *Accounting) Send(t *NodeTally, from, port, bits int) error {
@@ -128,14 +124,14 @@ func (a *Accounting) Deliver(t *NodeTally, v, port int) {
 	}
 }
 
-// Finish derives the aggregate metrics once the execution has quiesced:
-// end is the time of the last engine event, and tally(v) returns node v's
-// tally for every v in [0, N). It allocates the per-node Result arrays and
-// fills them from the tallies (WakeAt is -1 for a node that never woke).
+// finish derives the aggregate metrics once the execution has quiesced:
+// end is the time of the last engine event, and nodes holds the N node
+// records. It allocates the per-node Result arrays and fills them from
+// the records' tallies (WakeAt is -1 for a node that never woke).
 // Span and WakeSpan are measured from the first wake-up, AwakeTime sums
 // per-node awake durations in node order, and the TrackPorts counters
 // collapse into Result.PortsUsed.
-func (a *Accounting) Finish(end Time, tally func(v int) *NodeTally) {
+func (a *Accounting) finish(end Time, nodes []nodeSlot) {
 	r := &a.res
 	r.AllAwake = r.AwakeCount == r.N
 	if a.firstSet {
@@ -147,7 +143,7 @@ func (a *Accounting) Finish(end Time, tally func(v int) *NodeTally) {
 	r.SentBy = make([]int, r.N)
 	r.ReceivedBy = make([]int, r.N)
 	for v := 0; v < r.N; v++ {
-		t := tally(v)
+		t := &nodes[v].NodeTally
 		r.WakeAt[v] = -1
 		if t.awake {
 			r.WakeAt[v] = t.wakeAt
@@ -201,14 +197,4 @@ func (a *Accounting) absorb(o *Accounting) {
 			a.lastWake = o.lastWake
 		}
 	}
-}
-
-// CongestError returns the error a strict-CONGEST engine reports when any
-// message exceeded the bit limit, and nil otherwise.
-func (a *Accounting) CongestError() error {
-	if a.res.CongestViolations == 0 {
-		return nil
-	}
-	return fmt.Errorf("sim: %d messages exceeded the CONGEST limit of %d bits",
-		a.res.CongestViolations, a.limit)
 }

@@ -1,7 +1,7 @@
 package sim
 
-// AsSync adapts a purely message-driven asynchronous algorithm to the
-// synchronous engine: OnWake maps to the wake round and each delivered
+// AsSync adapts a purely message-driven asynchronous algorithm to
+// synchronous rounds: OnWake maps to the wake round and each delivered
 // message becomes an OnMessage call during OnRound. This is exactly the
 // classical simulation of an asynchronous algorithm in a synchronous
 // network (unit delays).

@@ -8,7 +8,7 @@ import (
 )
 
 // Wakeup is one adversarial wake-up instruction: node (by index) is woken
-// at the given time. In the synchronous engine, At is truncated to a round
+// at the given time. In a synchronous run, At is truncated to a round
 // number.
 type Wakeup struct {
 	Node int

@@ -10,7 +10,13 @@ import (
 // unless overridden, guarding against non-terminating algorithms.
 const DefaultMaxEvents = 20_000_000
 
-// Config describes one execution of the asynchronous engine.
+// maxWake bounds the times of both timing models: from 2⁵³ on, adjacent
+// Times lie more than τ = 1 apart, so neither a delay in (0, τ] nor a
+// whole round is representable. Wakes at or above it fail at set-up, and
+// a run whose last event reaches it fails at the end.
+const maxWake Time = 1 << 53
+
+// Config describes one execution of the engine, in either timing model.
 type Config struct {
 	// Graph is the network topology (required).
 	Graph *graph.Graph
@@ -19,7 +25,8 @@ type Config struct {
 	// Model selects knowledge and bandwidth assumptions.
 	Model Model
 	// Adversary supplies the wake schedule (required) and delays
-	// (UnitDelay when nil).
+	// (UnitDelay when nil). Synchronous runs fix every delay at one round
+	// and ignore Delays.
 	Adversary Adversary
 	// Seed drives all node-private randomness.
 	Seed int64
@@ -35,20 +42,19 @@ type Config struct {
 	// (the Setup is reseeded via WithSeed), so one cached Setup serves an
 	// entire seed matrix.
 	Setup *Setup
-	// MaxEvents overrides DefaultMaxEvents when positive.
+	// MaxEvents overrides DefaultMaxEvents when positive. In a synchronous
+	// run it bounds the rounds after the first wake instead, which
+	// DefaultMaxRounds caps when it is unset.
 	MaxEvents int
 	// Shards, when > 1, partitions the run: the graph is split into that
 	// many contiguous node ranges, each driven by its own event loop,
 	// synchronized at lookahead-quantized windows with results
 	// byte-identical to the sequential path at every count. Values ≤ 1, a
 	// Delayer without a positive Lookahead, or a partition that collapses
-	// to one shard run sequentially.
+	// to one shard run sequentially. Synchronous runs ignore it.
 	Shards int
 	// TrackPorts enables per-node distinct-port accounting (Result.PortsUsed).
 	TrackPorts bool
-	// StrictCongest makes the run fail if any message exceeds the CONGEST
-	// bit limit; otherwise violations are only counted.
-	StrictCongest bool
 	// MemReport publishes the run's peak scratch footprint by subsystem
 	// into Result.Mem. Off by default so Results stay comparable across
 	// shard counts and engine reuse.
@@ -59,8 +65,8 @@ type Config struct {
 	// when no observer is installed.
 	Observer Observer
 	// Tracer, when non-nil, receives execution spans (setup/run/finish for
-	// sequential runs; per-window busy/barrier/merge/replay spans for
-	// sharded runs). Timestamps come from the tracer's injected
+	// sequential and synchronous runs; per-window busy/barrier/merge/replay
+	// spans for sharded runs). Timestamps come from the tracer's injected
 	// clock and never enter the Result, so a traced run stays
 	// byte-identical to an untraced one. Nil costs one pointer comparison
 	// per phase — never per event.
@@ -80,23 +86,25 @@ type event struct {
 	d    Delivery
 }
 
-// AsyncEngine is a reusable instance of the asynchronous engine. The zero
-// value is ready to use: Run allocates the scratch state — event queues,
-// node records, RNG tables, per-edge FIFO clamp and sequence arrays — on
-// first use and thereafter resets it in place rather than reallocating, so
-// repeated runs (a seed sweep over a fixed topology) allocate nothing per
-// delivered message in steady state. Combined with Config.Setup the
+// Engine is a reusable instance of the simulation engine, which runs both
+// timing models: Run executes an asynchronous Algorithm and RunSync a
+// synchronous one. The zero value is ready to use: a run allocates the
+// scratch state — event queues, node records, RNG tables, per-edge FIFO
+// clamp and sequence arrays, the synchronous machine table and inboxes —
+// on first use and thereafter resets it in place rather than reallocating,
+// so repeated runs (a seed sweep over a fixed topology) allocate nothing
+// per delivered message in steady state. Combined with Config.Setup the
 // per-run cost drops to the Result being assembled.
 //
-// A sequential run is one engineCore spanning the whole node range; a
-// sharded run (Config.Shards) drives one core per partition (see
-// runSharded). Both paths share one runShared scratch, and one engine may
+// A sequential or synchronous run is one engineCore spanning the whole
+// node range; a sharded run (Config.Shards) drives one core per partition
+// (see runSharded). All share one runShared scratch, and one engine may
 // alternate between them.
 //
-// An AsyncEngine is not safe for concurrent use and must not be copied
-// after its first Run (each core's Context holds a pointer to its core);
-// give each sweep worker its own.
-type AsyncEngine struct {
+// An Engine is not safe for concurrent use and must not be copied after
+// its first run (each core's Context holds a pointer to its core); give
+// each sweep worker its own.
+type Engine struct {
 	run runShared
 	// cores[0] drives sequential runs; a sharded run uses one core per
 	// shard, reallocating the slice when the shard count changes.
@@ -115,18 +123,18 @@ type AsyncEngine struct {
 
 // RunAsync executes alg on the configured network until the event queues
 // are exhausted and returns the collected metrics. It runs on a fresh
-// engine; use an explicit AsyncEngine to reuse scratch state across runs.
+// engine; use an explicit Engine to reuse scratch state across runs.
 func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
-	return new(AsyncEngine).Run(cfg, alg)
+	return new(Engine).Run(cfg, alg)
 }
 
-// setupForRun checks what both engines need — a graph, an algorithm and a
+// setupForRun checks what every run needs — a graph, an algorithm and a
 // wake schedule — and validates the schedule's wake-ups, whose times must
-// lie below wakeLimit. Only then does it resolve the run's Setup, so a bad
+// lie below maxWake. Only then does it resolve the run's Setup, so a bad
 // schedule fails before anything is allocated: cfg.Setup is checked
 // against cfg and reseeded, or a new Setup is built. alg is the run's
 // Algorithm or SyncAlgorithm.
-func setupForRun(cfg Config, alg interface{ Name() string }, wakeLimit Time) (*Setup, []Wakeup, error) {
+func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, error) {
 	if cfg.Graph == nil {
 		return nil, nil, fmt.Errorf("sim: Graph is required")
 	}
@@ -137,7 +145,7 @@ func setupForRun(cfg Config, alg interface{ Name() string }, wakeLimit Time) (*S
 		return nil, nil, fmt.Errorf("sim: wake Schedule is required")
 	}
 	wakeups := cfg.Adversary.Schedule.Wakeups(cfg.Graph)
-	if err := validateSchedule(cfg.Graph, wakeups, wakeLimit); err != nil {
+	if err := validateSchedule(cfg.Graph, wakeups, maxWake); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Setup == nil {
@@ -160,47 +168,41 @@ func setupForRun(cfg Config, alg interface{ Name() string }, wakeLimit Time) (*S
 	return s.WithSeed(cfg.Seed), wakeups, nil
 }
 
-// finishRun is the last step of both engines, in this order: the
-// observer's OnFinish, its error wrapped as "sim: …"; the StrictCongest
-// verdict; the ExecFinish span from t2. The Result is returned beside
-// either error.
-func finishRun(acct *Accounting, obs Observer, strictCongest bool, tr ExecTracer, t2 int64) (*Result, error) {
+// finishRun is the last step of every run, in this order: the observer's
+// OnFinish, its error wrapped as "sim: …" and returned beside the Result;
+// the ExecFinish span from t2.
+func finishRun(acct *Accounting, obs Observer, tr ExecTracer, t2 int64) (*Result, error) {
 	res := acct.Result()
 	if obs != nil {
 		if err := obs.OnFinish(res); err != nil {
 			return res, fmt.Errorf("sim: %w", err)
 		}
 	}
-	if strictCongest {
-		if err := acct.CongestError(); err != nil {
-			return res, err
-		}
-	}
-	if tr != nil {
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecFinish, Start: t2, End: tr.ExecNow()})
-	}
+	execPhase(tr, ExecFinish, t2, 0)
 	return res, nil
 }
 
-// maxEventsFor resolves the run's event budget.
-func maxEventsFor(cfg Config) int {
+// maxEventsFor resolves the run's budget: cfg.MaxEvents when positive,
+// else def (DefaultMaxEvents, or DefaultMaxRounds in a synchronous run).
+func maxEventsFor(cfg Config, def int) int {
 	if cfg.MaxEvents > 0 {
 		return cfg.MaxEvents
 	}
-	return DefaultMaxEvents
+	return def
 }
 
-// Run executes one configuration, resetting — not reallocating — the
-// scratch state left by any previous run. The run is partitioned across
-// cores (see runSharded) when cfg.Shards > 1, the Delayer has a positive
-// Lookahead, and the partition has more than one shard; otherwise it runs
-// on one sequential core. Both paths return byte-identical Results.
-func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
+// Run executes one asynchronous configuration, resetting — not
+// reallocating — the scratch state left by any previous run. The run is
+// partitioned across cores (see runSharded) when cfg.Shards > 1, the
+// Delayer has a positive Lookahead, and the partition has more than one
+// shard; otherwise it runs on one sequential core. Both paths return
+// byte-identical Results.
+func (e *Engine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	var t0 int64
 	if cfg.Tracer != nil {
 		t0 = cfg.Tracer.ExecNow()
 	}
-	s, wakeups, err := setupForRun(cfg, alg, infTime)
+	s, wakeups, err := setupForRun(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -208,39 +210,39 @@ func (e *AsyncEngine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	if delays == nil {
 		delays = UnitDelay{}
 	}
-	n := s.Graph.N()
 	part, w := e.shardPlan(cfg.Shards, s, delays)
-
-	e.run.alg = alg
-	e.run.g = s.Graph
-	e.run.s = s
-	e.run.delays = delays
-	e.run.seed = cfg.Seed
-	e.run.part = part
-	e.run.reset(n, int(s.EdgeStart[n]))
+	e.run.alg, e.run.syncAlg = alg, nil
+	e.run.start(s, delays, cfg.Seed, part)
 	if part != nil {
 		return e.runSharded(cfg, wakeups, w, t0)
 	}
 	return e.runSequential(cfg, wakeups, t0)
 }
 
-// runSequential drives the whole node range on cores[0].
-func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result, error) {
-	tr := cfg.Tracer
-	if tr != nil {
-		tr.ExecBegin(1)
+// sequentialCore readies cores[0] to drive the whole node range of the
+// run the shared state was started for, with cfg's observer and tracer
+// and a fresh Accounting for the algorithm named algName.
+func (e *Engine) sequentialCore(cfg Config, algName string) *engineCore {
+	if cfg.Tracer != nil {
+		cfg.Tracer.ExecBegin(1)
 	}
 	r := &e.run
-	n := r.g.N()
 	if len(e.cores) == 0 {
 		e.cores = make([]engineCore, 1)
 	}
 	c := &e.cores[0]
-	c.reset(r, 0, 0, n)
-	c.acct = NewAccounting(r.s, r.alg.Name(), cfg.TrackPorts)
+	c.reset(r, 0, 0, r.g.N())
+	c.acct = NewAccounting(r.s, algName, cfg.TrackPorts)
 	c.obs = cfg.Observer
 	c.staging = false
 	c.recOn = false
+	return c
+}
+
+// runSequential drives the whole node range on cores[0].
+func (e *Engine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result, error) {
+	r := &e.run
+	c := e.sequentialCore(cfg, r.alg.Name())
 
 	// Wake events enter through push, which maintains the queue invariant
 	// on its own — there is no separate "heapify" step
@@ -250,13 +252,9 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 		c.push(event{at: w.At, kind: evWake, node: w.Node})
 	}
 
-	maxEvents := maxEventsFor(cfg)
+	maxEvents := maxEventsFor(cfg, DefaultMaxEvents)
 	res := c.acct.Result()
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
+	t1 := execPhase(cfg.Tracer, ExecSetup, t0, 0)
 	for {
 		ev, _, ok := c.queue.popBefore(infTime)
 		if !ok {
@@ -278,23 +276,27 @@ func (e *AsyncEngine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Re
 		}
 	}
 
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
+	if c.now >= maxWake {
+		return nil, timeLimitErr(c.now)
 	}
-
-	c.acct.Finish(c.now, r.tally)
+	t2 := execPhase(cfg.Tracer, ExecRun, t1, res.Events)
+	c.acct.finish(c.now, r.nodes)
 	if cfg.MemReport {
 		res.Mem = e.memReport(1)
 	}
-	return finishRun(c.acct, c.obs, cfg.StrictCongest, tr, t2)
+	return finishRun(c.acct, c.obs, cfg.Tracer, t2)
 }
 
 // eventLimitErr is the event-budget error, shared by both paths so they
 // are indistinguishable to callers.
 func eventLimitErr(maxEvents int, alg Algorithm) error {
 	return fmt.Errorf("sim: event limit %d exceeded (algorithm %q may not terminate)", maxEvents, alg.Name())
+}
+
+// timeLimitErr is the error of an asynchronous run whose last event, at
+// end, reached maxWake; both paths return it.
+func timeLimitErr(end Time) error {
+	return fmt.Errorf("sim: event time %v is at or above the engine's limit %v", end, maxWake)
 }
 
 // growClear returns s with length n and every element zeroed, reusing the

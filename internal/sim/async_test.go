@@ -108,21 +108,6 @@ func TestCongestAccounting(t *testing.T) {
 	}
 }
 
-func TestStrictCongestFails(t *testing.T) {
-	var received []int
-	_, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Congest},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
-		StrictCongest: true,
-	}, seqAlgorithm{count: 1, bits: 1000, received: &received})
-	if err == nil || !strings.Contains(err.Error(), "CONGEST") {
-		t.Fatalf("expected CONGEST error, got %v", err)
-	}
-}
-
 func TestCongestLimitOverride(t *testing.T) {
 	var received []int
 	res, err := RunAsync(Config{
@@ -516,7 +501,7 @@ func TestOutOfRangePortPanics(t *testing.T) {
 			return RunAsync(Config{Graph: g, Model: model, Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}}}, alg)
 		}},
 		{"sync", func(alg Algorithm) (*Result, error) {
-			return RunSync(SyncConfig{Graph: g, Model: model, Schedule: WakeSet{Nodes: []int{0}}}, AsSync(alg))
+			return RunSync(Config{Graph: g, Model: model, Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}}}, AsSync(alg))
 		}},
 	}
 	for _, eng := range engines {

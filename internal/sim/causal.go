@@ -11,7 +11,7 @@ import (
 // sender had most recently processed (or, for the burst an algorithm emits
 // while waking, to the delivery that woke the sender), and sends are
 // matched to their deliveries through the per-directed-edge FIFO order
-// both engines guarantee. The depth of a delivery is then the length of
+// the engine guarantees. The depth of a delivery is then the length of
 // the causal chain of messages behind it, and the critical path — the
 // longest chain ending at the last wake-up — is the empirical counterpart
 // of the causal-chain arguments behind the paper's O(ρ_awk + log n) bound:
@@ -19,12 +19,12 @@ import (
 // exactly, and the gap between a run's wake span and its critical-path
 // length is the algorithm's scheduling overhead.
 //
-// Both engines invoke the waking machine's handler, whose sends the
+// The engine invokes the waking machine's handler, whose sends the
 // observer must attribute to the wake-causing delivery, before that
 // delivery itself is observed; such a send is recorded as "the delivery
 // that woke node u". The wake-causing delivery is always observed before
 // any delivery of those sends, so every delivery's depth is one more than
-// its parent's, known as it arrives. Under the synchronous engine all of
+// its parent's, known as it arrives. In a synchronous run all of
 // a node's same-round arrivals share the round frontier: wake-burst sends
 // attribute to the node's first arrival of the round and computing-step
 // sends to its last, both with the same depth semantics.

@@ -151,11 +151,11 @@ func TestCausalRandomGraphBounds(t *testing.T) {
 func TestCausalSyncEngine(t *testing.T) {
 	g := graph.Path(10)
 	obs := NewCausalObserver(g, nil)
-	res, err := RunSync(SyncConfig{
-		Graph:    g,
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(0),
-		Observer: obs,
+	res, err := RunSync(Config{
+		Graph:     g,
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Observer:  obs,
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {
 		t.Fatal(err)

@@ -8,16 +8,17 @@ import (
 	"riseandshine/internal/graph"
 )
 
-// This file is the engine core shared by AsyncEngine's two paths: one
-// event loop over a contiguous node range. A sequential run is a single
-// core spanning [0, n); a sharded run uses one core per partition and
+// This file is the engine core shared by all of Engine's runs: one event
+// loop over a contiguous node range. A sequential run is a single core
+// spanning [0, n); a sharded run uses one core per partition and
 // reconciles them at window barriers (see sharded.go and DESIGN.md
-// "Sharded engine").
+// "Sharded engine"); a synchronous run drives the sequential core round
+// by round (see sync.go).
 //
-// The split keeps every per-message code path — wake, deliver, send, the
-// FIFO clamp, CONGEST accounting — in exactly one place, so the two paths
-// cannot drift: byte-identical Results are a structural property, pinned
-// end to end by the differential tests.
+// The split keeps every per-message code path — wake, send, the FIFO
+// clamp, CONGEST accounting — in exactly one place, so the paths cannot
+// drift: byte-identical Results are a structural property, pinned end to
+// end by the differential tests.
 
 // runShared is the per-run state shared by every core of one engine:
 // the immutable run configuration plus the scratch arrays that cores
@@ -25,11 +26,12 @@ import (
 // tables, CSR edge slots for fifoLast/edgeSeq). Disjointness is what makes
 // the sharded path race-free without any locking on the hot path.
 type runShared struct {
-	alg    Algorithm
-	g      *graph.Graph
-	s      *Setup
-	delays Delayer
-	seed   int64
+	alg     Algorithm     // nil in synchronous runs
+	syncAlg SyncAlgorithm // nil in asynchronous runs
+	g       *graph.Graph
+	s       *Setup
+	delays  Delayer
+	seed    int64
 
 	// Reusable scratch: reset, not reallocated (see DESIGN.md "Event
 	// core"). nodes[v] is node v's record. Per-directed-edge state is
@@ -54,6 +56,16 @@ type runShared struct {
 	// part is the node partition in sharded runs; nil in sequential runs,
 	// whose send path then pushes straight into the core's queue.
 	part *Partition
+
+	// Synchronous-run scratch (sync.go): machines[v] is node v's machine,
+	// nil while v sleeps; wakes is the sorted copy of the wake schedule;
+	// arrivals holds one round's deliveries in send order and inbox the
+	// same messages grouped by receiver, node v's ending at inboxEnd[v].
+	machines []SyncProgram
+	wakes    []Wakeup
+	arrivals []event
+	inbox    []Delivery
+	inboxEnd []int32
 }
 
 // nodeSlot is one node's record: everything a wake or a delivery writes —
@@ -67,8 +79,17 @@ type nodeSlot struct {
 	NodeTally
 }
 
-// tally returns node v's tally, for Accounting.Finish.
-func (r *runShared) tally(v int) *NodeTally { return &r.nodes[v].NodeTally }
+// start points the shared state at one run on s and resets the scratch
+// for it. The caller sets the run's algorithm.
+func (r *runShared) start(s *Setup, delays Delayer, seed int64, part *Partition) {
+	r.g = s.Graph
+	r.s = s
+	r.delays = delays
+	r.seed = seed
+	r.part = part
+	n := s.Graph.N()
+	r.reset(n, int(s.EdgeStart[n]))
+}
 
 // reset sizes and clears the shared scratch for n nodes and dir directed
 // edges, reusing backing arrays whenever they are large enough. The RNG
@@ -141,9 +162,10 @@ type engineCore struct {
 	obs  Observer // direct observer; nil in sharded cores (recOn instead)
 	ctx  coreCtx  // the Context of every handler call on this core
 
-	now Time
-	seq int64 // sequential push counter; unused when staging
-	err error
+	now   Time
+	round int   // Context.Round: the round of a synchronous run, else AsyncRound
+	seq   int64 // sequential push counter; unused when staging
+	err   error
 
 	// Sharded-mode state. curAt/curVseq are the key of the event being
 	// processed — the tag for staged children and observer records.
@@ -178,7 +200,7 @@ func (c *coreCtx) Info() NodeInfo { return c.c.run.s.Infos[c.node] }
 func (c *coreCtx) Now() Time { return c.c.now }
 
 //wakeup:noalloc
-func (c *coreCtx) Round() int { return AsyncRound }
+func (c *coreCtx) Round() int { return c.c.round }
 
 // Rand returns the node's generator, binding rands[v] to &rngs[v] and
 // seeding it to the node's stream on the node's first call of the run.
@@ -263,9 +285,17 @@ func (c *engineCore) wake(v int, adversarial bool) {
 	} else if c.recOn {
 		c.record(recWake, v, 0, adversarial, Delivery{})
 	}
+	c.ctx.node = v
+	if r.syncAlg != nil {
+		//lint:noalloc-ok one machine per node per run, charged to the algorithm's budget
+		m := r.syncAlg.NewMachine(r.s.Infos[v])
+		r.machines[v] = m
+		//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
+		m.OnWake(&c.ctx)
+		return
+	}
 	//lint:noalloc-ok one machine per node per run, charged to the algorithm's budget
 	slot.machine = r.alg.NewMachine(r.s.Infos[v])
-	c.ctx.node = v
 	//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
 	slot.machine.OnWake(&c.ctx)
 }
@@ -382,6 +412,7 @@ func (c *engineCore) reset(run *runShared, id, lo, hi int) {
 	c.lo = lo
 	c.hi = hi
 	c.now = 0
+	c.round = AsyncRound
 	c.seq = 0
 	c.err = nil
 	c.curAt = 0

@@ -16,7 +16,7 @@ type ctxProbe struct {
 	targets []graph.NodeID
 }
 
-// asyncProbeAlg exercises asyncCtx.Info/Now/Round inside a handler.
+// asyncProbeAlg exercises Context.Info/Now/Round inside an asynchronous handler.
 type asyncProbeAlg struct{ p *ctxProbe }
 
 func (asyncProbeAlg) Name() string { return "async-ctx-probe" }
@@ -62,7 +62,7 @@ func TestAsyncContextAccessors(t *testing.T) {
 	}
 }
 
-// syncIDAlg exercises syncCtx.SendToID and Info under KT1.
+// syncIDAlg exercises Context.SendToID and Info in synchronous rounds under KT1.
 type syncIDAlg struct{ p *ctxProbe }
 
 func (syncIDAlg) Name() string { return "sync-id" }
@@ -93,10 +93,10 @@ func (m *syncIDMachine) OnRound(ctx Context, _ []Delivery) {
 
 func TestSyncSendToID(t *testing.T) {
 	p := &ctxProbe{}
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Star(5),
-		Model:    Model{Knowledge: KT1, Bandwidth: Local},
-		Schedule: WakeSingle(0),
+	res, err := RunSync(Config{
+		Graph:     graph.Star(5),
+		Model:     Model{Knowledge: KT1, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, syncIDAlg{p: p})
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +114,10 @@ func TestSyncSendToID(t *testing.T) {
 
 func TestSyncSendToIDRequiresKT1(t *testing.T) {
 	p := &ctxProbe{}
-	_, err := RunSync(SyncConfig{
-		Graph:    graph.Star(3),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(1), // a leaf: NeighborIDs nil, but force a call
+	_, err := RunSync(Config{
+		Graph:     graph.Star(3),
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(1)}, // a leaf: NeighborIDs nil, but force a call
 	}, forcedIDAlg{})
 	if err == nil || !strings.Contains(err.Error(), "KT1") {
 		t.Fatalf("expected KT1 error, got %v", err)
@@ -140,10 +140,10 @@ func (forcedIDMachine) OnRound(ctx Context, _ []Delivery) {
 }
 
 func TestSyncSendToIDRejectsNonNeighbor(t *testing.T) {
-	_, err := RunSync(SyncConfig{
-		Graph:    graph.Path(3),
-		Model:    Model{Knowledge: KT1, Bandwidth: Local},
-		Schedule: WakeSingle(0),
+	_, err := RunSync(Config{
+		Graph:     graph.Path(3),
+		Model:     Model{Knowledge: KT1, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, forcedNonNeighborAlg{})
 	if err == nil || !strings.Contains(err.Error(), "no neighbor") {
 		t.Fatalf("expected non-neighbor error, got %v", err)
@@ -168,10 +168,10 @@ func (forcedNonNeighborMachine) OnRound(ctx Context, _ []Delivery) {
 
 func TestSyncCongestAccounting(t *testing.T) {
 	var received []int
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Path(2),
-		Model:    Model{Knowledge: KT0, Bandwidth: Congest},
-		Schedule: WakeSingle(0),
+	res, err := RunSync(Config{
+		Graph:     graph.Path(2),
+		Model:     Model{Knowledge: KT0, Bandwidth: Congest},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, AsSync(seqAlgorithm{count: 2, bits: 500, received: &received}))
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +179,15 @@ func TestSyncCongestAccounting(t *testing.T) {
 	if res.CongestViolations != 2 {
 		t.Errorf("violations = %d", res.CongestViolations)
 	}
-	_, err = RunSync(SyncConfig{
-		Graph:         graph.Path(2),
-		Model:         Model{Knowledge: KT0, Bandwidth: Congest},
-		Schedule:      WakeSingle(0),
-		StrictCongest: true,
+	g, model := graph.Path(2), Model{Knowledge: KT0, Bandwidth: Congest}
+	_, err = RunSync(Config{
+		Graph:     g,
+		Model:     model,
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Observer:  NewModelCheck(g, nil, model),
 	}, AsSync(seqAlgorithm{count: 1, bits: 500, received: &received}))
-	if err == nil {
-		t.Error("expected strict CONGEST failure")
+	if err == nil || !strings.Contains(err.Error(), "CONGEST") {
+		t.Errorf("model check passed an oversized message: %v", err)
 	}
 }
 

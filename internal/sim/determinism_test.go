@@ -77,11 +77,11 @@ func TestSyncResultsByteIdentical(t *testing.T) {
 	g := graph.RandomConnected(80, 0.08, newTestRand(31))
 	run := func() *Result {
 		var received []int
-		res, err := RunSync(SyncConfig{
-			Graph:    g,
-			Model:    Model{Knowledge: KT0, Bandwidth: Local},
-			Schedule: RandomWake{Count: 5, Window: 4, Seed: 37},
-			Seed:     41,
+		res, err := RunSync(Config{
+			Graph:     g,
+			Model:     Model{Knowledge: KT0, Bandwidth: Local},
+			Adversary: Adversary{Schedule: RandomWake{Count: 5, Window: 4, Seed: 37}},
+			Seed:      41,
 		}, AsSync(seqAlgorithm{count: 6, bits: 8, received: &received}))
 		if err != nil {
 			t.Fatal(err)

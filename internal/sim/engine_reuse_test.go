@@ -113,10 +113,10 @@ func reuseConfigs(t *testing.T) []Config {
 }
 
 // TestEngineReuseByteIdentical is the engine-reuse regression guard: one
-// AsyncEngine recycled across a mixed workload must produce byte-for-byte
+// Engine recycled across a mixed workload must produce byte-for-byte
 // the Results (digests included) of a fresh engine per run.
 func TestEngineReuseByteIdentical(t *testing.T) {
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
 		fresh, err := RunAsync(withDigests(cfg), alg)
@@ -146,14 +146,14 @@ func (r *trackTracer) ExecBegin(tracks int)   { r.spans = make([]int, tracks) }
 func (r *trackTracer) ExecNow() int64         { return r.clock.Add(1) }
 func (r *trackTracer) ExecRecord(sp ExecSpan) { r.spans[sp.Track]++ }
 
-// TestEngineReuseAcrossShardCounts alternates one AsyncEngine between the
+// TestEngineReuseAcrossShardCounts alternates one Engine between the
 // sequential and sharded paths — Shards 0, 2, 0, 4, 1 per config — so each
 // switch re-points the node contexts at different cores. Every Result must
 // match a fresh sequential run byte for byte, and every run with a positive
 // lookahead and Shards > 1 must take the sharded path: p+1 trace tracks,
 // each with spans.
 func TestEngineReuseAcrossShardCounts(t *testing.T) {
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	sharded := 0
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
@@ -198,7 +198,7 @@ func TestEngineReuseAcrossShardCounts(t *testing.T) {
 // once per topology and reseeded per run must match per-run NewSetup.
 func TestSetupReuseByteIdentical(t *testing.T) {
 	setups := map[*graph.Graph]*Setup{}
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	for i, cfg := range reuseConfigs(t) {
 		alg := fuzzAlg{budget: 12}
 		fresh, err := RunAsync(withDigests(cfg), alg)
@@ -234,7 +234,7 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 // (seed, v) — so this checks aliasing directly: seeding rngs[v] by hand
 // must make rands[v] reproduce the NodeRand reference stream exactly.
 func TestEngineRNGWrappersAliasState(t *testing.T) {
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	run := func(n int) {
 		t.Helper()
 		cfg := Config{
@@ -319,7 +319,7 @@ func (m *lateDrawMachine) OnMessage(ctx Context, _ Delivery) {
 // previous run.
 func TestFirstUseRandMatchesNodeRand(t *testing.T) {
 	g := graph.Complete(12)
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	for _, shards := range []int{1, 2, 1} {
 		for _, seed := range []int64{3, 4} {
 			alg := lateDrawAlg{g: g, draws: make([][]uint64, g.N())}
@@ -369,53 +369,80 @@ func (floodMachine) OnMessage(Context, Delivery) {}
 // TestAsyncSteadyStateZeroAllocs pins the headline property of the event
 // core: with a prebuilt Setup and a warmed engine, a run's allocation
 // *count* is a small constant — independent of the graph size and of the
-// number of delivered messages. Complete graphs of two sizes differ by an
-// order of magnitude in message count; equal counts therefore mean zero
-// allocations per delivered message in steady state. randFloodAlg repeats
+// number of delivered messages (see checkAllocsFlat). randFloodAlg repeats
 // the check with a draw per node: binding and seeding a generator on a
 // node's first ctx.Rand() must not allocate either.
 func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
 	for _, alg := range []Algorithm{floodAlg{}, randFloodAlg{}} {
 		t.Run(alg.Name(), func(t *testing.T) {
-			measure := func(n int) (allocs float64, messages int) {
-				g := graph.Complete(n)
-				s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng := &AsyncEngine{}
-				cfg := Config{
-					Graph:     g,
-					Model:     Model{Knowledge: KT0, Bandwidth: Local},
-					Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
-					Seed:      1,
-					Setup:     s,
-				}
-				run := func() *Result {
-					res, err := eng.Run(cfg, alg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
-				}
-				messages = run().Messages // also warms the engine scratch
-				return testing.AllocsPerRun(5, func() { run() }), messages
-			}
-			smallAllocs, smallMsgs := measure(12)
-			bigAllocs, bigMsgs := measure(40)
-			if bigMsgs < 8*smallMsgs {
-				t.Fatalf("workloads not separated: %d vs %d messages", smallMsgs, bigMsgs)
-			}
-			if bigAllocs != smallAllocs {
-				t.Errorf("allocation count scales with traffic: %.0f allocs at %d msgs, %.0f allocs at %d msgs (want equal)",
-					smallAllocs, smallMsgs, bigAllocs, bigMsgs)
-			}
-			// The absolute constant is the per-run Result assembly; keep it
-			// honest so a regression that adds per-run waste also fails loudly.
-			if bigAllocs > 40 {
-				t.Errorf("per-run constant allocation count too high: %.0f", bigAllocs)
-			}
-			t.Logf("allocs/run: %.0f (at %d msgs) and %.0f (at %d msgs)", smallAllocs, smallMsgs, bigAllocs, bigMsgs)
+			checkAllocsFlat(t, func(eng *Engine, cfg Config) (*Result, error) { return eng.Run(cfg, alg) })
 		})
 	}
+}
+
+// syncFloodAlg is floodAlg for synchronous runs: a zero-size machine that
+// broadcasts on wake and ignores its inbox.
+type syncFloodAlg struct{}
+
+func (syncFloodAlg) Name() string                    { return "sync-flood-test" }
+func (syncFloodAlg) NewMachine(NodeInfo) SyncProgram { return syncFloodMachine{} }
+
+type syncFloodMachine struct{}
+
+func (syncFloodMachine) OnWake(ctx Context)          { ctx.Broadcast(pingMsg{}) }
+func (syncFloodMachine) OnRound(Context, []Delivery) {}
+
+// TestSyncSteadyStateZeroAllocs is the same property for synchronous
+// runs, which share the event core: the schedule copy, the round's
+// arrivals, the grouped inbox and its offsets are reused engine scratch,
+// so a round allocates nothing per delivered message either.
+func TestSyncSteadyStateZeroAllocs(t *testing.T) {
+	checkAllocsFlat(t, func(eng *Engine, cfg Config) (*Result, error) { return eng.RunSync(cfg, syncFloodAlg{}) })
+}
+
+// checkAllocsFlat runs one node's flood through run on a reused Engine
+// with a prebuilt Setup, on two complete graphs whose message counts
+// differ by an order of magnitude, and requires equal allocation counts
+// per warmed run: zero allocations per delivered message in steady state.
+func checkAllocsFlat(t *testing.T, run func(*Engine, Config) (*Result, error)) {
+	t.Helper()
+	measure := func(n int) (allocs float64, messages int) {
+		g := graph.Complete(n)
+		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &Engine{}
+		cfg := Config{
+			Graph:     g,
+			Model:     Model{Knowledge: KT0, Bandwidth: Local},
+			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
+			Seed:      1,
+			Setup:     s,
+		}
+		once := func() *Result {
+			res, err := run(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		messages = once().Messages // also warms the engine scratch
+		return testing.AllocsPerRun(5, func() { once() }), messages
+	}
+	smallAllocs, smallMsgs := measure(12)
+	bigAllocs, bigMsgs := measure(40)
+	if bigMsgs < 8*smallMsgs {
+		t.Fatalf("workloads not separated: %d vs %d messages", smallMsgs, bigMsgs)
+	}
+	if bigAllocs != smallAllocs {
+		t.Errorf("allocation count scales with traffic: %.0f allocs at %d msgs, %.0f allocs at %d msgs (want equal)",
+			smallAllocs, smallMsgs, bigAllocs, bigMsgs)
+	}
+	// The absolute constant is the per-run Result assembly; keep it honest
+	// so a regression that adds per-run waste also fails loudly.
+	if bigAllocs > 40 {
+		t.Errorf("per-run constant allocation count too high: %.0f", bigAllocs)
+	}
+	t.Logf("allocs/run: %.0f (at %d msgs) and %.0f (at %d msgs)", smallAllocs, smallMsgs, bigAllocs, bigMsgs)
 }

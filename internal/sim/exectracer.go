@@ -110,3 +110,15 @@ type ExecTracer interface {
 	// on (shards + 1); track 0 always exists. It may allocate.
 	ExecBegin(tracks int)
 }
+
+// execPhase records the run phase of the given kind on track 0, from
+// start to now, with the events it processed, and returns now. Without a
+// tracer it records nothing and returns 0.
+func execPhase(tr ExecTracer, kind ExecSpanKind, start int64, events int) int64 {
+	if tr == nil {
+		return 0
+	}
+	now := tr.ExecNow()
+	tr.ExecRecord(ExecSpan{Track: 0, Kind: kind, Events: int64(events), Start: start, End: now})
+	return now
+}

@@ -178,14 +178,14 @@ func FuzzFIFODeterminism(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(2), uint8(6))
 	f.Add(int64(-9), uint8(7), uint8(1), uint8(12))
 	f.Add(int64(1<<33), uint8(255), uint8(4), uint8(3))
-	reused := &AsyncEngine{}
+	reused := &Engine{}
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, qRaw, budget uint8) {
 		n := int(nRaw)%40 + 2
 		q := int(qRaw)%8 + 1 // coarse grids maximize timestamp collisions
 		g := graph.RandomConnected(n, 0.15, newTestRand(seed))
 		pm := graph.RandomPorts(g, newTestRand(seed+1))
 		model := Model{Knowledge: KT0, Bandwidth: Local}
-		run := func(eng *AsyncEngine) (*Result, string) {
+		run := func(eng *Engine) (*Result, string) {
 			var trace bytes.Buffer
 			res, err := eng.Run(Config{
 				Graph: g,
@@ -203,7 +203,7 @@ func FuzzFIFODeterminism(f *testing.F) {
 			}
 			return res, trace.String()
 		}
-		fresh, freshTrace := run(&AsyncEngine{})
+		fresh, freshTrace := run(&Engine{})
 		again, reusedTrace := run(reused)
 
 		if freshTrace != reusedTrace {

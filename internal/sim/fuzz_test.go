@@ -105,11 +105,11 @@ func TestSyncEngineInvariantsUnderFuzz(t *testing.T) {
 	f := func(nRaw uint8, seed int64, budget uint8) bool {
 		n := int(nRaw)%50 + 2
 		g := graph.RandomConnected(n, 0.1, newTestRand(seed))
-		res, err := RunSync(SyncConfig{
-			Graph:    g,
-			Model:    Model{Knowledge: KT0, Bandwidth: Local},
-			Schedule: RandomWake{Count: 2, Seed: seed},
-			Seed:     seed,
+		res, err := RunSync(Config{
+			Graph:     g,
+			Model:     Model{Knowledge: KT0, Bandwidth: Local},
+			Adversary: Adversary{Schedule: RandomWake{Count: 2, Seed: seed}},
+			Seed:      seed,
 		}, AsSync(fuzzAlg{budget: int(budget)%20 + 1}))
 		if err != nil {
 			return false

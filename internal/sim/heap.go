@@ -8,7 +8,7 @@ import (
 	"riseandshine/internal/graph"
 )
 
-// eventHeap is the asynchronous engine's event queue: a radix heap (Ahuja,
+// eventHeap is the engine's event queue: a radix heap (Ahuja,
 // Mehlhorn, Orlin & Tarjan, JACM 1990) over the 128-bit key
 // (Float64bits(at), seq). Sequence numbers are unique within a run, so the
 // key is a strict total order and the pop sequence is exactly the sorted

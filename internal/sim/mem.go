@@ -16,6 +16,8 @@ var (
 	payloadPageBytes = int64(unsafe.Sizeof(payloadPage{}))
 	ptrBytes         = int64(unsafe.Sizeof(uintptr(0)))
 	nodeSlotBytes    = int64(unsafe.Sizeof(nodeSlot{}))
+	deliveryBytes    = int64(unsafe.Sizeof(Delivery{}))
+	ifaceBytes       = 2 * ptrBytes
 	// pcgBytes and randWrapBytes are the two RNG SoA element sizes: node
 	// v's generator is rngs[v] (16 bytes of PCG state) plus rands[v] (the
 	// rand.Rand wrapper binding the stdlib API to it). Both are flat
@@ -25,12 +27,12 @@ var (
 	randWrapBytes = int64(unsafe.Sizeof(rand.Rand{}))
 )
 
-// MemReport is the peak scratch footprint of one asynchronous run, by
-// subsystem, in bytes. All figures are capacities of the engine's backing
-// arrays at the end of the run; backing arrays only grow during a run, so
-// end-of-run capacity is the peak. With a reused AsyncEngine the scratch
-// carries over, so the report describes the engine's high-water mark, which
-// is what capacity planning needs.
+// MemReport is the peak scratch footprint of one run, by subsystem, in
+// bytes. All figures are capacities of the engine's backing arrays at the
+// end of the run; backing arrays only grow during a run, so end-of-run
+// capacity is the peak. With a reused Engine the scratch carries over, so
+// the report describes the engine's high-water mark, which is what
+// capacity planning needs.
 //
 // The report answers the practical 10⁶-node question — "what does one more
 // node or edge cost?": Nodes scales with n at a flat 48 bytes per node,
@@ -45,7 +47,9 @@ type MemReport struct {
 	// 256-key chunks, with the chunk pointer and link tables), its payload
 	// slab (40-byte payloads in 1024-slot pages, with the page table), and
 	// the free lists of chunks and slots. The arena stays within
-	// ⌈peak live events/256⌉ + 129 chunks.
+	// ⌈peak live events/256⌉ + 129 chunks. Once the engine has run a
+	// synchronous algorithm it also covers the round buffers: one round's
+	// deliveries as popped and as grouped by receiver.
 	QueueBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
 	// sequence arrays.
@@ -65,7 +69,9 @@ type MemReport struct {
 	// the sent and received counts. The counts used to sit in the Result
 	// arrays outside the report, so at 10⁶ nodes the figure rose from
 	// 31.5 MiB (awake flags, machine slots and a context table) to
-	// 45.8 MiB while the run's peak RSS fell.
+	// 45.8 MiB while the run's peak RSS fell. Once the engine has run a
+	// synchronous algorithm it also covers that run's machine table and
+	// inbox offsets, 20 more bytes per node.
 	NodeBytes int64
 	// Shards is the number of partitions the run executed on; 0 means the
 	// run took the sequential path, in which case OutboxBytes is zero.
@@ -112,12 +118,13 @@ func FormatBytes(b int64) string {
 func (r *runShared) memReport(queueBytes int64) *MemReport {
 	s := r.s
 	m := &MemReport{
-		QueueBytes: queueBytes,
+		QueueBytes: queueBytes + int64(cap(r.arrivals))*eventBytes + int64(cap(r.inbox))*deliveryBytes,
 		FIFOBytes:  int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
 		RNGBytes:   int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
 		CSRBytes: int64(len(s.EdgeStart))*4 + int64(len(s.EdgeTo))*4 +
 			int64(len(s.RevPort))*4 + int64(len(s.SenderIDs))*8,
-		NodeBytes: int64(cap(r.nodes)) * nodeSlotBytes,
+		NodeBytes: int64(cap(r.nodes))*nodeSlotBytes + int64(cap(r.machines))*ifaceBytes +
+			int64(cap(r.inboxEnd))*4,
 	}
 	m.TotalBytes = m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes
 	return m
@@ -128,7 +135,7 @@ func (r *runShared) memReport(queueBytes int64) *MemReport {
 // into QueueBytes, and on a sharded run the staging machinery — outboxes,
 // observer records, inboxes, and the partition tables — lands in
 // OutboxBytes, so `sweep -mem` stays truthful about what -shards adds.
-func (e *AsyncEngine) memReport(p int) *MemReport {
+func (e *Engine) memReport(p int) *MemReport {
 	cores := e.cores[:p]
 	var queueBytes int64
 	for i := range cores {

@@ -24,7 +24,7 @@ func memConfig(report bool) Config {
 // sequential run on an engine that last ran four shards reports one queue
 // and no outbox.
 func TestMemReportPopulated(t *testing.T) {
-	eng := &AsyncEngine{}
+	eng := &Engine{}
 	warm := memConfig(false)
 	warm.Adversary.Delays = RandomDelay{Seed: 2, Min: 0.25}
 	warm.Shards = 4
@@ -53,6 +53,31 @@ func TestMemReportPopulated(t *testing.T) {
 	}
 	if s := m.String(); !strings.Contains(s, "total=") {
 		t.Errorf("String() = %q missing the total", s)
+	}
+}
+
+// TestMemReportSync: synchronous runs honour MemReport too, and their
+// report counts the round scratch — the machine table and inbox offsets
+// beside the node records, the round's arrivals and grouped inbox beside
+// the event queue.
+func TestMemReportSync(t *testing.T) {
+	eng := &Engine{}
+	res, err := eng.RunSync(memConfig(true), syncFloodAlg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Mem
+	if m == nil {
+		t.Fatal("MemReport requested but Result.Mem is nil")
+	}
+	if sum := m.QueueBytes + m.FIFOBytes + m.RNGBytes + m.CSRBytes + m.NodeBytes; m.TotalBytes != sum {
+		t.Errorf("TotalBytes %d != subsystem sum %d", m.TotalBytes, sum)
+	}
+	if records := int64(cap(eng.run.nodes)) * nodeSlotBytes; m.NodeBytes <= records {
+		t.Errorf("NodeBytes %d does not count the machine table beyond the %d bytes of node records", m.NodeBytes, records)
+	}
+	if q := eng.cores[0].queue.memBytes(); m.QueueBytes <= q {
+		t.Errorf("QueueBytes %d does not count the round buffers beyond the %d-byte queue", m.QueueBytes, q)
 	}
 }
 

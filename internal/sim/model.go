@@ -1,6 +1,7 @@
-// Package sim contains the execution engines for distributed wake-up
-// algorithms: a deterministic discrete-event asynchronous engine and a
-// lock-step synchronous engine, together with the model configuration
+// Package sim contains the execution engine for distributed wake-up
+// algorithms: one deterministic discrete-event core that runs asynchronous
+// algorithms and, with every delay fixed at one round, lock-step
+// synchronous ones, together with the model configuration
 // (KT0/KT1 knowledge, CONGEST/LOCAL bandwidth), the oblivious adversary
 // interfaces (wake schedules and message delays), and execution metrics.
 //
@@ -97,8 +98,7 @@ func (m Model) congestLimit(n int) int {
 // paper's model (§1.1), used to size NodeInfo.LogN, ranks, and the default
 // CONGEST limit. The clamp means n ≤ 1 (including the degenerate n = 0)
 // still grants one bit, so a single-node network has a well-defined
-// message budget. This is the single helper shared by both engines;
-// keep it the only ⌈log2⌉ in the tree.
+// message budget. Keep it the only ⌈log2⌉ in the tree.
 func CeilLog2(n int) int {
 	if n <= 1 {
 		return 1
@@ -160,34 +160,34 @@ type NodeInfo struct {
 	AdviceBits int
 }
 
-// AsyncRound is the sentinel Context.Round returns in the asynchronous
-// engines (sequential and sharded), where no global round structure
-// exists. It is a named contract, not an arbitrary -1: algorithms that run
-// on both engine families branch on Round() == AsyncRound (equivalently
-// Round() < 0 — synchronous rounds are always ≥ 0) to select their
-// asynchronous behavior, and the sharded engine returns exactly the same
-// sentinel so the branch is engine-transparent.
+// AsyncRound is the sentinel Context.Round returns in asynchronous runs
+// (sequential and sharded), where no global round structure exists. It is
+// a named contract, not an arbitrary -1: algorithms that run in both
+// timing models branch on Round() == AsyncRound (equivalently Round() < 0
+// — synchronous rounds are always ≥ 0) to select their asynchronous
+// behavior, and sharded runs return exactly the same sentinel so the
+// branch is transparent to the shard count.
 const AsyncRound = -1
 
 // Context is the interface through which a machine interacts with the
 // engine during a computing step. Implementations are not safe for use
-// outside the handler invocation that received them: the asynchronous
-// engine hands every call on one core the same Context, rebound to the
-// node being run, so a kept one would act as another node. The wakeuplint
+// outside the handler invocation that received them: the engine hands
+// every call on one core the same Context, rebound to the node being
+// run, so a kept one would act as another node. The wakeuplint
 // ctxretain analyzer rejects keeping one in the deterministic packages.
 type Context interface {
 	// Info returns the node's static information.
 	Info() NodeInfo
-	// Now returns the engine clock: simulated time in units of τ in the
-	// asynchronous engine, the current round number in the synchronous
-	// engine. Both clocks increase monotonically from any one node's point
-	// of view, which is the only property portable algorithms may rely on;
-	// values are not comparable across engines.
+	// Now returns the engine clock: simulated time in units of τ in an
+	// asynchronous run, the current round number in a synchronous one.
+	// Both clocks increase monotonically from any one node's point of
+	// view, which is the only property portable algorithms may rely on;
+	// values are not comparable across timing models.
 	Now() Time
-	// Round returns the current round (≥ 0) in the synchronous engine and
-	// the AsyncRound sentinel in the asynchronous engines — the sequential
-	// and sharded engines return the identical value, so algorithms
-	// branching on it behave the same under either.
+	// Round returns the current round (≥ 0) in a synchronous run and the
+	// AsyncRound sentinel in an asynchronous one — sequential and sharded
+	// runs return the identical value, so algorithms branching on it
+	// behave the same under either.
 	Round() int
 	// Rand returns the node's private source of randomness: the
 	// deterministic per-node stream NodeRand(seed, v), backed by the
@@ -222,14 +222,16 @@ type Program interface {
 // OnRound is then called once per round (including the wake round), with
 // the messages delivered at the start of that round. Nodes do not share a
 // global clock: a machine can only count rounds since its own wake-up.
+// The inbox is engine scratch, reused in the next round: a machine that
+// keeps a Delivery past its OnRound call must copy it.
 type SyncProgram interface {
 	OnWake(ctx Context)
 	OnRound(ctx Context, inbox []Delivery)
 }
 
 // Quiescer is optionally implemented by SyncPrograms to tell the engine
-// when the machine has no future scheduled activity of its own. The
-// synchronous engine stops once all awake machines are quiescent, no
+// when the machine has no future scheduled activity of its own. A
+// synchronous run stops once all awake machines are quiescent, no
 // messages are in flight, and no adversary wake-ups are pending. Machines
 // that do not implement Quiescer are treated as always quiescent (purely
 // message-driven).
@@ -237,7 +239,7 @@ type Quiescer interface {
 	Quiescent() bool
 }
 
-// Algorithm creates per-node machines for the asynchronous engine.
+// Algorithm creates per-node machines for asynchronous runs (Run).
 type Algorithm interface {
 	// Name identifies the algorithm in results and benchmarks.
 	Name() string
@@ -245,7 +247,7 @@ type Algorithm interface {
 	NewMachine(info NodeInfo) Program
 }
 
-// SyncAlgorithm creates per-node machines for the synchronous engine.
+// SyncAlgorithm creates per-node machines for synchronous runs (RunSync).
 type SyncAlgorithm interface {
 	Name() string
 	NewMachine(info NodeInfo) SyncProgram

@@ -19,9 +19,9 @@ import (
 // directions: an annotation without a runtime pin fails, and so does a
 // stale entry after an annotation (or its test) is removed. The engine's
 // unexported event core — push, wake, deliver, send, the coreCtx methods
-// — is pinned end to end by TestAsyncSteadyStateZeroAllocs and
-// TestShardedSteadyStateZeroAllocs instead, since it is only reachable
-// through Run.
+// — is pinned end to end by TestAsyncSteadyStateZeroAllocs,
+// TestSyncSteadyStateZeroAllocs and TestShardedSteadyStateZeroAllocs
+// instead, since it is only reachable through Run and RunSync.
 var allocCoverage = map[string]string{
 	"ReseedNode":         "TestReseedNodeZeroAllocs",
 	"Accounting.Wake":    "TestAccountingSteadyStateZeroAllocs",

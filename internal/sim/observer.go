@@ -7,8 +7,8 @@ import (
 	"slices"
 )
 
-// Observer receives the engine's event stream. Both engines thread one
-// optional Observer through their hot paths behind a nil check, so an
+// Observer receives the engine's event stream. The engine threads one
+// optional Observer through its hot paths behind a nil check, so an
 // unobserved run pays a single comparison per event and zero allocations.
 //
 // A config's Observer field is the only way an observer enters a run;
@@ -17,8 +17,8 @@ import (
 // nothing resets it, so build a fresh one for every run: one observer
 // passed to two runs, even one after the other, folds them together.
 //
-// Times are engine times: simulated time in the asynchronous engine and
-// the round number in the synchronous engine. Calls come from one
+// Times are engine times: simulated time in an asynchronous run and the
+// round number in a synchronous one. Calls come from one
 // goroutine at a time, even in a sharded run, so an Observer need not be
 // safe for concurrent use. OnDeliver is always invoked before the
 // receiving machine's handler runs, so the payload is observed exactly as

@@ -65,11 +65,11 @@ func TestSyncObserverStack(t *testing.T) {
 	var buf strings.Builder
 	g := graph.Star(5)
 	model := Model{Knowledge: KT0, Bandwidth: Local}
-	if _, err := RunSync(SyncConfig{
-		Graph:    g,
-		Model:    model,
-		Schedule: WakeSingle(0),
-		Observer: StackObservers(NewTraceObserver(&buf), NewModelCheck(g, nil, model)),
+	if _, err := RunSync(Config{
+		Graph:     g,
+		Model:     model,
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Observer:  StackObservers(NewTraceObserver(&buf), NewModelCheck(g, nil, model)),
 	}, AsSync(broadcastOnWake{})); err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestSyncObserverStack(t *testing.T) {
 // TestSyncTraceWriterErrorSurfaces: satellite regression — a failing trace
 // sink fails the synchronous run too, not only the asynchronous one.
 func TestSyncTraceWriterErrorSurfaces(t *testing.T) {
-	_, err := RunSync(SyncConfig{
-		Graph:    graph.Path(2),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(0),
-		Observer: NewTraceObserver(failingWriter{}),
+	_, err := RunSync(Config{
+		Graph:     graph.Path(2),
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Observer:  NewTraceObserver(failingWriter{}),
 	}, AsSync(broadcastOnWake{}))
 	if err == nil || !strings.Contains(err.Error(), "trace writer") {
 		t.Fatalf("expected trace-writer error, got %v", err)

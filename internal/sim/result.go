@@ -24,18 +24,18 @@ type Result struct {
 	MessageBits int64
 	// MaxMessageBits is the largest single message in bits.
 	MaxMessageBits int
-	// CongestViolations counts messages exceeding the CONGEST limit (only
-	// possible when the engine is configured not to fail hard).
+	// CongestViolations counts messages exceeding the CONGEST limit. The
+	// engine delivers them anyway; ModelCheck fails a run that has any.
 	CongestViolations int
 
 	// Span is the time from the first wake-up until the last event
-	// (message receipt or wake-up), in units of τ. For the synchronous
-	// engine this is the number of elapsed rounds.
+	// (message receipt or wake-up), in units of τ. For a synchronous run
+	// this is the number of elapsed rounds.
 	Span Time
 	// WakeSpan is the time from the first wake-up until the last node woke
 	// up; ≤ Span.
 	WakeSpan Time
-	// Rounds is the number of rounds executed (synchronous engine only).
+	// Rounds is the number of rounds executed (synchronous runs only).
 	Rounds int
 
 	// WakeAt[v] is the time node v woke (-1 if it never did).
@@ -68,7 +68,8 @@ type Result struct {
 	// the network busy.
 	AwakeTime float64
 
-	// Events is the number of engine events processed.
+	// Events is the number of engine events processed; in a synchronous
+	// run, the number of rounds.
 	Events int
 
 	// Mem is the run's scratch memory report by subsystem (populated when

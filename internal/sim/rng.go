@@ -30,9 +30,8 @@ const (
 )
 
 // NodeRand returns the private randomness source for node v under the given
-// run seed. It is the single derivation rule shared by both engines, so a
-// node observes the same random stream regardless of which engine executes
-// it.
+// run seed. It is the single derivation rule of both timing models, so a
+// node observes the same random stream whichever model it runs in.
 //
 // The stream is a compact PCG generator (16 bytes of state, see pcg.go)
 // seeded from deriveSeed(seed, streamNodeRand, v) — O(1) state and O(1)

@@ -58,11 +58,11 @@ func TestCrossEngineRNGStreams(t *testing.T) {
 	}
 
 	syncRec := newRNGRecorder()
-	if _, err := RunSync(SyncConfig{
-		Graph:    g,
-		Model:    model,
-		Schedule: WakeAll{},
-		Seed:     seed,
+	if _, err := RunSync(Config{
+		Graph:     g,
+		Model:     model,
+		Adversary: Adversary{Schedule: WakeAll{}},
+		Seed:      seed,
 	}, AsSync(syncRec)); err != nil {
 		t.Fatal(err)
 	}

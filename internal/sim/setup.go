@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"riseandshine/internal/graph"
 )
@@ -10,9 +9,9 @@ import (
 // Setup is the shared pre-flight state of one execution: the validated
 // topology, the port mapping, the per-node static information, the CONGEST
 // limit, and the seed from which every node-private random stream derives.
-// Both engines — asynchronous and synchronous — build exactly one Setup
-// and route node construction through it, so a node sees identical
-// NodeInfo and randomness regardless of which engine runs it.
+// Every run, asynchronous or synchronous, builds exactly one Setup and
+// routes node construction through it, so a node sees identical NodeInfo
+// and randomness in either timing model.
 type Setup struct {
 	// Graph is the network topology.
 	Graph *graph.Graph
@@ -27,8 +26,8 @@ type Setup struct {
 	// CongestLimit is the enforced per-message bit limit (0 = none).
 	CongestLimit int
 
-	// EdgeStart, EdgeTo and RevPort are the CSR edge-metadata arrays shared
-	// by both engines' send paths (see graph.PortMap.CSR): the out-edge of
+	// EdgeStart, EdgeTo and RevPort are the CSR edge-metadata arrays of the
+	// engine's send path (see graph.PortMap.CSR): the out-edge of
 	// node v addressed by port p lives at flat index EdgeStart[v]+p-1,
 	// EdgeTo[ei] is the receiving node, and RevPort[ei] is the receiver-side
 	// port — PortTo precomputed once per topology, so no per-message binary
@@ -89,9 +88,9 @@ func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, seed int64, adv
 
 // WithSeed returns a Setup for the same configuration under a different run
 // seed. All topology-derived state (Infos, port map, CSR edge metadata) is
-// shared with the receiver — only the seed behind Rand differs — which is
-// what lets sweeps cache one Setup per (graph, ports, model, advice) and
-// replay it across a seed matrix. Returns the receiver itself when the seed
+// shared with the receiver — only the seed of the node streams differs —
+// which is what lets sweeps cache one Setup per (graph, ports, model,
+// advice) and replay it across a seed matrix. Returns the receiver itself when the seed
 // already matches.
 func (s *Setup) WithSeed(seed int64) *Setup {
 	if seed == s.Seed {
@@ -101,10 +100,6 @@ func (s *Setup) WithSeed(seed int64) *Setup {
 	c.Seed = seed
 	return &c
 }
-
-// Rand returns node v's private randomness source, derived from the run
-// seed by the engine-independent NodeRand rule.
-func (s *Setup) Rand(v int) *rand.Rand { return NodeRand(s.Seed, v) }
 
 // edge returns the flat CSR index of node from's out-edge behind port. A
 // port outside 1..degree panics with graph.PortMap.Neighbor's message; it

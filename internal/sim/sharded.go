@@ -24,7 +24,7 @@ type shardCmd struct {
 // nil partition when the run stays sequential: Shards ≤ 1, a Delayer
 // without a positive Lookahead (no conservative window exists), or a
 // partition that collapses to one shard.
-func (e *AsyncEngine) shardPlan(shards int, s *Setup, delays Delayer) (*Partition, Time) {
+func (e *Engine) shardPlan(shards int, s *Setup, delays Delayer) (*Partition, Time) {
 	if shards <= 1 {
 		return nil, 0
 	}
@@ -47,7 +47,7 @@ func (e *AsyncEngine) shardPlan(shards int, s *Setup, delays Delayer) (*Partitio
 
 // partition returns the cached Partition for (topology, p), computing it on
 // first use.
-func (e *AsyncEngine) partition(s *Setup, p int) *Partition {
+func (e *Engine) partition(s *Setup, p int) *Partition {
 	n := s.Graph.N()
 	key := &s.EdgeStart[0]
 	if e.part == nil || e.partKey != key || e.partN != n || e.partP != p {
@@ -60,7 +60,7 @@ func (e *AsyncEngine) partition(s *Setup, p int) *Partition {
 }
 
 // runSharded partitions ONE run across cores: the conservative parallel
-// path of AsyncEngine. The graph is split into P contiguous node ranges
+// path of Engine. The graph is split into P contiguous node ranges
 // (see Partition), each driven by its own engineCore event loop, and the
 // cores synchronize at windows of width W = the Delayer's Lookahead.
 //
@@ -89,7 +89,7 @@ func (e *AsyncEngine) partition(s *Setup, p int) *Partition {
 // observer calls tagged with the event key and the coordinator replays the
 // merged streams in key order at each barrier, reproducing the sequential
 // call sequence exactly (traces and digests included).
-func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Result, error) {
+func (e *Engine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Result, error) {
 	tr := cfg.Tracer
 	r := &e.run
 	part := r.part
@@ -130,7 +130,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		}
 	}
 	globalVseq := int64(len(wakeups))
-	maxEvents := maxEventsFor(cfg)
+	maxEvents := maxEventsFor(cfg, DefaultMaxEvents)
 	totalEvents := 0
 
 	var wg sync.WaitGroup
@@ -169,11 +169,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		}
 	}()
 
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
+	t1 := execPhase(tr, ExecSetup, t0, 0)
 	var winIdx int64
 
 	for {
@@ -265,11 +261,7 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		winIdx++
 	}
 
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(totalEvents), Start: t1, End: t2})
-	}
+	t2 := execPhase(tr, ExecRun, t1, totalEvents)
 
 	end := Time(0)
 	for i := range e.cores {
@@ -279,18 +271,21 @@ func (e *AsyncEngine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64)
 		}
 		master.absorb(c.acct)
 	}
+	if end >= maxWake {
+		return nil, timeLimitErr(end)
+	}
 	master.Result().Events = totalEvents
-	master.Finish(end, r.tally)
+	master.finish(end, r.nodes)
 	res := master.Result()
 	if cfg.MemReport {
 		res.Mem = e.memReport(p)
 	}
-	return finishRun(master, obs, cfg.StrictCongest, tr, t2)
+	return finishRun(master, obs, tr, t2)
 }
 
 // minErrCore returns the erroring core whose failing event has the minimal
 // (at, vseq) key — the error a sequential run would hit first — or nil.
-func (e *AsyncEngine) minErrCore() *engineCore {
+func (e *Engine) minErrCore() *engineCore {
 	var best *engineCore
 	for i := range e.cores {
 		c := &e.cores[i]
@@ -310,7 +305,7 @@ func (e *AsyncEngine) minErrCore() *engineCore {
 // list order already preserves them — assigns consecutive vseq numbers in
 // merged order, and routes each event to its destination shard's inbox. It
 // returns the minimum delivery time routed, for the next window anchor.
-func (e *AsyncEngine) mergeStaged(globalVseq *int64) Time {
+func (e *Engine) mergeStaged(globalVseq *int64) Time {
 	inboxMin := infTime
 	cur := e.cursors
 	for i := range cur {
@@ -359,7 +354,7 @@ func parentLess(x, y *stagedSend) bool {
 // and replays them — in exactly the order a sequential run would have made
 // the calls — up to and including the key (maxAt, maxVseq). Cores
 // truncate their record lists afterwards.
-func (e *AsyncEngine) replay(obs Observer, maxAt Time, maxVseq int64) {
+func (e *Engine) replay(obs Observer, maxAt Time, maxVseq int64) {
 	cur := e.cursors
 	for i := range cur {
 		cur[i] = 0

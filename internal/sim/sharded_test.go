@@ -78,9 +78,9 @@ func runTraced(t *testing.T, run func(Config, Algorithm) (*Result, error), cfg C
 // marshaled Result (digests included) and its event trace must be
 // byte-for-byte the sequential path's.
 func TestShardedByteIdentical(t *testing.T) {
-	engines := map[int]*AsyncEngine{}
+	engines := map[int]*Engine{}
 	for _, p := range shardCounts {
-		engines[p] = &AsyncEngine{}
+		engines[p] = &Engine{}
 	}
 	for i, cfg := range shardedConfigs(t) {
 		alg := fuzzAlg{budget: 12}
@@ -246,9 +246,9 @@ func FuzzShardedFIFO(f *testing.F) {
 	f.Add(int64(1), uint8(30), uint8(2), uint8(6))
 	f.Add(int64(-9), uint8(7), uint8(1), uint8(12))
 	f.Add(int64(1<<33), uint8(255), uint8(4), uint8(3))
-	engines := map[int]*AsyncEngine{}
+	engines := map[int]*Engine{}
 	for _, p := range shardCounts {
-		engines[p] = &AsyncEngine{}
+		engines[p] = &Engine{}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, qRaw, budget uint8) {
 		n := int(nRaw)%40 + 2
@@ -332,7 +332,7 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := &AsyncEngine{}
+		eng := &Engine{}
 		cfg := Config{
 			Graph:     g,
 			Model:     Model{Knowledge: KT0, Bandwidth: Local},

@@ -1,317 +1,180 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"math/rand"
-	"sort"
-
-	"riseandshine/internal/graph"
+	"slices"
 )
 
 // DefaultMaxRounds caps synchronous executions unless overridden.
 const DefaultMaxRounds = 1_000_000
 
-// maxSyncWake bounds the synchronous engine's rounds, wake rounds
-// included. Rounds are ints that reach the Result as Times: below 2⁵³ the
-// conversion is exact both ways, while a larger wake time would lose
-// precision and, from 2⁶³, overflow the int.
-const maxSyncWake Time = 1 << 53
-
-// SyncConfig describes one execution of the synchronous engine. Message
-// delays are fixed at one round, so only the wake schedule of the
-// adversary applies; wake times are truncated to round numbers and must
-// lie below 2⁵³.
-type SyncConfig struct {
-	Graph      *graph.Graph
-	Ports      *graph.PortMap
-	Model      Model
-	Schedule   WakeScheduler
-	Seed       int64
-	Advice     [][]byte
-	AdviceBits []int
-	// Setup, when non-nil, supplies a prebuilt harness Setup (same contract
-	// as Config.Setup on the asynchronous engine): it must match Graph,
-	// Ports, Model, and Advice, and is reseeded to Seed for the run.
-	Setup *Setup
-	// MaxRounds overrides DefaultMaxRounds when positive.
-	MaxRounds int
-	// TrackPorts enables Result.PortsUsed accounting.
-	TrackPorts bool
-	// StrictCongest makes the run fail on CONGEST violations.
-	StrictCongest bool
-	// Observer, when non-nil, receives the engine's event stream with
-	// round numbers as times; stack several with StackObservers.
-	Observer Observer
-	// Tracer, when non-nil, receives setup/run/finish execution spans on
-	// track 0 (same contract as Config.Tracer on the asynchronous engine).
-	Tracer ExecTracer
+// RunSync executes alg in lock-step rounds until the network is quiescent.
+// It runs on a fresh engine; use an explicit Engine to reuse scratch state
+// across runs.
+func RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
+	return new(Engine).RunSync(cfg, alg)
 }
 
-type pendingMsg struct {
-	seq int64
-	to  int
-	d   Delivery
-}
-
-// syncEngine holds the mutable state of a synchronous run. Setup,
-// accounting, and observation are the shared harness types; the engine
-// owns the round structure and the in-flight message buffer.
-type syncEngine struct {
-	cfg          SyncConfig
-	g            *graph.Graph
-	pm           *graph.PortMap
-	s            *Setup
-	acct         *Accounting
-	obs          Observer
-	round        int
-	tallies      []NodeTally // per-node accounting; tallies[v].awake is node v's awake flag
-	machines     []SyncProgram
-	newMachineFn func(NodeInfo) SyncProgram
-	rands        []*rand.Rand
-	inflight     []pendingMsg // sent this round, delivered next round
-	seq          int64
-	err          error
-}
-
-type syncCtx struct {
-	e    *syncEngine
-	node int
-}
-
-var _ Context = syncCtx{}
-
-func (c syncCtx) Info() NodeInfo        { return c.e.s.Infos[c.node] }
-func (c syncCtx) Now() Time             { return Time(c.e.round) }
-func (c syncCtx) Round() int            { return c.e.round }
-func (c syncCtx) Rand() *rand.Rand      { return c.e.rands[c.node] }
-func (c syncCtx) AdversarialWake() bool { return c.e.tallies[c.node].adv }
-
-func (c syncCtx) Send(port int, m Message) { c.e.send(c.node, port, m) }
-
-func (c syncCtx) SendToID(id graph.NodeID, m Message) { c.e.sendToID(c.node, id, m) }
-
-func (c syncCtx) Broadcast(m Message) {
-	for p := 1; p <= c.e.g.Degree(c.node); p++ {
-		c.e.send(c.node, p, m)
-	}
-}
-
-// RunSync executes alg in lock-step rounds until the network is quiescent:
-// no in-flight messages, no pending adversarial wake-ups, and every awake
-// machine reporting quiescence (machines that do not implement Quiescer
-// are treated as quiescent).
-func RunSync(cfg SyncConfig, alg SyncAlgorithm) (*Result, error) {
-	tr := cfg.Tracer
+// RunSync executes alg in lock-step rounds on the sequential core until
+// the network is quiescent: no message in flight, no adversarial wake
+// pending, and every awake machine quiescent (a machine that does not
+// implement Quiescer always is). The synchronous model is the asynchronous
+// one with every delay fixed at one round, so wake times are truncated to
+// rounds, a message sent in round r is queued at r + 1, and Result.Events
+// counts rounds. cfg.Adversary.Delays and cfg.Shards do not apply;
+// cfg.MaxEvents bounds the rounds after the first wake (DefaultMaxRounds
+// when unset).
+//
+// A round runs the adversary's wakes in node order, then each receiver in
+// node order wakes if asleep and is credited its messages in send order,
+// then every awake node's OnRound runs in node order with its inbox.
+func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 	var t0 int64
-	if tr != nil {
-		tr.ExecBegin(1)
-		t0 = tr.ExecNow()
+	if cfg.Tracer != nil {
+		t0 = cfg.Tracer.ExecNow()
 	}
-	s, wakeups, err := setupForRun(Config{
-		Graph:      cfg.Graph,
-		Ports:      cfg.Ports,
-		Model:      cfg.Model,
-		Adversary:  Adversary{Schedule: cfg.Schedule},
-		Seed:       cfg.Seed,
-		Advice:     cfg.Advice,
-		AdviceBits: cfg.AdviceBits,
-		Setup:      cfg.Setup,
-	}, alg, maxSyncWake)
+	s, wakeups, err := setupForRun(cfg, alg)
 	if err != nil {
 		return nil, err
 	}
-	g := s.Graph
+	r := &e.run
+	r.alg, r.syncAlg = nil, alg
+	r.start(s, UnitDelay{}, cfg.Seed, nil)
+	n := s.Graph.N()
+	r.machines = growClear(r.machines, n)
+	r.inboxEnd = growClear(r.inboxEnd, n)
+	c := e.sequentialCore(cfg, alg.Name())
 
-	n := g.N()
-	e := &syncEngine{
-		cfg:          cfg,
-		g:            g,
-		pm:           s.Ports,
-		s:            s,
-		acct:         NewAccounting(s, alg.Name(), cfg.TrackPorts),
-		obs:          cfg.Observer,
-		tallies:      make([]NodeTally, n),
-		machines:     make([]SyncProgram, n),
-		newMachineFn: alg.NewMachine,
-		rands:        make([]*rand.Rand, n),
+	// Wakes enter the queue before any message, sorted by (round, node), so
+	// each round's wakes pop first and in node order. The sort works on a
+	// copy: the scheduler's own slice stays as it was.
+	r.wakes = append(r.wakes[:0], wakeups...)
+	for i := range r.wakes {
+		r.wakes[i].At = Time(int64(r.wakes[i].At))
 	}
-	res := e.acct.Result()
+	slices.SortStableFunc(r.wakes, func(a, b Wakeup) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node))
+	})
+	for _, w := range r.wakes {
+		c.push(event{at: w.At, kind: evWake, node: w.Node})
+	}
+	first := int(r.wakes[0].At)
+	maxRounds := maxEventsFor(cfg, DefaultMaxRounds)
 
-	// Bucket the wake schedule by round.
-	wakeByRound := make(map[int][]int)
-	firstWakeRound := int(^uint(0) >> 1)
-	for _, w := range wakeups {
-		r := int(w.At)
-		wakeByRound[r] = append(wakeByRound[r], w.Node)
-		if r < firstWakeRound {
-			firstWakeRound = r
-		}
-	}
-	//lint:maporder-ok sorts each bucket in place; no state crosses buckets
-	for _, nodes := range wakeByRound {
-		sort.Ints(nodes)
-	}
-
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
-
-	var t1 int64
-	if tr != nil {
-		t1 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecSetup, Start: t0, End: t1})
-	}
-
-	lastActive := firstWakeRound
-	for e.round = firstWakeRound; ; e.round++ {
-		if e.round-firstWakeRound > maxRounds {
+	res := c.acct.Result()
+	t1 := execPhase(cfg.Tracer, ExecSetup, t0, 0)
+	lastActive := first
+	for round := first; ; round++ {
+		if round-first > maxRounds {
 			return nil, fmt.Errorf("sim: round limit %d exceeded (algorithm %q may not terminate)", maxRounds, alg.Name())
 		}
-		if Time(e.round) >= maxSyncWake {
-			return nil, fmt.Errorf("sim: round %d is at or above the engine's limit %v", e.round, maxSyncWake)
+		if Time(round) >= maxWake {
+			return nil, fmt.Errorf("sim: round %d is at or above the engine's limit %v", round, maxWake)
 		}
-		active := false
-
-		// Snapshot last round's sends before any handler runs this round:
-		// everything sent during this round (including by OnWake of nodes
-		// the adversary wakes below) is delivered next round.
-		arrivals := e.inflight
-		e.inflight = nil
-
-		// 1. Adversarial wake-ups scheduled for this round.
-		for _, v := range wakeByRound[e.round] {
-			if !e.tallies[v].awake {
-				e.wakeNode(v, true)
-				active = true
-			}
-		}
-		delete(wakeByRound, e.round)
-
-		// 2. Deliveries: messages sent in the previous round.
-		inbox := make(map[int][]Delivery)
-		var receivers []int
-		for _, pm := range arrivals {
-			if _, ok := inbox[pm.to]; !ok {
-				receivers = append(receivers, pm.to)
-			}
-			inbox[pm.to] = append(inbox[pm.to], pm.d)
-			active = true
-		}
-		sort.Ints(receivers)
-		for _, v := range receivers {
-			if !e.tallies[v].awake {
-				e.wakeNode(v, false)
-			}
-			for _, d := range inbox[v] {
-				e.acct.Deliver(&e.tallies[v], v, d.Port)
-				if e.obs != nil {
-					e.obs.OnDeliver(Time(e.round), v, d)
+		c.now, c.round = Time(round), round
+		awake, seq := res.AwakeCount, c.seq
+		c.popRound(round)
+		c.deliverRound()
+		lo := int32(0)
+		for v, m := range r.machines[:n] {
+			hi := r.inboxEnd[v]
+			if m != nil && c.err == nil {
+				var in []Delivery
+				if hi > lo {
+					in = r.inbox[lo:hi:hi]
 				}
+				c.ctx.node = v
+				m.OnRound(&c.ctx, in)
 			}
+			lo = hi
 		}
-		if e.err != nil {
-			return nil, e.err
-		}
-
-		// 3. Computing step for every awake node.
-		for v := 0; v < n; v++ {
-			if !e.tallies[v].awake {
-				continue
-			}
-			e.machines[v].OnRound(syncCtx{e: e, node: v}, inbox[v])
-			if e.err != nil {
-				return nil, e.err
-			}
+		if c.err != nil {
+			return nil, c.err
 		}
 		res.Events++
-		if len(e.inflight) > 0 {
-			active = true
+		if res.AwakeCount != awake || len(r.arrivals) > 0 || c.seq != seq {
+			lastActive = round
 		}
-		if active {
-			lastActive = e.round
-		}
-
-		// 4. Quiescence check.
-		if len(e.inflight) == 0 && len(wakeByRound) == 0 && e.allQuiescent() {
+		if c.queue.live == 0 && r.allQuiescent() {
 			break
 		}
 	}
 
-	var t2 int64
-	if tr != nil {
-		t2 = tr.ExecNow()
-		tr.ExecRecord(ExecSpan{Track: 0, Kind: ExecRun, Events: int64(res.Events), Start: t1, End: t2})
+	t2 := execPhase(cfg.Tracer, ExecRun, t1, res.Events)
+	res.Rounds = lastActive - first
+	c.acct.finish(Time(lastActive), r.nodes)
+	if cfg.MemReport {
+		res.Mem = e.memReport(1)
 	}
-
-	res.Rounds = lastActive - firstWakeRound
-	e.acct.Finish(Time(lastActive), func(v int) *NodeTally { return &e.tallies[v] })
-	return finishRun(e.acct, e.obs, cfg.StrictCongest, tr, t2)
+	return finishRun(c.acct, c.obs, cfg.Tracer, t2)
 }
 
-func (e *syncEngine) allQuiescent() bool {
-	for v, m := range e.machines {
-		if !e.tallies[v].awake || m == nil {
+// popRound takes the round's events off the queue, running each wake as it
+// pops and collecting the deliveries into run.arrivals in send order.
+func (c *engineCore) popRound(round int) {
+	r := c.run
+	r.arrivals = slices.Grow(r.arrivals[:0], c.queue.live) // at most every queued event pops
+	for c.err == nil {
+		ev, _, ok := c.queue.popBefore(Time(round + 1))
+		if !ok {
+			return
+		}
+		if ev.kind == evWake {
+			c.wake(ev.node, true)
+		} else {
+			r.arrivals = append(r.arrivals, ev)
+		}
+	}
+}
+
+// deliverRound groups the round's arrivals by receiver with a stable
+// counting sort into run.inbox, where node v's messages end at inboxEnd[v]
+// and start where node v-1's end. Then each receiver, in node order, wakes
+// if asleep and is credited its messages.
+func (c *engineCore) deliverRound() {
+	r := c.run
+	end := r.inboxEnd
+	clear(end)
+	for i := range r.arrivals {
+		end[r.arrivals[i].node]++
+	}
+	var sum int32
+	for v, k := range end {
+		end[v] = sum
+		sum += k
+	}
+	r.inbox = slices.Grow(r.inbox[:0], len(r.arrivals))[:len(r.arrivals)]
+	for i := range r.arrivals {
+		ev := &r.arrivals[i]
+		r.inbox[end[ev.node]] = ev.d
+		end[ev.node]++
+	}
+
+	lo := int32(0)
+	for v, hi := range end {
+		if hi == lo || c.err != nil {
 			continue
 		}
+		slot := &r.nodes[v]
+		c.wake(v, false)
+		for _, d := range r.inbox[lo:hi] {
+			c.acct.Deliver(&slot.NodeTally, v, d.Port)
+			if c.obs != nil {
+				c.obs.OnDeliver(c.now, v, d)
+			}
+		}
+		lo = hi
+	}
+}
+
+// allQuiescent reports whether every awake machine of a synchronous run
+// is quiescent.
+func (r *runShared) allQuiescent() bool {
+	for _, m := range r.machines {
 		if q, ok := m.(Quiescer); ok && !q.Quiescent() {
 			return false
 		}
 	}
 	return true
-}
-
-func (e *syncEngine) wakeNode(v int, adversarial bool) {
-	e.acct.Wake(&e.tallies[v], Time(e.round), adversarial)
-	if e.rands[v] == nil {
-		e.rands[v] = e.s.Rand(v)
-	}
-	if e.obs != nil {
-		e.obs.OnWake(Time(e.round), v, adversarial)
-	}
-	e.machines[v] = e.newMachineFn(e.s.Infos[v])
-	e.machines[v].OnWake(syncCtx{e: e, node: v})
-}
-
-func (e *syncEngine) send(from, port int, m Message) {
-	if e.err != nil {
-		return
-	}
-	// CSR edge metadata shared with the asynchronous engine: receiver and
-	// receiver-side port are precomputed per directed edge, so the
-	// per-message path does no PortTo binary search.
-	s := e.s
-	ei := s.edge(from, port)
-	to := int(s.EdgeTo[ei])
-	if err := e.acct.Send(&e.tallies[from], from, port, m.Bits()); err != nil {
-		e.err = err
-		return
-	}
-	if e.obs != nil {
-		e.obs.OnSend(Time(e.round), from, port, m)
-	}
-	e.inflight = append(e.inflight, pendingMsg{
-		seq: e.seq,
-		to:  to,
-		d: Delivery{
-			Msg:        m,
-			Port:       int(s.RevPort[ei]),
-			SenderPort: port,
-			From:       s.SenderIDs[from],
-		},
-	})
-	e.seq++
-}
-
-func (e *syncEngine) sendToID(from int, id graph.NodeID, m Message) {
-	if e.cfg.Model.Knowledge != KT1 {
-		e.err = fmt.Errorf("sim: SendToID requires KT1 (model is %v)", e.cfg.Model.Knowledge)
-		return
-	}
-	to := e.g.IndexOf(id)
-	if to == -1 || !e.g.HasEdge(from, to) {
-		e.err = fmt.Errorf("sim: node ID %d has no neighbor with ID %d", e.g.ID(from), id)
-		return
-	}
-	e.send(from, e.pm.PortTo(from, to), m)
 }

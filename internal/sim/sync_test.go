@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -57,10 +58,10 @@ func (m *relayMachine) OnRound(ctx Context, inbox []Delivery) {
 
 func TestSyncOneHopPerRound(t *testing.T) {
 	var rounds []int
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Path(5),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(0),
+	res, err := RunSync(Config{
+		Graph:     graph.Path(5),
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, relayAlg{recvRound: &rounds})
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +116,10 @@ func (m *timerMachine) Quiescent() bool {
 }
 
 func TestSyncQuiescerKeepsEngineRunning(t *testing.T) {
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Star(6),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(0),
+	res, err := RunSync(Config{
+		Graph:     graph.Star(6),
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, timerAlg{delay: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +133,11 @@ func TestSyncQuiescerKeepsEngineRunning(t *testing.T) {
 }
 
 func TestSyncRoundLimit(t *testing.T) {
-	_, err := RunSync(SyncConfig{
+	_, err := RunSync(Config{
 		Graph:     graph.Path(3),
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule:  WakeSingle(0),
-		MaxRounds: 5,
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		MaxEvents: 5,
 	}, timerAlg{delay: 50})
 	if err == nil || !strings.Contains(err.Error(), "round limit") {
 		t.Fatalf("expected round-limit error, got %v", err)
@@ -145,10 +146,10 @@ func TestSyncRoundLimit(t *testing.T) {
 
 func TestSyncLateAdversarialWake(t *testing.T) {
 	var rounds []int
-	res, err := RunSync(SyncConfig{
-		Graph:    graph.Path(3),
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSet{Nodes: []int{0}, At: 9},
+	res, err := RunSync(Config{
+		Graph:     graph.Path(3),
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: 9}},
 	}, relayAlg{recvRound: &rounds})
 	if err != nil {
 		t.Fatal(err)
@@ -162,54 +163,84 @@ func TestSyncLateAdversarialWake(t *testing.T) {
 	}
 }
 
-// TestSyncWakeTimeLimit: rounds are ints and reported wake times are
-// Times, so a wake at or above 2⁵³ — where whole rounds stop being exact
-// Times, and from 2⁶³ stop fitting an int — is rejected before the run,
-// with an error naming the limit. At 2⁵² the run is exact, and a run that
-// would reach round 2⁵³ stops with an error instead of misreporting.
+// TestSyncWakeTimeLimit: both timing models share one time limit, 2⁵³.
+// Above it the gap between adjacent Times exceeds τ = 1, so no delay in
+// (0, τ] is representable, and whole rounds stop being exact Times (from
+// 2⁶³ they stop fitting an int). A wake at or above it is rejected before
+// the run, with an error naming the limit and no Result. A run that starts
+// below it and reaches it fails too: the synchronous one at the round that
+// reaches 2⁵³, the asynchronous one at the end of the run. At 2⁵² both
+// runs are exact: with a ModelCheck attached, every hop takes exactly 1.
 func TestSyncWakeTimeLimit(t *testing.T) {
-	run := func(at Time) (*Result, error) {
-		var rounds []int
-		return RunSync(SyncConfig{
-			Graph:    graph.Path(3),
-			Model:    Model{Knowledge: KT0, Bandwidth: Local},
-			Schedule: WakeSet{Nodes: []int{0}, At: at},
-		}, relayAlg{recvRound: &rounds})
+	engines := []struct {
+		name  string
+		run   func(Config) (*Result, error)
+		cross string // the error of a run that crosses the limit
+	}{
+		{"sync", func(cfg Config) (*Result, error) { return RunSync(cfg, AsSync(floodAlg{})) },
+			"round 9007199254740992 is at or above the engine's limit 9.007199254740992e+15"},
+		{"async", func(cfg Config) (*Result, error) { return RunAsync(cfg, floodAlg{}) },
+			"is at or above the engine's limit 9.007199254740992e+15"},
 	}
-	for _, at := range []Time{1 << 53, 1e19, math.MaxFloat64} {
-		res, err := run(at)
-		if err == nil || !strings.Contains(err.Error(), "limit 9.007199254740992e+15") {
-			t.Errorf("wake at %v: error %v, want one naming the limit 2⁵³", at, err)
+	rows := []struct {
+		at      Time
+		want    string // error substring; "" for a clean run
+		crosses bool   // the run reaches the limit: want the engine's cross error
+	}{
+		{at: 1 << 53, want: "wakeup time 9.007199254740992e+15 is at or above the engine's limit 9.007199254740992e+15"},
+		{at: 1e19, want: "limit 9.007199254740992e+15"},
+		{at: math.MaxFloat64, want: "limit 9.007199254740992e+15"},
+		{at: 1<<53 - 1, crosses: true},
+		{at: 1 << 52},
+	}
+	g := graph.Path(3)
+	model := Model{Knowledge: KT0, Bandwidth: Local}
+	for _, eng := range engines {
+		for _, row := range rows {
+			t.Run(fmt.Sprintf("%s/at=%v", eng.name, row.at), func(t *testing.T) {
+				res, err := eng.run(Config{
+					Graph:     g,
+					Model:     model,
+					Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: row.at}},
+					Observer:  NewModelCheck(g, nil, model),
+				})
+				want := row.want
+				if row.crosses {
+					want = eng.cross
+				}
+				if want == "" {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w := []Time{1 << 52, 1<<52 + 1, 1<<52 + 2}; !slices.Equal(res.WakeAt, w) {
+						t.Errorf("WakeAt = %v, want %v", res.WakeAt, w)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("error %v, want one containing %q", err, want)
+				}
+				if res != nil {
+					t.Error("got a Result beside the error")
+				}
+			})
 		}
-		if res != nil {
-			t.Errorf("wake at %v: got a Result beside the error", at)
-		}
-	}
-	res, err := run(1 << 52)
-	if err != nil {
-		t.Fatalf("wake at 2⁵²: %v", err)
-	}
-	if want := []Time{1 << 52, 1<<52 + 1, 1<<52 + 2}; !slices.Equal(res.WakeAt, want) {
-		t.Errorf("wake at 2⁵²: WakeAt = %v, want %v", res.WakeAt, want)
-	}
-	if _, err := run(1<<53 - 1); err == nil || !strings.Contains(err.Error(), "round 9007199254740992") {
-		t.Errorf("wake at 2⁵³-1: error %v, want the round limit at 2⁵³", err)
 	}
 }
 
 func TestSyncValidation(t *testing.T) {
 	var rounds []int
 	alg := relayAlg{recvRound: &rounds}
-	if _, err := RunSync(SyncConfig{}, alg); err == nil {
+	if _, err := RunSync(Config{}, alg); err == nil {
 		t.Error("expected missing-graph error")
 	}
-	if _, err := RunSync(SyncConfig{Graph: graph.Path(2)}, alg); err == nil {
+	if _, err := RunSync(Config{Graph: graph.Path(2)}, alg); err == nil {
 		t.Error("expected missing-schedule error")
 	}
-	if _, err := RunSync(SyncConfig{
-		Graph:    graph.Path(2),
-		Schedule: WakeSingle(0),
-		Advice:   make([][]byte, 9),
+	if _, err := RunSync(Config{
+		Graph:     graph.Path(2),
+		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Advice:    make([][]byte, 9),
 	}, alg); err == nil {
 		t.Error("expected advice-mismatch error")
 	}
@@ -240,10 +271,10 @@ func TestAsSyncMatchesAsyncUnitDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := RunSync(SyncConfig{
-		Graph:    g,
-		Model:    Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule: WakeSingle(0),
+	sync, err := RunSync(Config{
+		Graph:     g,
+		Model:     Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {
 		t.Fatal(err)
@@ -265,10 +296,10 @@ func TestAsSyncMatchesAsyncUnitDelays(t *testing.T) {
 }
 
 func TestSyncPortsUsedTracking(t *testing.T) {
-	res, err := RunSync(SyncConfig{
+	res, err := RunSync(Config{
 		Graph:      graph.Star(5),
 		Model:      Model{Knowledge: KT0, Bandwidth: Local},
-		Schedule:   WakeSingle(0),
+		Adversary:  Adversary{Schedule: WakeSingle(0)},
 		TrackPorts: true,
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {

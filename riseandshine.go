@@ -9,9 +9,10 @@
 //
 //   - graph generators and structural metrics (including the awake
 //     distance ρ_awk);
-//   - deterministic asynchronous and synchronous execution engines with
-//     KT0/KT1 knowledge and CONGEST/LOCAL bandwidth models, oblivious
-//     delay/wake adversaries, and exact message/time/advice accounting;
+//   - one deterministic execution engine for asynchronous and synchronous
+//     runs, with KT0/KT1 knowledge and CONGEST/LOCAL bandwidth models,
+//     oblivious delay/wake adversaries, and exact message/time/advice
+//     accounting;
 //   - every algorithm from the paper (flooding, ranked DFS, FastWakeUp,
 //     and the four advising schemes) behind a registry keyed by name;
 //   - the lower-bound graph families of Theorems 1 and 2 together with
@@ -90,15 +91,16 @@ type (
 	MetricsObserver = metrics.Observer
 	// FrontierPoint is one sample of the wake-up frontier.
 	FrontierPoint = metrics.FrontierPoint
-	// Engine is reusable asynchronous-engine scratch (event queues, machine
-	// tables, per-node RNGs, FIFO clocks): its Run resets the buffers in
-	// place instead of allocating fresh ones, with byte-identical results.
-	// One Engine serves sequential and sharded runs (RunConfig.Shards)
-	// alike. Pass one per sweep worker via RunConfig.Engine; the zero value
-	// is ready to use. Not safe for concurrent use.
-	Engine = sim.AsyncEngine
-	// MemReport is the per-subsystem scratch footprint of one asynchronous
-	// run (see RunConfig.MemReport).
+	// Engine is reusable engine scratch (event queues, node records,
+	// machine tables, per-node RNGs, FIFO clocks): each run resets the
+	// buffers in place instead of allocating fresh ones, with
+	// byte-identical results. One Engine serves sequential, sharded
+	// (RunConfig.Shards) and synchronous runs alike. Pass one per sweep
+	// worker via RunConfig.Engine; the zero value is ready to use. Not safe
+	// for concurrent use.
+	Engine = sim.Engine
+	// MemReport is the per-subsystem scratch footprint of one run (see
+	// RunConfig.MemReport).
 	MemReport = sim.MemReport
 	// ExecRecorder is the engine flight recorder: bounded per-track span
 	// rings around an injected monotonic clock, with a Chrome trace-event
@@ -114,9 +116,9 @@ type (
 	ExecClock = exectrace.Clock
 )
 
-// AsyncRound is the sentinel Context.Round returns in the asynchronous
-// engines (sequential and sharded alike); synchronous rounds are ≥ 0, so
-// Round() < 0 is the engine-transparent "am I asynchronous" branch.
+// AsyncRound is the sentinel Context.Round returns in asynchronous runs
+// (sequential and sharded alike); synchronous rounds are ≥ 0, so
+// Round() < 0 is the portable "am I asynchronous" branch.
 const AsyncRound = sim.AsyncRound
 
 // FormatBytes renders a byte count with a binary unit suffix (B, KiB, MiB,

@@ -22,7 +22,8 @@ type RunConfig struct {
 	// Schedule overrides AwakeSet with an arbitrary adversarial schedule.
 	Schedule WakeScheduler
 	// Delays selects the delay adversary for asynchronous runs; nil means
-	// unit delays.
+	// unit delays. Synchronous algorithms ignore it: every delay is one
+	// round.
 	Delays Delayer
 
 	// Ports overrides the KT0 port mapping; nil selects identity ports.
@@ -33,19 +34,16 @@ type RunConfig struct {
 	// Model overrides the algorithm's default model when non-zero. The
 	// override may only strengthen knowledge or relax bandwidth.
 	Model Model
-	// StrictCongest fails the run if a message exceeds the CONGEST limit.
-	StrictCongest bool
 	// Observer, when non-nil, receives the engine's event stream: stack
 	// NewTraceObserver, NewDigestObserver, NewMetricsObserver and others
 	// with StackObservers. An observer holds the state of one run, so give
-	// every Run a fresh one. Runs without any observer keep the engines'
+	// every Run a fresh one. Runs without any observer keep the engine's
 	// allocation-free hot path.
 	Observer Observer
-	// Engine, when non-nil, supplies reusable asynchronous-engine scratch
-	// for sequential and sharded runs alike: the run resets the engine's
-	// buffers in place instead of allocating fresh ones. An Engine is not
-	// safe for concurrent use — give each sweep worker its own.
-	// Synchronous algorithms ignore it.
+	// Engine, when non-nil, supplies reusable engine scratch for
+	// sequential, sharded and synchronous runs alike: the run resets the
+	// engine's buffers in place instead of allocating fresh ones. An Engine
+	// is not safe for concurrent use — give each sweep worker its own.
 	Engine *Engine
 	// Shards, when > 1, runs the asynchronous engine sharded: the graph is
 	// partitioned into that many contiguous node ranges, each driven by its
@@ -56,11 +54,11 @@ type RunConfig struct {
 	// Synchronous algorithms ignore it.
 	Shards int
 	// MemReport populates Result.Mem with the run's per-subsystem scratch
-	// footprint (asynchronous engine only). Diagnostic: leave off when
-	// comparing Results byte-for-byte across shard counts or engine reuse.
+	// footprint. Diagnostic: leave off when comparing Results byte-for-byte
+	// across shard counts or engine reuse.
 	MemReport bool
 	// ExecTrace, when non-nil, records the run's execution timeline into
-	// the flight recorder: setup/run/finish phases on every engine, plus
+	// the flight recorder: setup/run/finish phases on every run, plus
 	// per-window busy/barrier/merge/replay spans per shard on sharded
 	// runs. Read it back with ExecRecorder.Stall (aggregate stall report)
 	// or ExecRecorder.WriteChromeTrace (Perfetto-loadable JSON) after Run
@@ -177,21 +175,6 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 		tracer = cfg.ExecTrace
 	}
 
-	if p.info.Synchronous {
-		return sim.RunSync(sim.SyncConfig{
-			Graph:         p.graph,
-			Ports:         p.ports,
-			Model:         p.model,
-			Schedule:      schedule,
-			Seed:          cfg.Seed,
-			Advice:        p.advice,
-			AdviceBits:    p.adviceBits,
-			Setup:         p.setup,
-			StrictCongest: cfg.StrictCongest,
-			Observer:      cfg.Observer,
-			Tracer:        tracer,
-		}, p.info.newSync(cfg.Options))
-	}
 	simCfg := sim.Config{
 		Graph: p.graph,
 		Ports: p.ports,
@@ -200,19 +183,21 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 			Schedule: schedule,
 			Delays:   cfg.Delays,
 		},
-		Seed:          cfg.Seed,
-		Advice:        p.advice,
-		AdviceBits:    p.adviceBits,
-		Setup:         p.setup,
-		StrictCongest: cfg.StrictCongest,
-		Observer:      cfg.Observer,
-		MemReport:     cfg.MemReport,
-		Shards:        cfg.Shards,
-		Tracer:        tracer,
+		Seed:       cfg.Seed,
+		Advice:     p.advice,
+		AdviceBits: p.adviceBits,
+		Setup:      p.setup,
+		Observer:   cfg.Observer,
+		MemReport:  cfg.MemReport,
+		Shards:     cfg.Shards,
+		Tracer:     tracer,
 	}
 	eng := cfg.Engine
 	if eng == nil {
 		eng = new(Engine)
+	}
+	if p.info.Synchronous {
+		return eng.RunSync(simCfg, p.info.newSync(cfg.Options))
 	}
 	return eng.Run(simCfg, p.info.newAsync(cfg.Options))
 }

@@ -1,8 +1,8 @@
 // Package ctxretain forbids keeping a sim.Context beyond the handler call
 // it was passed to.
 //
-// The asynchronous engine hands every handler call on one core the same
-// Context value, rebound to the node whose handler runs next; the Context
+// The engine hands every handler call on one core, in either timing model,
+// the same Context value, rebound to the node whose handler runs next; the Context
 // documentation makes it valid only for the call it was passed to. A kept
 // Context therefore does not fail loudly: a later Send through it silently
 // sends as whatever node the core is running at that moment. This

@@ -19,7 +19,7 @@
 //     is invisible nondeterminism even when the objects are "reset". The
 //     deterministic packages reuse scratch by resetting explicitly owned
 //     buffers in place (one engine per worker, grow-and-clear slices — see
-//     sim.AsyncEngine), which has the same allocation profile and none of
+//     sim.Engine), which has the same allocation profile and none of
 //     the scheduling dependence.
 //
 // The check is interprocedural: a function whose body (transitively,
