@@ -106,22 +106,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestRunModelOverride(t *testing.T) {
-	g := riseandshine.Path(5)
-	// Flood defaults to KT0 CONGEST; override to KT1 LOCAL.
-	res, err := riseandshine.Run(riseandshine.RunConfig{
-		Graph:     g,
-		Algorithm: "flood",
-		Model:     riseandshine.Model{Knowledge: riseandshine.KT1, Bandwidth: riseandshine.Local},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllAwake {
-		t.Error("not all awake")
-	}
-}
-
 func TestGraphConstructorsExported(t *testing.T) {
 	if riseandshine.Grid(3, 3).N() != 9 {
 		t.Error("Grid broken")

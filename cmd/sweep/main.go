@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -25,20 +26,35 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"riseandshine"
-	"riseandshine/internal/exectrace"
 	"riseandshine/internal/experiment"
+	"riseandshine/internal/metrics"
 	"riseandshine/internal/stats"
 )
 
 func main() {
 	if err := run(); err != nil {
-		slog.New(exectrace.NewLogHandler(os.Stderr, slog.LevelInfo)).Error("sweep failed", "err", err)
+		newLogger(os.Stderr).Error("sweep failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// newLogger returns the sweep's status logger: slog's text format without
+// the time key, so the same sequence of records logs the same bytes on
+// every run.
+func newLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey && len(groups) == 0 {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
 }
 
 func run() error {
@@ -66,11 +82,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	// All status output goes through the deterministic slog handler:
-	// level/msg/attr lines with no timestamps, so logs diff cleanly across
-	// runs. Completion order still depends on scheduling — the log, like
-	// the live registry, is not a deterministic output.
-	logger := slog.New(exectrace.NewLogHandler(os.Stderr, slog.LevelInfo))
+	// All status output goes through one logger whose lines carry no
+	// timestamps, so logs diff cleanly across runs. Completion order still
+	// depends on scheduling — the log, like the live metrics, is not a
+	// deterministic output.
+	logger := newLogger(os.Stderr)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -125,13 +141,15 @@ func run() error {
 	}
 	runner := experiment.Runner{Workers: poolWorkers, MasterSeed: *seed, Now: time.Now}
 
-	// Live observability: sweep-level counters plus every finished run's
-	// snapshot merged in, exposed over HTTP while the sweep runs. The live
-	// registry is scrape-time state only — the deterministic outputs below
-	// come from the per-run snapshots in matrix order.
-	live := riseandshine.NewMetricsRegistry()
-	runsDone := live.NewCounter("sweep_runs_completed_total", "runs finished so far")
-	riseandshine.NewMetricsObserver(live, 0) // pre-register the sim_* metrics so merges inherit their help text
+	// Live observability: a run counter plus every finished run's snapshot
+	// merged into one Snapshot, exposed over HTTP while the sweep runs. It
+	// starts with every metric at zero, so the first scrape lists them
+	// all. The live snapshot is scrape-time state only — the deterministic
+	// outputs below come from the per-run snapshots in matrix order.
+	var liveMu sync.Mutex
+	live := metrics.NewObserver(0).Snapshot()
+	runDone := metrics.Snapshot{Counters: []metrics.CounterSnapshot{{Name: metrics.MetricSweepRuns, Value: 1}}}
+	live.Merge(metrics.Snapshot{Counters: []metrics.CounterSnapshot{{Name: metrics.MetricSweepRuns}}})
 
 	// latestTrace holds the most recent completed run's rendered Chrome
 	// trace, published by the (serialized) Progress callback for the
@@ -144,10 +162,12 @@ func run() error {
 		// on completion (the wakeupd service groundwork).
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			var buf bytes.Buffer
+			liveMu.Lock()
+			live.WritePrometheus(&buf)
+			liveMu.Unlock()
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := live.WritePrometheus(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
+			w.Write(buf.Bytes())
 		})
 		mux.HandleFunc("/exectrace", func(w http.ResponseWriter, _ *http.Request) {
 			b, _ := latestTrace.Load().([]byte)
@@ -177,10 +197,12 @@ func run() error {
 	start := time.Now()
 	if *progress || *httpAddr != "" {
 		runner.Progress = func(done, total int, r experiment.RunResult) {
-			runsDone.Inc()
+			liveMu.Lock()
+			live.Merge(runDone)
 			if r.Metrics != nil {
 				live.Merge(*r.Metrics)
 			}
+			liveMu.Unlock()
 			if r.Exec != nil && srv != nil {
 				var buf bytes.Buffer
 				if err := r.Exec.WriteChromeTrace(&buf); err == nil {

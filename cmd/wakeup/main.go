@@ -100,11 +100,9 @@ func run() error {
 	if *digest {
 		observers = append(observers, riseandshine.NewDigestObserver(false))
 	}
-	var reg *riseandshine.MetricsRegistry
 	var mobs *riseandshine.MetricsObserver
 	if *metrics != "" {
-		reg = riseandshine.NewMetricsRegistry()
-		mobs = riseandshine.NewMetricsObserver(reg, g.N())
+		mobs = riseandshine.NewMetricsObserver(g.N())
 		observers = append(observers, mobs)
 	}
 	var cobs *riseandshine.CausalObserver
@@ -161,7 +159,7 @@ func run() error {
 		fmt.Printf("wakecurve  wrote %s\n", *curvePath)
 	}
 	if mobs != nil {
-		if err := reportMetrics(*metrics, reg, mobs); err != nil {
+		if err := reportMetrics(*metrics, mobs); err != nil {
 			return err
 		}
 	}
@@ -182,8 +180,8 @@ func run() error {
 // reportMetrics writes the run's deterministic metrics record (snapshot
 // plus frontier time series, one JSON line) and prints a quantile summary
 // of the recorded distributions.
-func reportMetrics(path string, reg *riseandshine.MetricsRegistry, mobs *riseandshine.MetricsObserver) error {
-	snap := reg.Snapshot()
+func reportMetrics(path string, mobs *riseandshine.MetricsObserver) error {
+	snap := mobs.Snapshot()
 	record := struct {
 		Metrics  riseandshine.MetricsSnapshot `json:"metrics"`
 		Frontier []riseandshine.FrontierPoint `json:"frontier"`

@@ -13,7 +13,7 @@ func ExampleRun() {
 	res, err := riseandshine.Run(riseandshine.RunConfig{
 		Graph:     g,
 		Algorithm: "cen",
-		AwakeSet:  []int{0},
+		Schedule:  riseandshine.WakeSingle(0),
 		Seed:      1,
 	})
 	if err != nil {

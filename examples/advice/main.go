@@ -59,7 +59,7 @@ func main() {
 		res, err := riseandshine.Run(riseandshine.RunConfig{
 			Graph:     g,
 			Algorithm: alg,
-			AwakeSet:  []int{g.N() - 1},
+			Schedule:  riseandshine.WakeSingle(g.N() - 1),
 			Delays:    riseandshine.RandomDelay{Seed: 23},
 			Ports:     riseandshine.RandomPorts(g, 29),
 			Seed:      4,

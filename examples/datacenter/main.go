@@ -65,7 +65,7 @@ func main() {
 		res, err := riseandshine.Run(riseandshine.RunConfig{
 			Graph:     g,
 			Algorithm: alg,
-			AwakeSet:  []int{mgmt},
+			Schedule:  riseandshine.WakeSingle(mgmt),
 			Delays:    riseandshine.RandomDelay{Seed: 3},
 			Ports:     riseandshine.RandomPorts(g, 5),
 			Seed:      9,

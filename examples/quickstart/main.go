@@ -24,7 +24,7 @@ func main() {
 		res, err := riseandshine.Run(riseandshine.RunConfig{
 			Graph:     g,
 			Algorithm: alg,
-			AwakeSet:  []int{0},                           // the adversary wakes the corner node
+			Schedule:  riseandshine.WakeSingle(0),         // the adversary wakes the corner node
 			Delays:    riseandshine.RandomDelay{Seed: 42}, // adversarial asynchrony
 			Ports:     riseandshine.RandomPorts(g, 7),     // adversarial port numbering
 			Seed:      1,

@@ -47,7 +47,7 @@ func main() {
 			res, err := riseandshine.Run(riseandshine.RunConfig{
 				Graph:     g,
 				Algorithm: a.name,
-				AwakeSet:  []int{0},
+				Schedule:  riseandshine.WakeSingle(0),
 				Delays:    riseandshine.RandomDelay{Seed: int64(n)},
 				Ports:     ports,
 				Seed:      int64(n),

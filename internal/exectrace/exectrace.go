@@ -1,8 +1,7 @@
 // Package exectrace is the engine flight recorder: a low-overhead
 // per-track span recorder implementing sim.ExecTracer, with two export
 // forms — Chrome trace-event JSON loadable in Perfetto (chrome.go) and an
-// aggregate StallReport (report.go) — plus a deterministic log/slog
-// handler for the CLIs (slog.go).
+// aggregate StallReport (report.go).
 //
 // Clock injection. The package never reads wall time itself (it is a
 // deterministic package under the detrand analyzer): every Recorder is
@@ -16,15 +15,17 @@
 // Bounds. Spans land in per-track ring buffers of fixed capacity (spans
 // beyond it overwrite the oldest; TrackStall.Dropped counts them), while
 // the stall totals — busy/barrier/merge/replay nanoseconds, events,
-// windows — are plain accumulators updated at record time, so a
-// StallReport is exact even after the rings wrap.
+// windows, the events-per-window histogram — are plain accumulators
+// updated at record time, so a StallReport is exact even after the rings
+// wrap.
 //
 // Concurrency. Each track is written by exactly one goroutine (the
 // sharded engine's contract: workers own their shard's track, the
 // coordinator owns track 0), so per-track state needs no atomics; the
 // injected clock is the only state shared across tracks and must be safe
-// for concurrent use. Reading (Stall, WriteChromeTrace) is only valid
-// after the traced run returned.
+// for concurrent use. The events-per-window histogram belongs to track 0,
+// which records the window instants. Reading (Stall, WriteChromeTrace) is
+// only valid after the traced run returned.
 package exectrace
 
 import (
@@ -77,8 +78,7 @@ type Recorder struct {
 	limit int
 	trks  []track
 
-	reg       *metrics.Registry
-	winEvents *metrics.Histogram
+	winEvents metrics.Histogram // events per window; written with track 0
 }
 
 var _ sim.ExecTracer = (*Recorder)(nil)
@@ -95,25 +95,15 @@ func NewWithLimit(clock Clock, perTrackSpans int) *Recorder {
 	if perTrackSpans <= 0 {
 		perTrackSpans = DefaultTrackSpans
 	}
-	reg := metrics.NewRegistry()
-	r := &Recorder{
-		clock: clock,
-		limit: perTrackSpans,
-		reg:   reg,
-		winEvents: reg.NewHistogram("exectrace_window_events",
-			"events processed per barrier window, across all shards"),
-	}
+	r := &Recorder{clock: clock, limit: perTrackSpans}
 	r.ExecBegin(1)
 	return r
 }
 
 // ExecBegin sizes the recorder for a run recording on the given number of
-// tracks and resets every track's ring and accumulators. Ring storage is
-// retained across runs, so after the first run at a given track count the
-// call allocates nothing. The events-per-window histogram is cumulative
-// across ExecBegin calls (it is atomic and has no reset); drivers wanting
-// per-run distributions use one Recorder per run, as experiment.Runner
-// does.
+// tracks and resets every track's ring and accumulators and the
+// events-per-window histogram. Ring storage is retained across runs, so
+// after the first run at a given track count the call allocates nothing.
 func (r *Recorder) ExecBegin(tracks int) {
 	if tracks < 1 {
 		tracks = 1
@@ -127,6 +117,7 @@ func (r *Recorder) ExecBegin(tracks int) {
 		spans := t.spans
 		*t = track{spans: spans}
 	}
+	r.winEvents = metrics.Histogram{}
 }
 
 // ExecNow returns the injected clock's current reading.

@@ -1,8 +1,6 @@
 package exectrace
 
 import (
-	"bytes"
-	"log/slog"
 	"testing"
 
 	"riseandshine/internal/sim"
@@ -68,10 +66,14 @@ func TestExecBeginResetsAndReuses(t *testing.T) {
 		t.Fatalf("Tracks = %d, want 3", r.Tracks())
 	}
 	r.ExecRecord(sim.ExecSpan{Track: 2, Kind: sim.ExecBusy, Events: 7, Start: 1, End: 5})
+	r.ExecRecord(sim.ExecSpan{Track: 0, Kind: sim.ExecWindow, Events: 7, Start: 5, End: 5})
 	r.ExecBegin(3)
 	rep := r.Stall()
 	if rep.Tracks[2].Events != 0 || rep.Tracks[2].Spans != 0 {
 		t.Errorf("ExecBegin did not reset track 2: %+v", rep.Tracks[2])
+	}
+	if rep.Windows != 0 || rep.EventsPerWindow.Count != 0 {
+		t.Errorf("ExecBegin did not reset the window figures: windows %d, histogram %+v", rep.Windows, rep.EventsPerWindow)
 	}
 	// Shrinking keeps storage; regrowing reuses it without fresh rings.
 	r.ExecBegin(1)
@@ -122,30 +124,5 @@ func TestStallImbalance(t *testing.T) {
 	}
 	if rep.Events != 2 {
 		t.Errorf("Events = %d, want 2 (summed over shard tracks)", rep.Events)
-	}
-}
-
-func TestLogHandlerDeterministic(t *testing.T) {
-	var buf bytes.Buffer
-	log := slog.New(NewLogHandler(&buf, nil))
-	log.Info("run complete", "run", 3, "seed", int64(42))
-	log.Warn("run failed", "err", "event limit 10 exceeded")
-	log.Debug("dropped", "below", "level") // below default Info level
-	log.WithGroup("sweep").With("n", 128).Info("progress", "done", 1)
-	want := "level=INFO msg=\"run complete\" run=3 seed=42\n" +
-		"level=WARN msg=\"run failed\" err=\"event limit 10 exceeded\"\n" +
-		"level=INFO msg=progress sweep.n=128 sweep.done=1\n"
-	if got := buf.String(); got != want {
-		t.Errorf("log output:\n%q\nwant:\n%q", got, want)
-	}
-	// Two identical invocations produce identical bytes: nothing
-	// wall-clock-dependent leaks into the format.
-	var buf2 bytes.Buffer
-	log2 := slog.New(NewLogHandler(&buf2, nil))
-	log2.Info("run complete", "run", 3, "seed", int64(42))
-	log2.Warn("run failed", "err", "event limit 10 exceeded")
-	log2.WithGroup("sweep").With("n", 128).Info("progress", "done", 1)
-	if buf.String() != buf2.String() {
-		t.Error("identical log sequences produced different bytes")
 	}
 }

@@ -96,12 +96,7 @@ func (r *Recorder) Stall() StallReport {
 		}
 	}
 	rep.Imbalance = imbalance(rep.Tracks)
-	snap := r.reg.Snapshot()
-	for _, h := range snap.Histograms {
-		if h.Name == "exectrace_window_events" {
-			rep.EventsPerWindow = h
-		}
-	}
+	rep.EventsPerWindow = r.winEvents.Snapshot("exectrace_window_events")
 	return rep
 }
 

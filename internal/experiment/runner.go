@@ -38,8 +38,8 @@ type RunSpec struct {
 	// Res.TranscriptDigests, so sweeps can compare executions bit-for-bit
 	// across worker counts and hosts.
 	RecordDigests bool
-	// Metrics records the run into a fresh metrics registry and publishes
-	// the snapshot plus the frontier time series on the RunResult.
+	// Metrics records the run into a fresh metrics observer and publishes
+	// its snapshot plus the frontier time series on the RunResult.
 	Metrics bool
 	// MemReport populates Res.Mem with the run's per-subsystem scratch
 	// footprint. Diagnostic only — leave off when Results are compared
@@ -92,7 +92,7 @@ type Runner struct {
 	MasterSeed int64
 	// Progress, when non-nil, is invoked after each run completes with the
 	// number of completed runs, the total, and the run's result (e.g. to
-	// merge its metrics snapshot into a live registry). Calls are
+	// merge its metrics snapshot into a live one). Calls are
 	// serialized, but completion order depends on scheduling — drivers may
 	// surface it to a human (a progress line on stderr, a /metrics
 	// endpoint) and must not derive deterministic output from it.
@@ -117,8 +117,8 @@ func (r Runner) execClock() exectrace.Clock {
 
 // prepKey identifies one cacheable configuration: same topology instance,
 // algorithm, and spanner parameter. Seeds are deliberately absent — advice
-// and Setup are seed-independent (Prepared.Run reseeds), which is exactly
-// what makes cross-seed sharing sound.
+// and Setup are seed-independent (the seed enters at Prepared.Run), which
+// is exactly what makes cross-seed sharing sound.
 type prepKey struct {
 	g   *graph.Graph
 	alg string
@@ -259,17 +259,15 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 		ports = riseandshine.RandomPorts(g, seed)
 	}
 	// Per-run observers: each run records into its own digests and
-	// registry, so workers never contend and the published results are
+	// metrics, so workers never contend and the published results are
 	// independent of scheduling.
 	var stack []sim.Observer
 	if spec.RecordDigests {
 		stack = append(stack, sim.NewDigestObserver(false))
 	}
-	var reg *metrics.Registry
 	var mobs *metrics.Observer
 	if spec.Metrics {
-		reg = metrics.NewRegistry()
-		mobs = metrics.NewObserver(reg, g.N())
+		mobs = metrics.NewObserver(g.N())
 		stack = append(stack, mobs)
 	}
 	cfg := riseandshine.RunConfig{
@@ -308,7 +306,7 @@ func runOne(spec RunSpec, seed int64, cache *prepCache, eng *riseandshine.Engine
 		rec.ExecRecord(sim.ExecSpan{Track: 0, Kind: sim.ExecCell, Start: cell0, End: rec.ExecNow()})
 	}
 	if mobs != nil {
-		snap := reg.Snapshot()
+		snap := mobs.Snapshot()
 		rr.Metrics = &snap
 		rr.Frontier = mobs.Frontier()
 	}

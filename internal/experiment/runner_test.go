@@ -157,9 +157,11 @@ func renderObservability(t *testing.T, results []RunResult) string {
 		if rr.Metrics == nil || len(rr.Frontier) == 0 {
 			t.Fatalf("run %d: missing metrics (%v) or frontier (%d points)", i, rr.Metrics == nil, len(rr.Frontier))
 		}
-		if err := rr.Metrics.WriteJSON(&buf); err != nil {
+		snap, err := json.Marshal(rr.Metrics)
+		if err != nil {
 			t.Fatal(err)
 		}
+		fmt.Fprintf(&buf, "%s\n", snap)
 		frontier, err := json.Marshal(rr.Frontier)
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,18 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 
 	"riseandshine/internal/stats"
 )
 
-// Snapshot is a point-in-time copy of a registry, ordered by metric name
-// within each kind. Its JSON encoding is deterministic: field order is
+// Snapshot is a point-in-time copy of a set of metrics, ordered by metric
+// name within each kind. Its JSON encoding is deterministic: field order is
 // fixed by the struct layout, slices are sorted by name, and floats render
 // through strconv's shortest form, which is host-independent — the basis
 // of the harness's byte-identical metrics records.
@@ -81,65 +82,39 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return stats.BucketQuantile(q, bounds, counts)
 }
 
-// Snapshot copies the registry's current values.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   []CounterSnapshot{},
-		Gauges:     []GaugeSnapshot{},
-		Histograms: []HistogramSnapshot{},
+func (c CounterSnapshot) key() string   { return c.Name }
+func (g GaugeSnapshot) key() string     { return g.Name }
+func (h HistogramSnapshot) key() string { return h.Name }
+
+// slot returns the element of the name-sorted list *l named like zero,
+// first inserting zero in name order when the list has no such element.
+func slot[T interface{ key() string }](l *[]T, zero T) *T {
+	i, ok := slices.BinarySearchFunc(*l, zero.key(), func(e T, name string) int {
+		return strings.Compare(e.key(), name)
+	})
+	if !ok {
+		*l = slices.Insert(*l, i, zero)
 	}
-	for _, name := range r.sortedNames() {
-		r.mu.Lock()
-		m := r.byName[name]
-		r.mu.Unlock()
-		switch m := m.(type) {
-		case *Counter:
-			s.Counters = append(s.Counters, CounterSnapshot{Name: name, Value: m.Value()})
-		case *Gauge:
-			s.Gauges = append(s.Gauges, GaugeSnapshot{Name: name, Value: m.Value()})
-		case *Histogram:
-			hs := HistogramSnapshot{Name: name, Count: m.Count(), Sum: m.Sum(), Buckets: []BucketSnapshot{}}
-			for i := range m.buckets {
-				if c := m.buckets[i].Load(); c > 0 {
-					hs.Buckets = append(hs.Buckets, BucketSnapshot{Exp: minExp + i, Count: c})
-				}
-			}
-			s.Histograms = append(s.Histograms, hs)
-		}
-	}
-	return s
+	return &(*l)[i]
 }
 
-// WriteJSON writes the snapshot as one line of deterministic JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return err
+// Merge folds o into s: counter values add, gauge values overwrite, and
+// histogram buckets, counts and sums add. A metric s lacks is inserted in
+// name order. A sweep driver uses this to aggregate per-run snapshots into
+// the live snapshot behind its /metrics endpoint.
+func (s *Snapshot) Merge(o Snapshot) {
+	for _, c := range o.Counters {
+		slot(&s.Counters, CounterSnapshot{Name: c.Name}).Value += c.Value
 	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// Merge folds a snapshot into the registry: counter values add, gauge
-// values overwrite, histogram buckets/counts/sums add. Metrics missing
-// from the registry are created (with empty help; pre-register them to
-// attach help text). A sweep driver uses this to aggregate per-run
-// snapshots into the live registry behind its /metrics endpoint.
-func (r *Registry) Merge(s Snapshot) {
-	for _, c := range s.Counters {
-		r.NewCounter(c.Name, "").Add(c.Value)
+	for _, g := range o.Gauges {
+		*slot(&s.Gauges, GaugeSnapshot{Name: g.Name}) = g
 	}
-	for _, g := range s.Gauges {
-		r.NewGauge(g.Name, "").Set(g.Value)
-	}
-	for _, h := range s.Histograms {
-		dst := r.NewHistogram(h.Name, "")
-		for _, b := range h.Buckets {
-			dst.addBucket(b.Exp, b.Count)
-		}
-		dst.count.Add(h.Count)
-		dst.addSum(h.Sum)
+	for _, h := range o.Histograms {
+		dst := slot(&s.Histograms, HistogramSnapshot{Name: h.Name})
+		var sum Histogram
+		sum.add(*dst)
+		sum.add(h)
+		*dst = sum.Snapshot(h.Name)
 	}
 }
 
@@ -151,71 +126,41 @@ func fmtFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format (version 0.0.4): HELP/TYPE headers, plain samples for counters
-// and gauges, and cumulative le-labelled buckets plus _sum and _count
-// series for histograms.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	write := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
+// WritePrometheus writes the snapshot in the Prometheus text exposition
+// format (version 0.0.4), every metric in name order: a HELP line for the
+// names in the package's help table, a TYPE line, plain samples for
+// counters and gauges, and cumulative le-labelled buckets plus _sum and
+// _count series for histograms.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
+	type family struct{ name, kind, samples string }
+	var all []family
+	for _, c := range s.Counters {
+		all = append(all, family{c.Name, "counter", fmt.Sprintf("%s %d\n", c.Name, c.Value)})
 	}
-	for _, name := range r.sortedNames() {
-		r.mu.Lock()
-		m := r.byName[name]
-		r.mu.Unlock()
-		var help, kind string
-		switch m := m.(type) {
-		case *Counter:
-			help, kind = m.help, "counter"
-		case *Gauge:
-			help, kind = m.help, "gauge"
-		case *Histogram:
-			help, kind = m.help, "histogram"
-		}
-		if help != "" {
-			if err := write("# HELP %s %s\n", name, help); err != nil {
-				return err
-			}
-		}
-		if err := write("# TYPE %s %s\n", name, kind); err != nil {
-			return err
-		}
-		switch m := m.(type) {
-		case *Counter:
-			if err := write("%s %d\n", name, m.Value()); err != nil {
-				return err
-			}
-		case *Gauge:
-			if err := write("%s %s\n", name, fmtFloat(m.Value())); err != nil {
-				return err
-			}
-		case *Histogram:
-			var cum uint64
-			for i := range m.buckets {
-				c := m.buckets[i].Load()
-				if c == 0 && minExp+i <= maxExp {
-					continue // keep the exposition compact; le="+Inf" always written below
-				}
-				if minExp+i > maxExp {
-					break
-				}
-				cum += c
-				if err := write("%s_bucket{le=%q} %d\n", name, fmtFloat(UpperBound(minExp+i)), cum); err != nil {
-					return err
-				}
-			}
-			cum += m.buckets[numBuckets-1].Load()
-			if err := write("%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-				return err
-			}
-			if err := write("%s_sum %s\n", name, fmtFloat(m.Sum())); err != nil {
-				return err
-			}
-			if err := write("%s_count %d\n", name, m.Count()); err != nil {
-				return err
-			}
-		}
+	for _, g := range s.Gauges {
+		all = append(all, family{g.Name, "gauge", fmt.Sprintf("%s %s\n", g.Name, fmtFloat(g.Value))})
 	}
-	return nil
+	for _, h := range s.Histograms {
+		var b strings.Builder
+		var cum uint64
+		for _, bk := range h.Buckets {
+			cum += bk.Count
+			if bk.Exp <= maxExp { // the overflow bucket is the le="+Inf" line below
+				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", h.Name, fmtFloat(UpperBound(bk.Exp)), cum)
+			}
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
+			h.Name, cum, h.Name, fmtFloat(h.Sum), h.Name, h.Count)
+		all = append(all, family{h.Name, "histogram", b.String()})
+	}
+	slices.SortFunc(all, func(a, b family) int { return strings.Compare(a.name, b.name) })
+	var b strings.Builder
+	for _, f := range all {
+		if text := help[f.name]; text != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, text)
+		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n%s", f.name, f.kind, f.samples)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

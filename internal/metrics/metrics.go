@@ -1,28 +1,23 @@
-// Package metrics is the simulator's metrics subsystem: a registry of
-// counters, gauges, and log-bucketed histograms designed for the engines'
-// hot paths — recording is a handful of atomic operations and never
-// allocates — with two exposition formats on top: Prometheus text (for
-// scraping a live sweep) and a deterministic JSON snapshot (for the
-// byte-identical per-run records the experiment harness emits).
+// Package metrics is the simulator's metrics subsystem: log-bucketed
+// histograms and the Observer that records one run's cost measures into
+// plain counters, histograms and a frontier time series. Recording never
+// allocates. A run's Snapshot has two exposition formats: its JSON
+// encoding (the byte-identical per-run records the experiment harness
+// emits) and Prometheus text (for scraping a live sweep).
 //
 // The package is bound by the repository's determinism contract: it never
 // reads the wall clock or the global math/rand source, and every
-// exposition iterates metrics in sorted name order, so the same sequence
-// of observations produces the same bytes on every host. Wall-clock
-// concerns (scrape timing, run durations) live in the drivers.
+// exposition lists metrics in sorted name order, so the same sequence of
+// observations produces the same bytes on every host. Wall-clock concerns
+// (scrape timing, run durations) live in the drivers.
 //
-// Metrics are registered once and updated concurrently: all values are
-// atomics, so one Registry may aggregate runs executing on many worker
-// goroutines while an HTTP handler exposes it.
+// Nothing here is safe for concurrent use. Each run records into its own
+// Observer, which the engine calls from one goroutine; a driver that
+// aggregates runs for a concurrent reader (cmd/sweep -http) merges their
+// snapshots into one Snapshot behind its own lock.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "math"
 
 // Histogram bucket layout: bucket with exponent e covers (2^(e-1), 2^e];
 // observations at or below 2^minExp collapse into the first bucket and
@@ -60,197 +55,41 @@ func UpperBound(exp int) float64 {
 	return math.Ldexp(1, exp)
 }
 
-// Counter is a monotonically increasing uint64 metric.
-type Counter struct {
-	name, help string
-	v          atomic.Uint64
-}
-
-// Inc adds one.
-//
-//wakeup:noalloc
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-//
-//wakeup:noalloc
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-//
-//wakeup:noalloc
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Name returns the metric name.
-func (c *Counter) Name() string { return c.name }
-
-// Gauge is a float64 metric that may go up and down.
-type Gauge struct {
-	name, help string
-	bits       atomic.Uint64
-}
-
-// Set replaces the gauge value.
-//
-//wakeup:noalloc
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add increments the gauge by d (atomically, via CAS).
-//
-//wakeup:noalloc
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-//
-//wakeup:noalloc
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the metric name.
-func (g *Gauge) Name() string { return g.name }
-
 // Histogram is a base-2 log-bucketed distribution: counts per power-of-two
-// bucket plus a running count and sum. Observing is two atomic adds and a
-// CAS loop for the sum; nothing allocates.
+// bucket plus a running count and sum. The zero value is empty and ready
+// to use.
 type Histogram struct {
-	name, help string
-	buckets    [numBuckets]atomic.Uint64
-	count      atomic.Uint64
-	sumBits    atomic.Uint64
+	buckets [numBuckets]uint64
+	count   uint64
+	sum     float64
 }
 
 // Observe records one value.
 //
 //wakeup:noalloc
 func (h *Histogram) Observe(v float64) {
-	h.buckets[bucketExp(v)-minExp].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
+	h.buckets[bucketExp(v)-minExp]++
+	h.count++
+	h.sum += v
+}
+
+// add folds a snapshot's contents in; bucket exponents outside the layout
+// clamp to the first or the overflow bucket.
+func (h *Histogram) add(s HistogramSnapshot) {
+	for _, b := range s.Buckets {
+		h.buckets[min(max(b.Exp, minExp), maxExp+1)-minExp] += b.Count
+	}
+	h.count += s.Count
+	h.sum += s.Sum
+}
+
+// Snapshot returns the distribution under the given metric name.
+func (h *Histogram) Snapshot(name string) HistogramSnapshot {
+	s := HistogramSnapshot{Name: name, Count: h.count, Sum: h.sum, Buckets: []BucketSnapshot{}}
+	for i, c := range h.buckets {
+		if c > 0 {
+			s.Buckets = append(s.Buckets, BucketSnapshot{Exp: minExp + i, Count: c})
 		}
 	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// addBucket folds an external bucket count in (used by Registry.Merge).
-func (h *Histogram) addBucket(exp int, n uint64) {
-	if exp < minExp {
-		exp = minExp
-	}
-	if exp > maxExp+1 {
-		exp = maxExp + 1
-	}
-	h.buckets[exp-minExp].Add(n)
-}
-
-func (h *Histogram) addSum(v float64) {
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Registry holds a set of named metrics. Registration takes a lock;
-// recording on the returned metrics is lock-free. The zero Registry is not
-// usable — construct with NewRegistry.
-type Registry struct {
-	mu     sync.Mutex
-	byName map[string]any
-	names  []string // registration order; expositions sort a copy
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]any)}
-}
-
-// validName enforces the Prometheus metric-name charset.
-func validName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// register interns a metric under name, returning the existing one when
-// the name is already taken by a metric of the same kind. A name collision
-// across kinds is a programming error and panics.
-func register[T any](r *Registry, name string, make func() *T) *T {
-	if !validName(name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if existing, ok := r.byName[name]; ok {
-		m, ok := existing.(*T)
-		if !ok {
-			panic(fmt.Sprintf("metrics: %q already registered as %T", name, existing))
-		}
-		return m
-	}
-	m := make()
-	r.byName[name] = m
-	r.names = append(r.names, name)
-	return m
-}
-
-// NewCounter returns the counter registered under name, creating it with
-// the given help text on first use.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	return register(r, name, func() *Counter { return &Counter{name: name, help: help} })
-}
-
-// NewGauge returns the gauge registered under name, creating it with the
-// given help text on first use.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return register(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
-}
-
-// NewHistogram returns the histogram registered under name, creating it
-// with the given help text on first use.
-func (r *Registry) NewHistogram(name, help string) *Histogram {
-	return register(r, name, func() *Histogram { return &Histogram{name: name, help: help} })
-}
-
-// sortedNames returns the registered names in sorted order; expositions
-// iterate this, never the map, so output order is deterministic.
-func (r *Registry) sortedNames() []string {
-	r.mu.Lock()
-	out := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	slices.Sort(out)
-	return out
+	return s
 }

@@ -1,9 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -48,77 +49,40 @@ func TestBucketExp(t *testing.T) {
 	}
 }
 
-// TestRegistryGetOrCreate: registering the same name and kind twice interns
-// to one metric; a kind collision or an invalid name panics.
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	a := r.NewCounter("x_total", "first help")
-	b := r.NewCounter("x_total", "ignored on re-registration")
-	if a != b {
-		t.Error("re-registering the same counter should return the same metric")
-	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Errorf("interned counter value = %d, want 1", b.Value())
-	}
-
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("kind collision", func() { r.NewGauge("x_total", "") })
-	mustPanic("empty name", func() { r.NewCounter("", "") })
-	mustPanic("leading digit", func() { r.NewCounter("1x", "") })
-	mustPanic("bad rune", func() { r.NewCounter("x-y", "") })
-}
-
-// TestSnapshotDeterministic: snapshots list metrics in sorted name order
-// regardless of registration order, so the JSON encoding is byte-identical
-// across registries holding the same data.
+// TestSnapshotDeterministic: merging snapshots keeps every kind in name
+// order, so merging the same snapshots in either order encodes to the same
+// JSON bytes.
 func TestSnapshotDeterministic(t *testing.T) {
-	build := func(order []string) *Registry {
-		r := NewRegistry()
-		for _, name := range order {
-			switch name {
-			case "c_one", "c_two":
-				r.NewCounter(name, "")
-			case "g_one":
-				r.NewGauge(name, "")
-			case "h_one":
-				r.NewHistogram(name, "")
-			}
+	var h Histogram
+	h.Observe(1.5)
+	h.Observe(100)
+	a := Snapshot{
+		Counters:   []CounterSnapshot{{Name: "c_two", Value: 7}},
+		Histograms: []HistogramSnapshot{h.Snapshot("h_one")},
+	}
+	b := Snapshot{
+		Counters: []CounterSnapshot{{Name: "c_one", Value: 3}},
+		Gauges:   []GaugeSnapshot{{Name: "g_one", Value: 0.25}},
+	}
+	encode := func(first, second Snapshot) string {
+		var s Snapshot
+		s.Merge(first)
+		s.Merge(second)
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.NewCounter("c_one", "").Add(3)
-		r.NewCounter("c_two", "").Add(7)
-		r.NewGauge("g_one", "").Set(0.25)
-		h := r.NewHistogram("h_one", "")
-		h.Observe(1.5)
-		h.Observe(100)
-		return r
+		return string(data)
 	}
-	var bufA, bufB strings.Builder
-	if err := build([]string{"h_one", "c_two", "g_one", "c_one"}).Snapshot().WriteJSON(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if err := build([]string{"c_one", "c_two", "g_one", "h_one"}).Snapshot().WriteJSON(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if bufA.String() != bufB.String() {
-		t.Errorf("snapshot JSON depends on registration order:\n%s%s", bufA.String(), bufB.String())
-	}
-	if !strings.HasSuffix(bufA.String(), "\n") || strings.Count(bufA.String(), "\n") != 1 {
-		t.Errorf("WriteJSON should emit exactly one line, got %q", bufA.String())
+	ab, ba := encode(a, b), encode(b, a)
+	if ab != ba {
+		t.Errorf("snapshot JSON depends on merge order:\n%s\n%s", ab, ba)
 	}
 	want := `{"counters":[{"name":"c_one","value":3},{"name":"c_two","value":7}],` +
 		`"gauges":[{"name":"g_one","value":0.25}],` +
-		`"histograms":[{"name":"h_one","count":2,"sum":101.5,"buckets":[{"exp":1,"count":1},{"exp":7,"count":1}]}]}` + "\n"
-	if bufA.String() != want {
-		t.Errorf("snapshot JSON:\n got %s want %s", bufA.String(), want)
+		`"histograms":[{"name":"h_one","count":2,"sum":101.5,"buckets":[{"exp":1,"count":1},{"exp":7,"count":1}]}]}`
+	if ab != want {
+		t.Errorf("snapshot JSON:\n got %s\nwant %s", ab, want)
 	}
 }
 
@@ -129,12 +93,11 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Error("empty histogram quantile should be NaN")
 	}
 
-	r := NewRegistry()
-	h := r.NewHistogram("h", "")
+	var h Histogram
 	for i := 0; i < 4; i++ {
 		h.Observe(3) // bucket exponent 2: (2, 4]
 	}
-	hs := r.Snapshot().Histograms[0]
+	hs := h.Snapshot("h")
 	if got := hs.Quantile(0); got != 2 {
 		t.Errorf("q=0 → %g, want lower bound 2", got)
 	}
@@ -146,7 +109,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	h.Observe(math.Ldexp(1, maxExp) * 4) // overflow bucket
-	hs = r.Snapshot().Histograms[0]
+	hs = h.Snapshot("h")
 	if got := hs.Quantile(1); got != math.Ldexp(1, maxExp) {
 		t.Errorf("overflow-bucket quantile = %g, want lower bound 2^maxExp", got)
 	}
@@ -155,105 +118,96 @@ func TestHistogramQuantile(t *testing.T) {
 // TestMerge: merging snapshots adds counters and histogram contents, sets
 // gauges, and creates missing metrics.
 func TestMerge(t *testing.T) {
-	runRegistry := func(counter uint64, gauge float64, obs []float64) Snapshot {
-		r := NewRegistry()
-		r.NewCounter("runs_total", "").Add(counter)
-		r.NewGauge("frac", "").Set(gauge)
-		h := r.NewHistogram("cost", "")
+	runSnapshot := func(counter uint64, gauge float64, obs []float64) Snapshot {
+		var h Histogram
 		for _, v := range obs {
 			h.Observe(v)
 		}
-		return r.Snapshot()
+		return Snapshot{
+			Counters:   []CounterSnapshot{{Name: "runs_total", Value: counter}},
+			Gauges:     []GaugeSnapshot{{Name: "frac", Value: gauge}},
+			Histograms: []HistogramSnapshot{h.Snapshot("cost")},
+		}
 	}
-	live := NewRegistry()
-	live.Merge(runRegistry(2, 0.5, []float64{1, 3}))
-	live.Merge(runRegistry(3, 0.75, []float64{3, 100}))
+	var live Snapshot
+	live.Merge(runSnapshot(2, 0.5, []float64{1, 3}))
+	live.Merge(runSnapshot(3, 0.75, []float64{3, 100}))
 
-	if got := live.NewCounter("runs_total", "").Value(); got != 5 {
-		t.Errorf("merged counter = %d, want 5", got)
+	if len(live.Counters) != 1 || live.Counters[0].Value != 5 {
+		t.Errorf("merged counters = %+v, want runs_total 5", live.Counters)
 	}
-	if got := live.NewGauge("frac", "").Value(); got != 0.75 {
-		t.Errorf("merged gauge = %g, want last-set 0.75", got)
+	if len(live.Gauges) != 1 || live.Gauges[0].Value != 0.75 {
+		t.Errorf("merged gauges = %+v, want frac at the last-merged 0.75", live.Gauges)
 	}
-	h := live.NewHistogram("cost", "")
-	if h.Count() != 4 || h.Sum() != 107 {
-		t.Errorf("merged histogram count=%d sum=%g, want 4 and 107", h.Count(), h.Sum())
+	if len(live.Histograms) != 1 {
+		t.Fatalf("merged histograms = %+v, want one", live.Histograms)
 	}
-	hs := live.Snapshot().Histograms[0]
-	var buckets uint64
-	for _, b := range hs.Buckets {
-		buckets += b.Count
+	hs := live.Histograms[0]
+	if hs.Count != 4 || hs.Sum != 107 {
+		t.Errorf("merged histogram count=%d sum=%g, want 4 and 107", hs.Count, hs.Sum)
 	}
-	if buckets != 4 {
-		t.Errorf("merged bucket counts sum to %d, want 4", buckets)
+	var direct Histogram
+	for _, v := range []float64{1, 3, 3, 100} {
+		direct.Observe(v)
+	}
+	if !reflect.DeepEqual(hs, direct.Snapshot("cost")) {
+		t.Errorf("merged histogram %+v, want the one observing every value %+v", hs, direct.Snapshot("cost"))
 	}
 }
 
 // TestWritePrometheus: the text exposition follows format 0.0.4 —
-// HELP/TYPE headers, cumulative le-labelled buckets, +Inf bucket, _sum and
-// _count series.
+// HELP lines from the package's table, TYPE headers, cumulative
+// le-labelled buckets, one +Inf bucket that includes the overflow, _sum
+// and _count series — with every metric in name order across kinds.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("sends_total", "messages sent").Add(9)
-	r.NewGauge("awake_frac", "").Set(0.5)
-	h := r.NewHistogram("cost_bits", "per-message bits")
+	var h Histogram
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(3)
+	h.Observe(math.Ldexp(1, maxExp+1)) // overflow bucket
+	s := Snapshot{
+		Counters:   []CounterSnapshot{{Name: MetricSends, Value: 9}},
+		Gauges:     []GaugeSnapshot{{Name: "awake_frac", Value: 0.5}},
+		Histograms: []HistogramSnapshot{h.Snapshot(MetricSendBits)},
+	}
 
 	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := s.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
 		`# TYPE awake_frac gauge`,
 		`awake_frac 0.5`,
-		`# HELP cost_bits per-message bits`,
-		`# TYPE cost_bits histogram`,
-		`cost_bits_bucket{le="1"} 1`,
-		`cost_bits_bucket{le="4"} 3`,
-		`cost_bits_bucket{le="+Inf"} 3`,
-		`cost_bits_sum 7`,
-		`cost_bits_count 3`,
-		`# HELP sends_total messages sent`,
-		`# TYPE sends_total counter`,
-		`sends_total 9`,
+		`# HELP sim_send_bits per-message payload size in bits`,
+		`# TYPE sim_send_bits histogram`,
+		`sim_send_bits_bucket{le="1"} 1`,
+		`sim_send_bits_bucket{le="4"} 3`,
+		`sim_send_bits_bucket{le="+Inf"} 4`,
+		`sim_send_bits_sum 2.199023255559e+12`,
+		`sim_send_bits_count 4`,
+		`# HELP sim_sends_total messages sent`,
+		`# TYPE sim_sends_total counter`,
+		`sim_sends_total 9`,
 	}, "\n") + "\n"
 	if buf.String() != want {
 		t.Errorf("Prometheus exposition:\n got:\n%s want:\n%s", buf.String(), want)
 	}
-}
 
-// TestConcurrentRecording: metrics are safe to record from many goroutines
-// (the sweep harness shares one live registry across workers). Run under
-// -race in CI.
-func TestConcurrentRecording(t *testing.T) {
-	r := NewRegistry()
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := r.NewCounter("ops_total", "")
-			h := r.NewHistogram("vals", "")
-			g := r.NewGauge("level", "")
-			for i := 0; i < per; i++ {
-				c.Inc()
-				h.Observe(float64(i%7) + 0.5)
-				g.Add(1)
-			}
-		}()
+	// Every metric the observer reports has HELP text.
+	obs := NewObserver(0).Snapshot()
+	var names []string
+	for _, c := range obs.Counters {
+		names = append(names, c.Name)
 	}
-	wg.Wait()
-	if got := r.NewCounter("ops_total", "").Value(); got != workers*per {
-		t.Errorf("counter = %d, want %d", got, workers*per)
+	for _, g := range obs.Gauges {
+		names = append(names, g.Name)
 	}
-	h := r.NewHistogram("vals", "")
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	for _, h := range obs.Histograms {
+		names = append(names, h.Name)
 	}
-	if got := r.NewGauge("level", "").Value(); got != workers*per {
-		t.Errorf("gauge = %g, want %d", got, workers*per)
+	for _, name := range append(names, MetricSweepRuns) {
+		if help[name] == "" {
+			t.Errorf("metric %s has no HELP text", name)
+		}
 	}
 }

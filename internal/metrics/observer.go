@@ -6,9 +6,8 @@ import (
 	"riseandshine/internal/sim"
 )
 
-// Metric names recorded by Observer. One run = one Observer on one
-// Registry; a sweep merges per-run snapshots into a shared live registry
-// under the same names.
+// Metric names. One run = one Observer; a sweep merges per-run snapshots
+// into one live Snapshot under the same names, beside its own run counter.
 const (
 	MetricWakesAdversarial = "sim_wakes_adversarial_total"
 	MetricWakesMessage     = "sim_wakes_message_total"
@@ -20,7 +19,23 @@ const (
 	MetricDeliveryTime     = "sim_delivery_time"
 	MetricAwakeFraction    = "sim_awake_fraction"
 	MetricInFlight         = "sim_inflight_messages"
+	MetricSweepRuns        = "sweep_runs_completed_total"
 )
+
+// help is the Prometheus HELP text of every metric name above.
+var help = map[string]string{
+	MetricWakesAdversarial: "nodes woken directly by the adversary",
+	MetricWakesMessage:     "nodes woken by receiving a message",
+	MetricSends:            "messages sent",
+	MetricDeliveries:       "messages delivered",
+	MetricMessageBits:      "total payload volume in bits",
+	MetricSendBits:         "per-message payload size in bits",
+	MetricWakeTime:         "engine time of each wake-up",
+	MetricDeliveryTime:     "engine time of each delivery",
+	MetricAwakeFraction:    "fraction of nodes awake",
+	MetricInFlight:         "messages sent but not yet delivered",
+	MetricSweepRuns:        "runs finished so far",
+}
 
 // FrontierPoint is one sample of the wake-up frontier: how much of the
 // network is awake and how many messages are in flight at engine time At.
@@ -30,23 +45,19 @@ type FrontierPoint struct {
 	InFlight  int      `json:"in_flight"`
 }
 
-// Observer records an engine's event stream into a Registry: event
-// counters, log-bucketed histograms of message sizes and event times, and
-// a frontier time series sampled once per unit of engine time (one τ, or
-// one round under the synchronous engine). The per-event cost is a few
-// atomic adds; the frontier appends amortize, so stacking an Observer
-// keeps a run within a small constant factor of the unobserved hot path
-// (see BenchmarkRunAsyncMetrics).
+// Observer records an engine's event stream: event counters, log-bucketed
+// histograms of message sizes and event times, and a frontier time series
+// sampled once per unit of engine time (one τ, or one round under the
+// synchronous engine). The per-event cost is a few integer adds; the
+// frontier appends amortize (see BenchmarkRunAsyncMetrics).
 //
 // Like every sim.Observer, it holds the state of one run and relies on the
-// engine serializing calls: build a fresh one for every run. Registries,
-// in contrast, are safe to share.
+// engine serializing calls: build a fresh one for every run.
 type Observer struct {
 	n int
 
-	wakesAdv, wakesMsg, sends, deliveries, bits *Counter
-	sendBits, wakeTimes, deliverTimes           *Histogram
-	awakeFrac, inFlight                         *Gauge
+	wakesAdv, wakesMsg, bits          uint64
+	sendBits, wakeTimes, deliverTimes Histogram // their counts are the send and delivery counters
 
 	awake    int
 	inflight int
@@ -56,21 +67,30 @@ type Observer struct {
 	frontier []FrontierPoint
 }
 
-// NewObserver registers the sim_* metrics on reg and returns an observer
-// for one run on an n-node network.
-func NewObserver(reg *Registry, n int) *Observer {
-	return &Observer{
-		n:            n,
-		wakesAdv:     reg.NewCounter(MetricWakesAdversarial, "nodes woken directly by the adversary"),
-		wakesMsg:     reg.NewCounter(MetricWakesMessage, "nodes woken by receiving a message"),
-		sends:        reg.NewCounter(MetricSends, "messages sent"),
-		deliveries:   reg.NewCounter(MetricDeliveries, "messages delivered"),
-		bits:         reg.NewCounter(MetricMessageBits, "total payload volume in bits"),
-		sendBits:     reg.NewHistogram(MetricSendBits, "per-message payload size in bits"),
-		wakeTimes:    reg.NewHistogram(MetricWakeTime, "engine time of each wake-up"),
-		deliverTimes: reg.NewHistogram(MetricDeliveryTime, "engine time of each delivery"),
-		awakeFrac:    reg.NewGauge(MetricAwakeFraction, "fraction of nodes awake"),
-		inFlight:     reg.NewGauge(MetricInFlight, "messages sent but not yet delivered"),
+// NewObserver returns an observer for one run on an n-node network.
+func NewObserver(n int) *Observer { return &Observer{n: n} }
+
+// Snapshot returns the run's metrics: the event counters, the awake
+// fraction and in-flight count as gauges, and the three histograms, each
+// list in name order as Merge and the deterministic JSON records expect.
+func (o *Observer) Snapshot() Snapshot {
+	return Snapshot{
+		Counters: []CounterSnapshot{
+			{MetricDeliveries, o.deliverTimes.count},
+			{MetricMessageBits, o.bits},
+			{MetricSends, o.sendBits.count},
+			{MetricWakesAdversarial, o.wakesAdv},
+			{MetricWakesMessage, o.wakesMsg},
+		},
+		Gauges: []GaugeSnapshot{
+			{MetricAwakeFraction, o.point(o.lastAt).AwakeFrac},
+			{MetricInFlight, float64(o.inflight)},
+		},
+		Histograms: []HistogramSnapshot{
+			o.deliverTimes.Snapshot(MetricDeliveryTime),
+			o.sendBits.Snapshot(MetricSendBits),
+			o.wakeTimes.Snapshot(MetricWakeTime),
+		},
 	}
 }
 
@@ -111,33 +131,28 @@ func (o *Observer) Frontier() []FrontierPoint { return o.frontier }
 // OnWake implements sim.Observer.
 func (o *Observer) OnWake(at sim.Time, node int, adversarial bool) {
 	if adversarial {
-		o.wakesAdv.Inc()
+		o.wakesAdv++
 	} else {
-		o.wakesMsg.Inc()
+		o.wakesMsg++
 	}
 	o.wakeTimes.Observe(float64(at))
 	o.awake++
-	o.awakeFrac.Set(o.point(at).AwakeFrac)
 	o.sample(at, true)
 }
 
 // OnDeliver implements sim.Observer.
 func (o *Observer) OnDeliver(at sim.Time, node int, d sim.Delivery) {
-	o.deliveries.Inc()
 	o.deliverTimes.Observe(float64(at))
 	o.inflight--
-	o.inFlight.Add(-1)
 	o.sample(at, false)
 }
 
 // OnSend implements sim.Observer.
 func (o *Observer) OnSend(at sim.Time, from, port int, m sim.Message) {
 	bits := m.Bits()
-	o.sends.Inc()
-	o.bits.Add(uint64(bits))
+	o.bits += uint64(bits)
 	o.sendBits.Observe(float64(bits))
 	o.inflight++
-	o.inFlight.Add(1)
 	o.sample(at, false)
 }
 

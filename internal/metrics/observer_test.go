@@ -1,9 +1,9 @@
 package metrics_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"riseandshine/internal/core"
@@ -12,12 +12,35 @@ import (
 	"riseandshine/internal/sim"
 )
 
+// counter returns the value of the named counter in s.
+func counter(t *testing.T, s metrics.Snapshot, name string) uint64 {
+	t.Helper()
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	t.Fatalf("snapshot has no counter %s", name)
+	return 0
+}
+
+// gauge returns the value of the named gauge in s.
+func gauge(t *testing.T, s metrics.Snapshot, name string) float64 {
+	t.Helper()
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	t.Fatalf("snapshot has no gauge %s", name)
+	return 0
+}
+
 // TestObserverMatchesResult: the metrics observer's counters agree with the
 // engine's own accounting on every axis both record.
 func TestObserverMatchesResult(t *testing.T) {
 	g := graph.RandomConnected(60, 0.08, rand.New(rand.NewSource(21)))
-	reg := metrics.NewRegistry()
-	obs := metrics.NewObserver(reg, g.N())
+	obs := metrics.NewObserver(g.N())
 	res, err := sim.RunAsync(sim.Config{
 		Graph: g,
 		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
@@ -31,7 +54,8 @@ func TestObserverMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	value := func(name string) uint64 { return reg.NewCounter(name, "").Value() }
+	snap := obs.Snapshot()
+	value := func(name string) uint64 { return counter(t, snap, name) }
 	adv, msg := value(metrics.MetricWakesAdversarial), value(metrics.MetricWakesMessage)
 	if int(adv+msg) != res.AwakeCount {
 		t.Errorf("observer wakes adv=%d msg=%d, Result.AwakeCount = %d", adv, msg, res.AwakeCount)
@@ -55,7 +79,6 @@ func TestObserverMatchesResult(t *testing.T) {
 		t.Errorf("observer bits = %d, Result.MessageBits = %d", value(metrics.MetricMessageBits), res.MessageBits)
 	}
 
-	snap := reg.Snapshot()
 	for _, h := range snap.Histograms {
 		switch h.Name {
 		case metrics.MetricSendBits:
@@ -78,8 +101,7 @@ func TestObserverMatchesResult(t *testing.T) {
 // flight, and the gauges agree with the final point.
 func TestObserverFrontier(t *testing.T) {
 	g := graph.Path(50)
-	reg := metrics.NewRegistry()
-	obs := metrics.NewObserver(reg, g.N())
+	obs := metrics.NewObserver(g.N())
 	if _, err := sim.RunAsync(sim.Config{
 		Graph:     g,
 		Model:     sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
@@ -107,10 +129,11 @@ func TestObserverFrontier(t *testing.T) {
 	if last.AwakeFrac != 1 || last.InFlight != 0 {
 		t.Errorf("final frontier point %+v, want fully awake with empty channels", last)
 	}
-	if got := reg.NewGauge(metrics.MetricAwakeFraction, "").Value(); got != 1 {
+	snap := obs.Snapshot()
+	if got := gauge(t, snap, metrics.MetricAwakeFraction); got != 1 {
 		t.Errorf("awake-fraction gauge = %g, want 1", got)
 	}
-	if got := reg.NewGauge(metrics.MetricInFlight, "").Value(); got != 0 {
+	if got := gauge(t, snap, metrics.MetricInFlight); got != 0 {
 		t.Errorf("in-flight gauge = %g, want 0", got)
 	}
 	// Sampling is bounded by the unit grid: a 50-node unit-delay path
@@ -126,8 +149,7 @@ func TestObserverFrontier(t *testing.T) {
 func TestObserverDeterministic(t *testing.T) {
 	run := func() (string, []metrics.FrontierPoint) {
 		g := graph.RandomConnected(40, 0.1, rand.New(rand.NewSource(31)))
-		reg := metrics.NewRegistry()
-		obs := metrics.NewObserver(reg, g.N())
+		obs := metrics.NewObserver(g.N())
 		if _, err := sim.RunAsync(sim.Config{
 			Graph: g,
 			Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
@@ -139,11 +161,11 @@ func TestObserverDeterministic(t *testing.T) {
 		}, core.Flood{}); err != nil {
 			t.Fatal(err)
 		}
-		var buf strings.Builder
-		if err := reg.Snapshot().WriteJSON(&buf); err != nil {
+		data, err := json.Marshal(obs.Snapshot())
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.String(), obs.Frontier()
+		return string(data), obs.Frontier()
 	}
 	jsonA, frontA := run()
 	jsonB, frontB := run()
@@ -159,8 +181,7 @@ func TestObserverDeterministic(t *testing.T) {
 // engine, where engine time is the round number.
 func TestObserverSyncEngine(t *testing.T) {
 	g := graph.Star(8)
-	reg := metrics.NewRegistry()
-	obs := metrics.NewObserver(reg, g.N())
+	obs := metrics.NewObserver(g.N())
 	res, err := sim.RunSync(sim.Config{
 		Graph:     g,
 		Model:     sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
@@ -170,10 +191,11 @@ func TestObserverSyncEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.NewCounter(metrics.MetricSends, "").Value(); int(got) != res.Messages {
+	snap := obs.Snapshot()
+	if got := counter(t, snap, metrics.MetricSends); int(got) != res.Messages {
 		t.Errorf("sync observer sends = %d, Result.Messages = %d", got, res.Messages)
 	}
-	if adv := reg.NewCounter(metrics.MetricWakesAdversarial, "").Value(); adv != 1 {
+	if adv := counter(t, snap, metrics.MetricWakesAdversarial); adv != 1 {
 		t.Errorf("sync observer adversarial wakes = %d, want 1", adv)
 	}
 	last := obs.Frontier()[len(obs.Frontier())-1]

@@ -37,10 +37,9 @@ type Config struct {
 	AdviceBits []int
 	// Setup, when non-nil, supplies a prebuilt harness Setup so sweeps can
 	// amortize the per-topology work (NodeInfo tables, CSR edge metadata)
-	// across runs. It must have been built from the same Graph, Ports,
-	// Model, and Advice as this Config; the run seed is taken from Seed
-	// (the Setup is reseeded via WithSeed), so one cached Setup serves an
-	// entire seed matrix.
+	// across runs. It must have been built from the same Graph, Ports and
+	// Model as this Config, and it replaces Advice and AdviceBits. A Setup
+	// holds no seed, so one cached Setup serves an entire seed matrix.
 	Setup *Setup
 	// MaxEvents overrides DefaultMaxEvents when positive. In a synchronous
 	// run it bounds the rounds after the first wake instead, which
@@ -132,8 +131,8 @@ func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
 // wake schedule — and validates the schedule's wake-ups, whose times must
 // lie below maxWake. Only then does it resolve the run's Setup, so a bad
 // schedule fails before anything is allocated: cfg.Setup is checked
-// against cfg and reseeded, or a new Setup is built. alg is the run's
-// Algorithm or SyncAlgorithm.
+// against cfg, or a new Setup is built. alg is the run's Algorithm or
+// SyncAlgorithm.
 func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, error) {
 	if cfg.Graph == nil {
 		return nil, nil, fmt.Errorf("sim: Graph is required")
@@ -149,7 +148,7 @@ func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, 
 		return nil, nil, err
 	}
 	if cfg.Setup == nil {
-		s, err := NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Seed, cfg.Advice, cfg.AdviceBits)
+		s, err := NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Advice, cfg.AdviceBits)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -165,7 +164,7 @@ func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, 
 	if cfg.Ports != nil && s.Ports != cfg.Ports {
 		return nil, nil, fmt.Errorf("sim: Setup was built for a different port map")
 	}
-	return s.WithSeed(cfg.Seed), wakeups, nil
+	return s, wakeups, nil
 }
 
 // finishRun is the last step of every run, in this order: the observer's

@@ -29,30 +29,6 @@ func TestReseedNodeMatchesNodeRand(t *testing.T) {
 	}
 }
 
-// TestSetupWithSeed checks the copy semantics behind cross-seed Setup
-// caching: same seed returns the receiver, a new seed returns a shallow
-// copy sharing the topology tables.
-func TestSetupWithSeed(t *testing.T) {
-	g := graph.Complete(6)
-	s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 5, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.WithSeed(5) != s {
-		t.Error("WithSeed with the same seed should return the receiver")
-	}
-	c := s.WithSeed(6)
-	if c == s {
-		t.Fatal("WithSeed with a new seed must copy")
-	}
-	if c.Seed != 6 || s.Seed != 5 {
-		t.Errorf("seeds after WithSeed: copy %d (want 6), original %d (want 5)", c.Seed, s.Seed)
-	}
-	if &c.EdgeStart[0] != &s.EdgeStart[0] || &c.Infos[0] != &s.Infos[0] {
-		t.Error("WithSeed should share the topology tables, not clone them")
-	}
-}
-
 // tieHeavyConfigs crosses far-future wake schedules (a gap and a window far
 // beyond τ) and a time-zero wake with each given delayer on three small
 // topologies. Unit delays make every delivery tie at integer times, so the
@@ -195,7 +171,8 @@ func TestEngineReuseAcrossShardCounts(t *testing.T) {
 }
 
 // TestSetupReuseByteIdentical checks the other reuse axis: one Setup built
-// once per topology and reseeded per run must match per-run NewSetup.
+// once per topology and shared by runs across seeds must match per-run
+// NewSetup.
 func TestSetupReuseByteIdentical(t *testing.T) {
 	setups := map[*graph.Graph]*Setup{}
 	eng := &Engine{}
@@ -207,8 +184,7 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 		}
 		s := setups[cfg.Graph]
 		if s == nil {
-			// Deliberately built with a seed no run uses: WithSeed must cover.
-			if s, err = NewSetup(cfg.Graph, nil, cfg.Model, -12345, nil, nil); err != nil {
+			if s, err = NewSetup(cfg.Graph, nil, cfg.Model, nil, nil); err != nil {
 				t.Fatalf("run %d setup: %v", i, err)
 			}
 			setups[cfg.Graph] = s
@@ -408,7 +384,7 @@ func checkAllocsFlat(t *testing.T, run func(*Engine, Config) (*Result, error)) {
 	t.Helper()
 	measure := func(n int) (allocs float64, messages int) {
 		g := graph.Complete(n)
-		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
+		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

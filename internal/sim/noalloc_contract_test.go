@@ -192,7 +192,7 @@ func TestReseedNodeZeroAllocs(t *testing.T) {
 // aborts the run — and stays unexercised here by sending valid sizes.)
 func TestAccountingSteadyStateZeroAllocs(t *testing.T) {
 	g := graph.Complete(4)
-	s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
+	s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

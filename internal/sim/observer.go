@@ -89,26 +89,56 @@ func (m multiObserver) OnFinish(res *Result) error {
 	return errors.Join(errs...)
 }
 
-// TraceObserver writes the CSV event trace (see the tracer documentation
-// in trace.go). Write errors are sticky and surface from OnFinish, so a
-// full disk fails the run instead of silently truncating the trace.
+// TraceObserver writes the CSV event trace. The stream starts with a
+// header line; each subsequent line is
+//
+//	time,kind,node,port,sender_port,from,bits,payload
+//
+// where kind is "wake", "wake-adversary" or "deliver". Payload is the
+// Go-syntax rendering of the message (quoted); wake events leave the
+// message fields empty. Tracing is intended for debugging and for feeding
+// external visualization; it does not affect the execution. Write errors
+// are sticky and surface from OnFinish, so a full disk fails the run
+// instead of silently truncating the trace.
 type TraceObserver struct {
-	t tracer
+	w     io.Writer
+	err   error
+	wrote bool // header written
 }
 
 // NewTraceObserver returns a trace observer writing to w.
 func NewTraceObserver(w io.Writer) *TraceObserver {
-	return &TraceObserver{t: tracer{w: w}}
+	return &TraceObserver{w: w}
+}
+
+// write appends one event line, after the header on the first call, and
+// does nothing once a write has failed.
+func (o *TraceObserver) write(format string, args ...any) {
+	if o.err != nil {
+		return
+	}
+	if !o.wrote {
+		o.wrote = true
+		if _, o.err = io.WriteString(o.w, "time,kind,node,port,sender_port,from,bits,payload\n"); o.err != nil {
+			return
+		}
+	}
+	_, o.err = fmt.Fprintf(o.w, format, args...)
 }
 
 // OnWake implements Observer.
 func (o *TraceObserver) OnWake(at Time, node int, adversarial bool) {
-	o.t.wake(at, node, adversarial)
+	kind := "wake"
+	if adversarial {
+		kind = "wake-adversary"
+	}
+	o.write("%g,%s,%d,,,,,\n", float64(at), kind, node)
 }
 
 // OnDeliver implements Observer.
 func (o *TraceObserver) OnDeliver(at Time, node int, d Delivery) {
-	o.t.deliver(at, node, d)
+	o.write("%g,deliver,%d,%d,%d,%d,%d,%q\n",
+		float64(at), node, d.Port, d.SenderPort, d.From, d.Msg.Bits(), fmt.Sprintf("%#v", d.Msg))
 }
 
 // OnSend implements Observer. Sends are not traced: the CSV format
@@ -118,8 +148,8 @@ func (o *TraceObserver) OnSend(Time, int, int, Message) {}
 
 // OnFinish implements Observer, reporting the first write error.
 func (o *TraceObserver) OnFinish(*Result) error {
-	if err := o.t.Err(); err != nil {
-		return fmt.Errorf("trace writer: %w", err)
+	if o.err != nil {
+		return fmt.Errorf("trace writer: %w", o.err)
 	}
 	return nil
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Setup is the shared pre-flight state of one execution: the validated
-// topology, the port mapping, the per-node static information, the CONGEST
-// limit, and the seed from which every node-private random stream derives.
-// Every run, asynchronous or synchronous, builds exactly one Setup and
-// routes node construction through it, so a node sees identical NodeInfo
-// and randomness in either timing model.
+// topology, the port mapping, the per-node static information and the
+// CONGEST limit. It holds nothing seed-dependent, so one Setup serves a
+// whole seed matrix. Every run, asynchronous or synchronous, resolves
+// exactly one Setup and routes node construction through it, so a node
+// sees identical NodeInfo in either timing model.
 type Setup struct {
 	// Graph is the network topology.
 	Graph *graph.Graph
@@ -19,8 +19,6 @@ type Setup struct {
 	Ports *graph.PortMap
 	// Model is the knowledge/bandwidth configuration.
 	Model Model
-	// Seed drives all node-private randomness via NodeRand.
-	Seed int64
 	// Infos[v] is the static information handed to node v's machine.
 	Infos []NodeInfo
 	// CongestLimit is the enforced per-message bit limit (0 = none).
@@ -47,7 +45,7 @@ type Setup struct {
 // NewSetup validates the common configuration surface and assembles the
 // shared per-node state. A nil ports argument selects the identity
 // mapping. Advice, when non-nil, must assign a bit string to every node.
-func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, seed int64, advice [][]byte, adviceBits []int) (*Setup, error) {
+func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, advice [][]byte, adviceBits []int) (*Setup, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sim: graph is required")
 	}
@@ -61,7 +59,6 @@ func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, seed int64, adv
 		Graph:        g,
 		Ports:        ports,
 		Model:        model,
-		Seed:         seed,
 		Infos:        make([]NodeInfo, g.N()),
 		CongestLimit: model.congestLimit(g.N()),
 	}
@@ -84,21 +81,6 @@ func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, seed int64, adv
 		}
 	}
 	return s, nil
-}
-
-// WithSeed returns a Setup for the same configuration under a different run
-// seed. All topology-derived state (Infos, port map, CSR edge metadata) is
-// shared with the receiver — only the seed of the node streams differs —
-// which is what lets sweeps cache one Setup per (graph, ports, model,
-// advice) and replay it across a seed matrix. Returns the receiver itself when the seed
-// already matches.
-func (s *Setup) WithSeed(seed int64) *Setup {
-	if seed == s.Seed {
-		return s
-	}
-	c := *s
-	c.Seed = seed
-	return &c
 }
 
 // edge returns the flat CSR index of node from's out-edge behind port. A

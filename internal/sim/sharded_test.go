@@ -328,7 +328,7 @@ func assertTraceFIFO(t *testing.T, trace string, messages int) {
 func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 	measure := func(n int) (allocs float64, messages int) {
 		g := graph.Complete(n)
-		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 1, nil, nil)
+		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestPartitionInvariants(t *testing.T) {
 		graph.RandomConnected(77, 0.08, newTestRand(5)),
 	}
 	for gi, g := range graphs {
-		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, 0, nil, nil)
+		s, err := NewSetup(g, nil, Model{Knowledge: KT0, Bandwidth: Local}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,8 +79,6 @@ func TestPreparedRunValidation(t *testing.T) {
 		{"algorithm", riseandshine.RunConfig{Graph: g, Algorithm: "cen"}},
 		{"options", riseandshine.RunConfig{Graph: g, Algorithm: "flood", Options: riseandshine.Options{K: 3}}},
 		{"ports", riseandshine.RunConfig{Graph: g, Algorithm: "flood", Ports: riseandshine.RandomPorts(g, 1)}},
-		{"model", riseandshine.RunConfig{Graph: g, Algorithm: "flood",
-			Model: riseandshine.Model{Knowledge: riseandshine.KT1, Bandwidth: riseandshine.Local}}},
 	} {
 		if _, err := p.Run(tc.cfg); err == nil {
 			t.Errorf("%s mismatch: expected an error", tc.name)

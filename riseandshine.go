@@ -25,7 +25,7 @@
 //	res, err := riseandshine.Run(riseandshine.RunConfig{
 //		Graph:     g,
 //		Algorithm: "cen",
-//		AwakeSet:  []int{0},
+//		Schedule:  riseandshine.WakeSingle(0),
 //		Seed:      1,
 //	})
 //
@@ -80,14 +80,13 @@ type (
 	CausalReport = sim.CausalReport
 	// CausalStep is one event on a reported critical path.
 	CausalStep = sim.CausalStep
-	// MetricsRegistry holds named counters, gauges, and histograms with
-	// Prometheus text and deterministic JSON expositions.
-	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry.
+	// MetricsSnapshot is a run's metrics — counters, gauges and
+	// histograms — with a deterministic JSON encoding and a Prometheus text
+	// exposition.
 	MetricsSnapshot = metrics.Snapshot
-	// MetricsObserver records an engine's event stream into a registry,
-	// including a frontier time series; install a fresh one per run via
-	// RunConfig.Observer.
+	// MetricsObserver records an engine's event stream into counters,
+	// histograms and a frontier time series, and returns them from
+	// Snapshot; install a fresh one per run via RunConfig.Observer.
 	MetricsObserver = metrics.Observer
 	// FrontierPoint is one sample of the wake-up frontier.
 	FrontierPoint = metrics.FrontierPoint
@@ -133,10 +132,8 @@ var (
 	StackObservers    = sim.StackObservers
 	// CombineDigests folds per-node transcript digests into one value.
 	CombineDigests = sim.CombineDigests
-	// NewMetricsRegistry returns an empty metrics registry.
-	NewMetricsRegistry = metrics.NewRegistry
-	// NewMetricsObserver registers the sim_* metrics on a registry and
-	// returns an observer for one run.
+	// NewMetricsObserver returns a metrics observer for one run on an
+	// n-node network.
 	NewMetricsObserver = metrics.NewObserver
 )
 

@@ -16,10 +16,8 @@ type RunConfig struct {
 	// Options carries per-algorithm parameters.
 	Options Options
 
-	// AwakeSet lists the node indices the adversary wakes at time zero.
-	// Leave nil to use Schedule instead; if both are nil, node 0 wakes.
-	AwakeSet []int
-	// Schedule overrides AwakeSet with an arbitrary adversarial schedule.
+	// Schedule is the adversary's wake schedule; nil wakes node 0 at time
+	// zero.
 	Schedule WakeScheduler
 	// Delays selects the delay adversary for asynchronous runs; nil means
 	// unit delays. Synchronous algorithms ignore it: every delay is one
@@ -31,9 +29,6 @@ type RunConfig struct {
 	Ports *PortMap
 	// Seed drives all node randomness.
 	Seed int64
-	// Model overrides the algorithm's default model when non-zero. The
-	// override may only strengthen knowledge or relax bandwidth.
-	Model Model
 	// Observer, when non-nil, receives the engine's event stream: stack
 	// NewTraceObserver, NewDigestObserver, NewMetricsObserver and others
 	// with StackObservers. An observer holds the state of one run, so give
@@ -69,8 +64,8 @@ type RunConfig struct {
 }
 
 // Prepared caches the seed-independent work of one configuration — the
-// resolved algorithm, its oracle's advice, and the validated harness Setup
-// with its CSR edge metadata — so a sweep can replay the configuration
+// resolved algorithm and the validated harness Setup, with its oracle's
+// advice and CSR edge metadata — so a sweep can replay the configuration
 // across a whole seed matrix paying the setup cost once. Per-run inputs
 // (seed, schedule, delays, observers) still come from the RunConfig given
 // to Run.
@@ -80,22 +75,19 @@ type RunConfig struct {
 // none). The underlying graph and port map must not be mutated (e.g. via
 // SwapPorts) while the Prepared is in use.
 type Prepared struct {
-	graph      *Graph
-	algorithm  string
-	options    Options
-	info       AlgorithmInfo
-	model      Model
-	ports      *PortMap
-	advice     [][]byte
-	adviceBits []int
-	setup      *sim.Setup
+	graph     *Graph
+	algorithm string
+	options   Options
+	info      AlgorithmInfo
+	ports     *PortMap
+	setup     *sim.Setup
 }
 
 // Prepare resolves and validates the seed-independent part of cfg: the
-// algorithm lookup, the model override, the port mapping, the oracle run
-// (advice is a deterministic function of graph and ports), and the harness
-// Setup. The per-run fields of cfg (seed, schedule, delays, observers) are
-// ignored here and supplied to Prepared.Run instead.
+// algorithm lookup, the port mapping, the oracle run (advice is a
+// deterministic function of graph and ports), and the harness Setup. The
+// per-run fields of cfg (seed, schedule, delays, observers) are ignored
+// here and supplied to Prepared.Run instead.
 func Prepare(cfg RunConfig) (*Prepared, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("riseandshine: RunConfig.Graph is required")
@@ -103,10 +95,6 @@ func Prepare(cfg RunConfig) (*Prepared, error) {
 	info, err := Lookup(cfg.Algorithm)
 	if err != nil {
 		return nil, err
-	}
-	model := info.Model
-	if cfg.Model != (Model{}) {
-		model = cfg.Model
 	}
 	ports := cfg.Ports
 	if ports == nil {
@@ -121,27 +109,24 @@ func Prepare(cfg RunConfig) (*Prepared, error) {
 			return nil, fmt.Errorf("riseandshine: oracle %s: %w", oracle.Name(), err)
 		}
 	}
-	setup, err := sim.NewSetup(cfg.Graph, ports, model, cfg.Seed, adviceBytes, adviceBits)
+	setup, err := sim.NewSetup(cfg.Graph, ports, info.Model, adviceBytes, adviceBits)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{
-		graph:      cfg.Graph,
-		algorithm:  cfg.Algorithm,
-		options:    cfg.Options,
-		info:       info,
-		model:      model,
-		ports:      ports,
-		advice:     adviceBytes,
-		adviceBits: adviceBits,
-		setup:      setup,
+		graph:     cfg.Graph,
+		algorithm: cfg.Algorithm,
+		options:   cfg.Options,
+		info:      info,
+		ports:     ports,
+		setup:     setup,
 	}, nil
 }
 
 // Run executes the prepared configuration once. The identifying fields of
-// cfg (Graph, Algorithm, Options, Ports, Model) must match the Prepare
-// call; everything per-run — Seed, AwakeSet/Schedule, Delays, observers,
-// Engine — is taken from cfg as in the package-level Run.
+// cfg (Graph, Algorithm, Options, Ports) must match the Prepare call;
+// everything per-run — Seed, Schedule, Delays, observers, Engine — is
+// taken from cfg as in the package-level Run.
 func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	if cfg.Graph != p.graph {
 		return nil, fmt.Errorf("riseandshine: Prepared was built for a different graph")
@@ -155,17 +140,10 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	if cfg.Ports != nil && cfg.Ports != p.ports {
 		return nil, fmt.Errorf("riseandshine: Prepared was built for a different port map")
 	}
-	if cfg.Model != (Model{}) && cfg.Model != p.model {
-		return nil, fmt.Errorf("riseandshine: Prepared was built for model %v, config wants %v", p.model, cfg.Model)
-	}
 
 	schedule := cfg.Schedule
 	if schedule == nil {
-		awake := cfg.AwakeSet
-		if len(awake) == 0 {
-			awake = []int{0}
-		}
-		schedule = WakeSet{Nodes: awake}
+		schedule = WakeSingle(0)
 	}
 
 	// The explicit nil check keeps a nil *ExecRecorder from becoming a
@@ -178,19 +156,17 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	simCfg := sim.Config{
 		Graph: p.graph,
 		Ports: p.ports,
-		Model: p.model,
+		Model: p.info.Model,
 		Adversary: sim.Adversary{
 			Schedule: schedule,
 			Delays:   cfg.Delays,
 		},
-		Seed:       cfg.Seed,
-		Advice:     p.advice,
-		AdviceBits: p.adviceBits,
-		Setup:      p.setup,
-		Observer:   cfg.Observer,
-		MemReport:  cfg.MemReport,
-		Shards:     cfg.Shards,
-		Tracer:     tracer,
+		Seed:      cfg.Seed,
+		Setup:     p.setup,
+		Observer:  cfg.Observer,
+		MemReport: cfg.MemReport,
+		Shards:    cfg.Shards,
+		Tracer:    tracer,
 	}
 	eng := cfg.Engine
 	if eng == nil {

@@ -95,8 +95,7 @@ func TestRunObserverStackPinned(t *testing.T) {
 		}
 		ports := riseandshine.RandomPorts(g, seed)
 		var trace bytes.Buffer
-		reg := riseandshine.NewMetricsRegistry()
-		mobs := riseandshine.NewMetricsObserver(reg, g.N())
+		mobs := riseandshine.NewMetricsObserver(g.N())
 		cobs := riseandshine.NewCausalObserver(g, ports)
 		res, err := riseandshine.Run(riseandshine.RunConfig{
 			Graph:     g,
@@ -116,7 +115,7 @@ func TestRunObserverStackPinned(t *testing.T) {
 		record, err := json.Marshal(struct {
 			Metrics  riseandshine.MetricsSnapshot `json:"metrics"`
 			Frontier []riseandshine.FrontierPoint `json:"frontier"`
-		}{reg.Snapshot(), mobs.Frontier()})
+		}{mobs.Snapshot(), mobs.Frontier()})
 		if err != nil {
 			t.Fatal(err)
 		}
