@@ -737,19 +737,28 @@ func BenchmarkRunner(b *testing.B) {
 }
 
 // BenchmarkSetup measures per-topology Setup construction — port maps,
-// CSR edge metadata, NodeInfo — including the million-node sparse case
-// the compact node RNG makes routine (PR-10): setup work is O(n + m)
-// with no per-node generator cost, since node randomness is seeded
-// lazily in O(1) on a node's first draw (BenchmarkReseedNode pins that
-// half).
+// CSR edge metadata and, under KT1, the flat neighbour-ID table —
+// including the million-node sparse case the compact node RNG makes
+// routine: setup work is O(n + m) with no per-node generator or NodeInfo
+// cost, since node randomness is seeded lazily in O(1) on a node's first
+// draw (BenchmarkReseedNode pins that half) and a node's NodeInfo is
+// built when it wakes. The kt1/ row adds the neighbour-ID table.
 func BenchmarkSetup(b *testing.B) {
-	for _, spec := range []string{"binary:16383", "gnp:5000:0.01", "binary:1000000"} {
-		g, err := experiment.ParseGraph(spec, 1)
+	for _, row := range []struct {
+		name, spec string
+		kt         sim.Knowledge
+	}{
+		{"binary:16383", "binary:16383", sim.KT0},
+		{"gnp:5000:0.01", "gnp:5000:0.01", sim.KT0},
+		{"binary:1000000", "binary:1000000", sim.KT0},
+		{"kt1/binary:1000000", "binary:1000000", sim.KT1},
+	} {
+		g, err := experiment.ParseGraph(row.spec, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		model := sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}
-		b.Run(spec, func(b *testing.B) {
+		model := sim.Model{Knowledge: row.kt, Bandwidth: sim.Congest}
+		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.NewSetup(g, nil, model, nil, nil); err != nil {

@@ -15,13 +15,17 @@
 // and its name with the -GOMAXPROCS suffix stripped; the suffix is
 // recorded as gomaxprocs (go test omits it at 1). The lines of one
 // benchmark — the samples of -count N — are aggregated: ns_per_op is the
-// median sample, with ns_per_op_min and ns_per_op_max as its spread, and
-// B/op, allocs/op and every custom metric (b.ReportMetric units such as
-// events/s, in the metrics map) are medians too. Lines that are not
-// benchmark results are ignored, so raw `go test` output can be piped in
-// unfiltered. With -baseline, each benchmark whose name is present in the
-// baseline file gains a baseline block and a speedup factor (old median
-// ns/op ÷ new median ns/op).
+// median sample, with ns_per_op_min and ns_per_op_max as its spread and
+// every sample in input order in ns_per_op_samples, and B/op, allocs/op
+// and every custom metric (b.ReportMetric units such as events/s, in the
+// metrics map) are medians too. Lines that are not benchmark results are
+// ignored, so raw `go test` output can be piped in unfiltered. With
+// -baseline, each benchmark whose name is present in the baseline file
+// gains a baseline block and a speedup factor (old median ns/op ÷ new
+// median ns/op) and, when both files carry ns/op samples, p_value: the
+// two-sided Mann–Whitney U test of the two sample sets (exact up to 20
+// samples in all, the normal approximation above). Artifacts written
+// before the samples were kept get no p-value.
 package main
 
 import (
@@ -43,18 +47,23 @@ type Benchmark struct {
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	// Samples is the number of result lines (-count); Iterations sums
 	// their b.N.
-	Samples     int                `json:"samples,omitempty"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	NsPerOpMin  float64            `json:"ns_per_op_min,omitempty"`
-	NsPerOpMax  float64            `json:"ns_per_op_max,omitempty"`
-	BytesPerOp  float64            `json:"b_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	Samples    int     `json:"samples,omitempty"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
+	// NsPerOpSamples is every sample's ns/op, in input order.
+	NsPerOpSamples []float64          `json:"ns_per_op_samples,omitempty"`
+	BytesPerOp     float64            `json:"b_per_op,omitempty"`
+	AllocsPerOp    float64            `json:"allocs_per_op,omitempty"`
+	Metrics        map[string]float64 `json:"metrics,omitempty"`
 
 	Baseline *Baseline `json:"baseline,omitempty"`
 	// Speedup is baseline ns/op divided by this run's ns/op (>1 is faster).
 	Speedup float64 `json:"speedup,omitempty"`
+	// PValue is the two-sided Mann–Whitney U test p-value of this run's
+	// ns/op samples against the baseline's; nil when either lacks samples.
+	PValue *float64 `json:"p_value,omitempty"`
 }
 
 // Baseline carries the comparison numbers of an earlier run.
@@ -153,6 +162,9 @@ func aggregate(pkg string, samples []result) Benchmark {
 	}
 	for _, unit := range units {
 		xs := byUnit[unit]
+		if unit == "ns/op" {
+			bm.NsPerOpSamples = append([]float64(nil), xs...)
+		}
 		switch m := median(xs); unit {
 		case "ns/op":
 			bm.NsPerOp, bm.NsPerOpMin, bm.NsPerOpMax = m, xs[0], xs[len(xs)-1]
@@ -249,6 +261,10 @@ func applyBaseline(rep *Report, baselinePath string) error {
 		}
 		if bm.NsPerOp > 0 {
 			bm.Speedup = prev.NsPerOp / bm.NsPerOp
+		}
+		if len(prev.NsPerOpSamples) > 0 && len(bm.NsPerOpSamples) > 0 {
+			p := mannWhitneyP(prev.NsPerOpSamples, bm.NsPerOpSamples)
+			bm.PValue = &p
 		}
 	}
 	return nil

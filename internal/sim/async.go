@@ -36,10 +36,11 @@ type Config struct {
 	Advice     [][]byte
 	AdviceBits []int
 	// Setup, when non-nil, supplies a prebuilt harness Setup so sweeps can
-	// amortize the per-topology work (NodeInfo tables, CSR edge metadata)
-	// across runs. It must have been built from the same Graph, Ports and
-	// Model as this Config, and it replaces Advice and AdviceBits. A Setup
-	// holds no seed, so one cached Setup serves an entire seed matrix.
+	// amortize the per-topology work (port map, CSR edge metadata, KT1
+	// neighbour IDs) across runs. It must have been built from the same
+	// Graph, Ports and Model as this Config, and it replaces Advice and
+	// AdviceBits. A Setup holds no seed, so one cached Setup serves an
+	// entire seed matrix.
 	Setup *Setup
 	// MaxEvents overrides DefaultMaxEvents when positive. In a synchronous
 	// run it bounds the rounds after the first wake instead, which

@@ -261,6 +261,35 @@ func TestConfigValidation(t *testing.T) {
 	}, alg); err == nil {
 		t.Error("expected error for advice length mismatch")
 	}
+	// Advice bit lengths: one per node, only beside advice, and each
+	// within [0, 8·len(advice[v])] — what advice.Reader can read.
+	oneByte := [][]byte{{1}, {2}, {3}}
+	for _, c := range []struct {
+		name   string
+		advice [][]byte
+		bits   []int
+		ok     bool
+	}{
+		{"valid", oneByte, []int{8, 0, 5}, true},
+		{"too few bit lengths", oneByte, []int{8, 8}, false},
+		{"too many bit lengths", oneByte, []int{8, 8, 8, 8}, false},
+		{"bit lengths without advice", nil, []int{8, 8, 8}, false},
+		{"negative bit length", oneByte, []int{8, -5, 8}, false},
+		{"more bits than bytes hold", oneByte, []int{8, 9, 8}, false},
+	} {
+		res, err := RunAsync(Config{
+			Graph:      graph.Path(3),
+			Adversary:  Adversary{Schedule: WakeSingle(0)},
+			Advice:     c.advice,
+			AdviceBits: c.bits,
+		}, alg)
+		if c.ok && (err != nil || res.AdviceTotalBits != 13 || res.AdviceMaxBits != 8) {
+			t.Errorf("%s: err=%v, result %+v; want a run with 13 advice bits, at most 8", c.name, err, res)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: expected an error, got advice total %d", c.name, res.AdviceTotalBits)
+		}
+	}
 }
 
 type badDelayer struct{ v float64 }

@@ -194,7 +194,7 @@ type coreCtx struct {
 var _ Context = (*coreCtx)(nil)
 
 //wakeup:noalloc
-func (c *coreCtx) Info() NodeInfo { return c.c.run.s.Infos[c.node] }
+func (c *coreCtx) Info() NodeInfo { return c.c.run.s.info(c.node) }
 
 //wakeup:noalloc
 func (c *coreCtx) Now() Time { return c.c.now }
@@ -288,14 +288,14 @@ func (c *engineCore) wake(v int, adversarial bool) {
 	c.ctx.node = v
 	if r.syncAlg != nil {
 		//lint:noalloc-ok one machine per node per run, charged to the algorithm's budget
-		m := r.syncAlg.NewMachine(r.s.Infos[v])
+		m := r.syncAlg.NewMachine(r.s.info(v))
 		r.machines[v] = m
 		//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
 		m.OnWake(&c.ctx)
 		return
 	}
 	//lint:noalloc-ok one machine per node per run, charged to the algorithm's budget
-	slot.machine = r.alg.NewMachine(r.s.Infos[v])
+	slot.machine = r.alg.NewMachine(r.s.info(v))
 	//lint:noalloc-ok handler allocations are the algorithm's budget, pinned by the steady-state zero-alloc tests
 	slot.machine.OnWake(&c.ctx)
 }
@@ -374,8 +374,11 @@ func (c *engineCore) send(from, port int, m Message) {
 			Msg:        m,
 			Port:       int(s.RevPort[ei]),
 			SenderPort: port,
-			From:       s.SenderIDs[from],
+			From:       -1,
 		},
+	}
+	if s.Model.Knowledge == KT1 {
+		ev.d.From = r.g.ID(from)
 	}
 	if c.staging {
 		c.stage(ev, r.part.EdgeShard[ei])

@@ -36,11 +36,13 @@ var (
 //
 // The report answers the practical 10⁶-node question — "what does one more
 // node or edge cost?": Nodes scales with n at a flat 48 bytes per node,
-// Queue with the in-flight event population, FIFO and CSR with the
-// directed edge count 2m, RNG with n at a flat 64 bytes per node (16 bytes
-// of PCG state plus the rand.Rand wrapper — see DESIGN.md "Node
+// Queue with the in-flight event population, FIFO with the directed edge
+// count 2m, CSR with 2m at 8 bytes per directed edge under KT0 and 16
+// under KT1 (plus 4 per node), RNG with n at a flat 64 bytes per node (16
+// bytes of PCG state plus the rand.Rand wrapper — see DESIGN.md "Node
 // randomness"; before the compact source this was ~4.8 KiB per woken node
-// and 96 % of a million-node run).
+// and 96 % of a million-node run). NodeInfo takes no table: a node's is
+// built when it wakes.
 type MemReport struct {
 	// QueueBytes is the event queues' backing storage, summed over every
 	// core the run used: the radix heap's chunk arena (24-byte keys in
@@ -61,8 +63,10 @@ type MemReport struct {
 	// its first ctx.Rand(), so for a program that never draws (flood) the
 	// pages stay untouched and do not count toward RSS.
 	RNGBytes int64
-	// CSRBytes covers the Setup's edge metadata: EdgeStart, EdgeTo,
-	// RevPort, and SenderIDs.
+	// CSRBytes covers what the Setup holds: the edge metadata EdgeStart,
+	// EdgeTo and RevPort (4 bytes per node plus 8 per directed edge) and,
+	// under KT1, the flat neighbour-ID table behind every node's
+	// NodeInfo.NeighborIDs (8 more bytes per directed edge).
 	CSRBytes int64
 	// NodeBytes covers the node records: 48 bytes per node holding the
 	// machine, the awake, adversary and seeded flags, the wake time, and
@@ -122,7 +126,7 @@ func (r *runShared) memReport(queueBytes int64) *MemReport {
 		FIFOBytes:  int64(cap(r.fifoLast))*8 + int64(cap(r.edgeSeq))*4,
 		RNGBytes:   int64(cap(r.rngs))*pcgBytes + int64(cap(r.rands))*randWrapBytes,
 		CSRBytes: int64(len(s.EdgeStart))*4 + int64(len(s.EdgeTo))*4 +
-			int64(len(s.RevPort))*4 + int64(len(s.SenderIDs))*8,
+			int64(len(s.RevPort))*4 + int64(len(s.neighborIDs))*8,
 		NodeBytes: int64(cap(r.nodes))*nodeSlotBytes + int64(cap(r.machines))*ifaceBytes +
 			int64(cap(r.inboxEnd))*4,
 	}

@@ -56,6 +56,28 @@ func TestMemReportPopulated(t *testing.T) {
 	}
 }
 
+// TestMemReportCSRBytes pins CSRBytes to what the Setup holds: 4 bytes
+// per node (plus one) of EdgeStart and 8 per directed edge of EdgeTo and
+// RevPort, plus 8 per directed edge of neighbour IDs under KT1. No
+// per-node NodeInfo or sender-ID table is counted, because none exists.
+func TestMemReportCSRBytes(t *testing.T) {
+	for _, c := range []struct {
+		kt      Knowledge
+		perEdge int64
+	}{{KT0, 8}, {KT1, 16}} {
+		cfg := memConfig(true)
+		cfg.Model.Knowledge = c.kt
+		res, err := RunAsync(cfg, floodAlg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, dir := int64(cfg.Graph.N()), 2*int64(cfg.Graph.M())
+		if want := 4*(n+1) + c.perEdge*dir; res.Mem.CSRBytes != want {
+			t.Errorf("%v: CSRBytes %d, want 4·(n+1) + %d·2m = %d", c.kt, res.Mem.CSRBytes, c.perEdge, want)
+		}
+	}
+}
+
 // TestMemReportSync: synchronous runs honour MemReport too, and their
 // report counts the round scratch — the machine table and inbox offsets
 // beside the node records, the round's arrivals and grouped inbox beside

@@ -152,7 +152,9 @@ type NodeInfo struct {
 	// Degree is the node's degree; ports are 1..Degree.
 	Degree int
 	// NeighborIDs[p-1] is the ID of the neighbor reached via port p. It is
-	// nil under KT0.
+	// nil under KT0. The slice is shared by every run of the Setup: a
+	// machine must not modify it (its capacity equals its length, so an
+	// append copies).
 	NeighborIDs []graph.NodeID
 	// Advice is the advice bit string assigned by the oracle (nil when the
 	// scheme uses no advice). AdviceBits is its exact length in bits.

@@ -13,9 +13,10 @@
 #
 # Both modes take 5 samples (-count 5) of every benchmark. The JSON is
 # produced by cmd/benchjson: per benchmark its package, GOMAXPROCS, the
-# median ns/op with the min and max sample, and median B/op, allocs/op and
-# custom metrics such as events/s. Set BASELINE=path.json to attach
-# baseline numbers and speedup factors from an earlier artifact.
+# median ns/op with the min and max sample and every sample, and median
+# B/op, allocs/op and custom metrics such as events/s. Set
+# BASELINE=path.json to attach baseline numbers, speedup factors and a
+# Mann–Whitney p-value per benchmark from an earlier artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
