@@ -104,6 +104,19 @@ func TestRunValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("expected unknown-algorithm error")
 	}
+	// A port map built for another graph is refused before the oracle or
+	// the engine reads it: cen's oracle numbers edges by port.
+	for _, alg := range []string{"flood", "cen"} {
+		for _, other := range []*riseandshine.Graph{riseandshine.Star(6), riseandshine.Cycle(3)} {
+			if _, err := riseandshine.Run(riseandshine.RunConfig{
+				Graph:     riseandshine.Path(3),
+				Algorithm: alg,
+				Ports:     riseandshine.RandomPorts(other, 1),
+			}); err == nil || !strings.Contains(err.Error(), "different graph") {
+				t.Errorf("%s with the ports of a %d-node graph: err = %v, want a different-graph error", alg, other.N(), err)
+			}
+		}
+	}
 }
 
 func TestGraphConstructorsExported(t *testing.T) {

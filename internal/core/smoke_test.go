@@ -113,8 +113,9 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 								Schedule: sched,
 								Delays:   delay,
 							},
-							Seed:     99,
-							Observer: sim.NewModelCheck(g, pm, tc.model),
+							Seed:       99,
+							TrackPorts: true,
+							Observer:   sim.NewModelCheck(g, pm, tc.model),
 						}
 						if tc.oracle != nil {
 							adv, bits, err := tc.oracle.Advise(g, pm)
@@ -157,11 +158,12 @@ func TestSyncAlgorithmsWakeEveryone(t *testing.T) {
 				name := gname + "/" + aname + "/" + sname
 				t.Run(name, func(t *testing.T) {
 					res, err := sim.RunSync(sim.Config{
-						Graph:     g,
-						Model:     tc.model,
-						Adversary: sim.Adversary{Schedule: sched},
-						Seed:      42,
-						Observer:  sim.NewModelCheck(g, nil, tc.model),
+						Graph:      g,
+						Model:      tc.model,
+						Adversary:  sim.Adversary{Schedule: sched},
+						Seed:       42,
+						TrackPorts: true,
+						Observer:   sim.NewModelCheck(g, nil, tc.model),
 					}, tc.alg)
 					if err != nil {
 						t.Fatalf("run: %v", err)

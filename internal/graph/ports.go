@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // PortMap realizes the KT0 port-numbering substrate (§1.1): each node v has
@@ -76,6 +77,13 @@ func (pm *PortMap) rebuildInverse(v int) {
 
 // Graph returns the underlying graph.
 func (pm *PortMap) Graph() *Graph { return pm.g }
+
+// Fits reports whether pm can number the ports of g: whether g has the
+// nodes and edges of the graph pm was built on. That graph and its
+// clones fit, whatever their IDs; a port map depends on the topology only.
+func (pm *PortMap) Fits(g *Graph) bool {
+	return pm.g == g || slices.Equal(pm.g.off, g.off) && slices.Equal(pm.g.nbr, g.nbr)
+}
 
 func (pm *PortMap) degree(v int) int { return int(pm.start[v+1] - pm.start[v]) }
 

@@ -53,7 +53,8 @@ type Config struct {
 	// Delayer without a positive Lookahead, or a partition that collapses
 	// to one shard run sequentially. Synchronous runs ignore it.
 	Shards int
-	// TrackPorts enables per-node distinct-port accounting (Result.PortsUsed).
+	// TrackPorts enables per-node distinct-port accounting (Result.PortsUsed),
+	// which the run derives from its per-edge message counts at finish.
 	TrackPorts bool
 	// MemReport publishes the run's peak scratch footprint by subsystem
 	// into Result.Mem. Off by default so Results stay comparable across
@@ -168,17 +169,20 @@ func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, 
 	return s, wakeups, nil
 }
 
-// finishRun is the last step of every run, in this order: the observer's
-// OnFinish, its error wrapped as "sim: …" and returned beside the Result;
-// the ExecFinish span from t2.
-func finishRun(acct *Accounting, obs Observer, tr ExecTracer, t2 int64) (*Result, error) {
-	res := acct.Result()
-	if obs != nil {
-		if err := obs.OnFinish(res); err != nil {
+// finishRun is the last step of every run on the engine's first p cores,
+// in this order: the memory report when cfg asks for one; cfg.Observer's
+// OnFinish, its error wrapped as "sim: …" and returned beside res; the
+// ExecFinish span from t2.
+func (e *Engine) finishRun(cfg Config, res *Result, p int, t2 int64) (*Result, error) {
+	if cfg.MemReport {
+		res.Mem = e.memReport(p)
+	}
+	if cfg.Observer != nil {
+		if err := cfg.Observer.OnFinish(res); err != nil {
 			return res, fmt.Errorf("sim: %w", err)
 		}
 	}
-	execPhase(tr, ExecFinish, t2, 0)
+	execPhase(cfg.Tracer, ExecFinish, t2, 0)
 	return res, nil
 }
 
@@ -220,19 +224,16 @@ func (e *Engine) Run(cfg Config, alg Algorithm) (*Result, error) {
 }
 
 // sequentialCore readies cores[0] to drive the whole node range of the
-// run the shared state was started for, with cfg's observer and tracer
-// and a fresh Accounting for the algorithm named algName.
-func (e *Engine) sequentialCore(cfg Config, algName string) *engineCore {
+// run the shared state was started for, with cfg's observer and tracer.
+func (e *Engine) sequentialCore(cfg Config) *engineCore {
 	if cfg.Tracer != nil {
 		cfg.Tracer.ExecBegin(1)
 	}
-	r := &e.run
 	if len(e.cores) == 0 {
 		e.cores = make([]engineCore, 1)
 	}
 	c := &e.cores[0]
-	c.reset(r, 0, 0, r.g.N())
-	c.acct = NewAccounting(r.s, algName, cfg.TrackPorts)
+	c.reset(&e.run)
 	c.obs = cfg.Observer
 	c.staging = false
 	c.recOn = false
@@ -242,7 +243,7 @@ func (e *Engine) sequentialCore(cfg Config, algName string) *engineCore {
 // runSequential drives the whole node range on cores[0].
 func (e *Engine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result, error) {
 	r := &e.run
-	c := e.sequentialCore(cfg, r.alg.Name())
+	c := e.sequentialCore(cfg)
 
 	// Wake events enter through push, which maintains the queue invariant
 	// on its own — there is no separate "heapify" step
@@ -253,18 +254,17 @@ func (e *Engine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result,
 	}
 
 	maxEvents := maxEventsFor(cfg, DefaultMaxEvents)
-	res := c.acct.Result()
 	t1 := execPhase(cfg.Tracer, ExecSetup, t0, 0)
 	for {
 		ev, _, ok := c.queue.popBefore(infTime)
 		if !ok {
 			break
 		}
-		if res.Events >= maxEvents {
+		if c.events >= maxEvents {
 			return nil, eventLimitErr(maxEvents, r.alg)
 		}
 		c.now = ev.at
-		res.Events++
+		c.events++
 		switch ev.kind {
 		case evWake:
 			c.wake(ev.node, true)
@@ -279,12 +279,9 @@ func (e *Engine) runSequential(cfg Config, wakeups []Wakeup, t0 int64) (*Result,
 	if c.now >= maxWake {
 		return nil, timeLimitErr(c.now)
 	}
-	t2 := execPhase(cfg.Tracer, ExecRun, t1, res.Events)
-	c.acct.finish(c.now, r.nodes)
-	if cfg.MemReport {
-		res.Mem = e.memReport(1)
-	}
-	return finishRun(c.acct, c.obs, cfg.Tracer, t2)
+	t2 := execPhase(cfg.Tracer, ExecRun, t1, c.events)
+	res := r.result(r.alg.Name(), e.cores[:1], c.now, firstWake(wakeups), cfg.TrackPorts)
+	return e.finishRun(cfg, res, 1, t2)
 }
 
 // eventLimitErr is the event-budget error, shared by both paths so they

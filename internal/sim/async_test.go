@@ -262,23 +262,32 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("expected error for advice length mismatch")
 	}
 	// Advice bit lengths: one per node, only beside advice, and each
-	// within [0, 8·len(advice[v])] — what advice.Reader can read.
+	// within [0, 8·len(advice[v])] — what advice.Reader can read. A port
+	// map must be built for the run's graph or a clone of it: another
+	// graph's map indexed past the path's edges, or silently ran the
+	// wrong topology.
 	oneByte := [][]byte{{1}, {2}, {3}}
+	path := graph.Path(3)
 	for _, c := range []struct {
 		name   string
 		advice [][]byte
 		bits   []int
+		ports  *graph.PortMap
 		ok     bool
 	}{
-		{"valid", oneByte, []int{8, 0, 5}, true},
-		{"too few bit lengths", oneByte, []int{8, 8}, false},
-		{"too many bit lengths", oneByte, []int{8, 8, 8, 8}, false},
-		{"bit lengths without advice", nil, []int{8, 8, 8}, false},
-		{"negative bit length", oneByte, []int{8, -5, 8}, false},
-		{"more bits than bytes hold", oneByte, []int{8, 9, 8}, false},
+		{"valid", oneByte, []int{8, 0, 5}, nil, true},
+		{"too few bit lengths", oneByte, []int{8, 8}, nil, false},
+		{"too many bit lengths", oneByte, []int{8, 8, 8, 8}, nil, false},
+		{"bit lengths without advice", nil, []int{8, 8, 8}, nil, false},
+		{"negative bit length", oneByte, []int{8, -5, 8}, nil, false},
+		{"more bits than bytes hold", oneByte, []int{8, 9, 8}, nil, false},
+		{"ports of a clone", oneByte, []int{8, 0, 5}, graph.IdentityPorts(path.Clone()), true},
+		{"ports of a larger graph", oneByte, []int{8, 0, 5}, graph.IdentityPorts(graph.Star(6)), false},
+		{"ports of another 3-node graph", oneByte, []int{8, 0, 5}, graph.IdentityPorts(graph.Cycle(3)), false},
 	} {
 		res, err := RunAsync(Config{
-			Graph:      graph.Path(3),
+			Graph:      path,
+			Ports:      c.ports,
 			Adversary:  Adversary{Schedule: WakeSingle(0)},
 			Advice:     c.advice,
 			AdviceBits: c.bits,
@@ -375,8 +384,8 @@ func TestSendToIDRequiresKT1(t *testing.T) {
 			Schedule: WakeSingle(0),
 		},
 	}, idSendAlgorithm{target: 200})
-	if err == nil || !strings.Contains(err.Error(), "KT1") {
-		t.Fatalf("expected KT1 error, got %v", err)
+	if want := "sim: SendToID requires KT1 (model is KT0)"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
@@ -425,8 +434,8 @@ func TestSendToIDRejectsNonNeighbor(t *testing.T) {
 			Schedule: WakeSingle(0),
 		},
 	}, idSendAlgorithm{target: 2}) // node 2 not adjacent to node 0
-	if err == nil || !strings.Contains(err.Error(), "no neighbor") {
-		t.Fatalf("expected non-neighbor error, got %v", err)
+	if want := "sim: node ID 0 has no neighbor with ID 2"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
@@ -550,11 +559,12 @@ func TestOutOfRangePortPanics(t *testing.T) {
 	}
 }
 
-// TestNodeSlotLayout pins the node record at 48 bytes, the size the
-// design and the memory report assume: four records span three cache
-// lines. int counters keep it there; a wider field would cost a line.
+// TestNodeSlotLayout pins the node record at 32 bytes, the size the
+// design and the memory report assume: two records share a cache line
+// and none straddles one. The message counts live on the edges (edgeSeq),
+// so a field added to the record would cost a line on every other node.
 func TestNodeSlotLayout(t *testing.T) {
-	if s := unsafe.Sizeof(nodeSlot{}); s != 48 || nodeSlotBytes != 48 {
-		t.Fatalf("nodeSlot is %d B (memory report %d B); want 48", s, nodeSlotBytes)
+	if s := unsafe.Sizeof(nodeSlot{}); s != 32 || nodeSlotBytes != 32 {
+		t.Fatalf("nodeSlot is %d B (memory report %d B); want 32", s, nodeSlotBytes)
 	}
 }

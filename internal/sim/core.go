@@ -18,7 +18,9 @@ import (
 // The split keeps every per-message code path — wake, send, the FIFO
 // clamp, CONGEST accounting — in exactly one place, so the paths cannot
 // drift: byte-identical Results are a structural property, pinned end to
-// end by the differential tests.
+// end by the differential tests. The core's own state is the run's only
+// ledger: result reads the Result off the node records, the per-edge
+// message counts and each core's send tallies.
 
 // runShared is the per-run state shared by every core of one engine:
 // the immutable run configuration plus the scratch arrays that cores
@@ -39,8 +41,12 @@ type runShared struct {
 	// addressed by port p lives at flat index EdgeStart[v]+p-1. A core only
 	// touches the slots of its own node range.
 	nodes    []nodeSlot
-	fifoLast []Time  // last scheduled delivery time (zero value never clamps: delivery times are > 0)
-	edgeSeq  []int32 // messages sent so far on the edge
+	fifoLast []Time // last scheduled delivery time (zero value never clamps: delivery times are > 0)
+	// edgeSeq[ei] counts the messages sent so far on the edge: the k the
+	// Delayer is keyed by, and at finish the run's message ledger, from
+	// which result derives Messages, SentBy, ReceivedBy and PortsUsed.
+	// Both are exact below 2³¹ messages per directed edge.
+	edgeSeq []int32
 
 	// Per-node randomness as flat SoA state: rngs[v] is node v's 16-byte
 	// PCG generator and rands[v] the *rand.Rand wrapper bound to &rngs[v].
@@ -68,15 +74,19 @@ type runShared struct {
 	inboxEnd []int32
 }
 
-// nodeSlot is one node's record: everything a wake or a delivery writes —
-// the machine, the awake, adversary and seeded flags, the wake time, and
-// the sent and received counts — in 48 bytes (TestNodeSlotLayout). At 10⁶
-// nodes a separate table per field cost one cache miss per table touched;
-// the record costs one, and the event queue loads it early (eventHeap.warm)
-// so even that one overlaps with its neighbours'.
+// nodeSlot is one node's record: everything a wake writes — the machine,
+// the wake time, and the awake, adversary and seeded flags — in 32 bytes
+// (TestNodeSlotLayout); a delivery only reads it. At 10⁶ nodes a separate
+// table per field cost one cache miss per table touched; the record costs
+// one, and the event queue loads it early (eventHeap.warm) so even that
+// one overlaps with its neighbours'. The zero value is a node that has not
+// woken.
 type nodeSlot struct {
 	machine Program
-	NodeTally
+	wakeAt  Time
+	awake   bool
+	adv     bool // woken directly by the adversary
+	seeded  bool // the node's generator was bound and seeded this run (coreCtx.Rand)
 }
 
 // start points the shared state at one run on s and resets the scratch
@@ -145,27 +155,33 @@ type stagedSend struct {
 	dest  uint8 // destination shard (Partition.EdgeShard)
 }
 
-// engineCore is one event loop over the contiguous node range [lo, hi).
+// engineCore is one event loop over a contiguous node range: all of it
+// in a sequential or synchronous run, one partition's in a sharded run.
 // A sequential run uses a single core with staging off; a sharded run uses
 // one per partition with staging on, in which case push never runs —
 // every send is staged and events enter the queue only through the inbox
 // at window starts, already carrying their barrier-assigned vseq.
 type engineCore struct {
 	run *runShared
-	id  int // shard index; 0 in sequential runs
-	lo  int // first owned node
-	hi  int // one past the last owned node
 
 	queue eventHeap
 
-	acct *Accounting
-	obs  Observer // direct observer; nil in sharded cores (recOn instead)
-	ctx  coreCtx  // the Context of every handler call on this core
+	obs Observer // direct observer; nil in sharded cores (recOn instead)
+	ctx coreCtx  // the Context of every handler call on this core
 
-	now   Time
-	round int   // Context.Round: the round of a synchronous run, else AsyncRound
-	seq   int64 // sequential push counter; unused when staging
-	err   error
+	now    Time
+	round  int   // Context.Round: the round of a synchronous run, else AsyncRound
+	seq    int64 // sequential push counter; unused when staging
+	err    error
+	events int // events processed by this core this run; rounds in a synchronous run
+
+	// The core's share of the run's tallies that edgeSeq cannot give back:
+	// nodes woken, and the bits, largest size and CONGEST violations of
+	// the messages sent. result sums them over the run's cores.
+	woken   int
+	bits    int64
+	maxBits int
+	congest int
 
 	// Sharded-mode state. curAt/curVseq are the key of the event being
 	// processed — the tag for staged children and observer records.
@@ -175,8 +191,6 @@ type engineCore struct {
 	curVseq int64
 	staged  []stagedSend
 	rec     []obsRecord
-	events  int  // events processed by this core this run
-	lastAt  Time // time of the last processed event
 	nextAt  Time // after a window: time of the first event ≥ windowEnd
 }
 
@@ -278,7 +292,10 @@ func (c *engineCore) wake(v int, adversarial bool) {
 	if slot.awake {
 		return
 	}
-	c.acct.Wake(&slot.NodeTally, c.now, adversarial)
+	slot.awake = true
+	slot.wakeAt = c.now
+	slot.adv = adversarial
+	c.woken++
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
 		c.obs.OnWake(c.now, v, adversarial)
@@ -309,7 +326,6 @@ func (c *engineCore) deliver(v int, d Delivery) {
 			return
 		}
 	}
-	c.acct.Deliver(&slot.NodeTally, v, d.Port)
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
 		c.obs.OnDeliver(c.now, v, d)
@@ -336,9 +352,16 @@ func (c *engineCore) send(from, port int, m Message) {
 	s := r.s
 	ei := s.edge(from, port)
 	to := int(s.EdgeTo[ei])
-	if err := c.acct.Send(&slot.NodeTally, from, port, m.Bits()); err != nil {
-		c.err = err
+	bits := m.Bits()
+	if bits < 0 {
+		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
+		c.err = fmt.Errorf("sim: message reports negative size %d bits", bits)
 		return
+	}
+	c.bits += int64(bits)
+	c.maxBits = max(c.maxBits, bits)
+	if s.CongestLimit > 0 && bits > s.CongestLimit {
+		c.congest++
 	}
 	if c.obs != nil {
 		//lint:noalloc-ok observers are opt-in diagnostics on their own allocation budget; the nil guard keeps the default path clean
@@ -404,24 +427,24 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 	c.send(from, r.s.Ports.PortTo(from, to), m)
 }
 
-// reset readies the core to run the node range [lo, hi) of run: per-run
-// counters and barrier buffers cleared, the queue emptied (its storage
-// kept) and pointed at the run's node records, which reset may have
-// reallocated, and the core's Context bound to this core. The caller sets
-// the run's accounting, observer, and staging mode.
-func (c *engineCore) reset(run *runShared, id, lo, hi int) {
+// reset readies the core for a run of run: per-run counters, tallies
+// and barrier buffers cleared, the queue emptied (its storage kept) and
+// pointed at the run's node records, which reset may have reallocated, and
+// the core's Context bound to this core. The caller sets the run's
+// observer and staging mode.
+func (c *engineCore) reset(run *runShared) {
 	c.run = run
-	c.id = id
-	c.lo = lo
-	c.hi = hi
 	c.now = 0
 	c.round = AsyncRound
 	c.seq = 0
 	c.err = nil
+	c.events = 0
+	c.woken = 0
+	c.bits = 0
+	c.maxBits = 0
+	c.congest = 0
 	c.curAt = 0
 	c.curVseq = 0
-	c.events = 0
-	c.lastAt = 0
 	c.nextAt = infTime
 	truncateStaged(c)
 	truncateRec(c)
@@ -456,7 +479,6 @@ func (c *engineCore) runWindow(inbox []event, windowEnd Time, budget int) {
 		c.curAt = ev.at
 		c.curVseq = ev.seq
 		c.events++
-		c.lastAt = ev.at
 		switch ev.kind {
 		case evWake:
 			c.wake(ev.node, true)

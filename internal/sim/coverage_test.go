@@ -119,8 +119,8 @@ func TestSyncSendToIDRequiresKT1(t *testing.T) {
 		Model:     Model{Knowledge: KT0, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSingle(1)}, // a leaf: NeighborIDs nil, but force a call
 	}, forcedIDAlg{})
-	if err == nil || !strings.Contains(err.Error(), "KT1") {
-		t.Fatalf("expected KT1 error, got %v", err)
+	if want := "sim: SendToID requires KT1 (model is KT0)"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 	_ = p
 }
@@ -145,8 +145,8 @@ func TestSyncSendToIDRejectsNonNeighbor(t *testing.T) {
 		Model:     Model{Knowledge: KT1, Bandwidth: Local},
 		Adversary: Adversary{Schedule: WakeSingle(0)},
 	}, forcedNonNeighborAlg{})
-	if err == nil || !strings.Contains(err.Error(), "no neighbor") {
-		t.Fatalf("expected non-neighbor error, got %v", err)
+	if want := "sim: node ID 0 has no neighbor with ID 2"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -308,7 +308,11 @@ func (h *eventHeap) warm(keys []queueKey) {
 		p := &h.slab[s/pageSlots][s%pageSlots]
 		x ^= p.kind
 		if v := int(p.node); uint(v) < uint(len(nodes)) {
-			x ^= uint8(nodes[v].received)
+			var b uint8 // set as below, it compiles to a byte load, not a branch
+			if nodes[v].awake {
+				b = 1
+			}
+			x ^= b
 		}
 	}
 	h.sink = x

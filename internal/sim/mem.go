@@ -35,7 +35,7 @@ var (
 // capacity planning needs.
 //
 // The report answers the practical 10⁶-node question — "what does one more
-// node or edge cost?": Nodes scales with n at a flat 48 bytes per node,
+// node or edge cost?": Nodes scales with n at a flat 32 bytes per node,
 // Queue with the in-flight event population, FIFO with the directed edge
 // count 2m, CSR with 2m at 8 bytes per directed edge under KT0 and 16
 // under KT1 (plus 4 per node), RNG with n at a flat 64 bytes per node (16
@@ -54,7 +54,7 @@ type MemReport struct {
 	// deliveries as popped and as grouped by receiver.
 	QueueBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
-	// sequence arrays.
+	// count arrays; the counts are also the run's message ledger.
 	FIFOBytes int64
 	// RNGBytes covers the per-node random generators: the flat PCG state
 	// array plus the rand.Rand wrapper array (grown to the engine's
@@ -68,14 +68,12 @@ type MemReport struct {
 	// under KT1, the flat neighbour-ID table behind every node's
 	// NodeInfo.NeighborIDs (8 more bytes per directed edge).
 	CSRBytes int64
-	// NodeBytes covers the node records: 48 bytes per node holding the
-	// machine, the awake, adversary and seeded flags, the wake time, and
-	// the sent and received counts. The counts used to sit in the Result
-	// arrays outside the report, so at 10⁶ nodes the figure rose from
-	// 31.5 MiB (awake flags, machine slots and a context table) to
-	// 45.8 MiB while the run's peak RSS fell. Once the engine has run a
-	// synchronous algorithm it also covers that run's machine table and
-	// inbox offsets, 20 more bytes per node.
+	// NodeBytes covers the node records: 32 bytes per node holding the
+	// machine, the wake time, and the awake, adversary and seeded flags
+	// (30.5 MiB at 10⁶ nodes). Message counts take no per-node space: the
+	// Result reads them off the per-edge counts FIFOBytes covers. Once the
+	// engine has run a synchronous algorithm it also covers that run's
+	// machine table and inbox offsets, 20 more bytes per node.
 	NodeBytes int64
 	// Shards is the number of partitions the run executed on; 0 means the
 	// run took the sequential path, in which case OutboxBytes is zero.

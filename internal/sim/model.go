@@ -204,7 +204,8 @@ type Context interface {
 	// Send transmits m over the given local port (1-based).
 	Send(port int, m Message)
 	// SendToID transmits m to the neighbor with the given ID. It is
-	// available only under KT1 and panics if id is not a neighbor.
+	// available only under KT1: under KT0, or when no neighbor has the
+	// ID, the engine sends nothing and fails the run with an error.
 	SendToID(id graph.NodeID, m Message)
 	// Broadcast transmits m over every incident edge.
 	Broadcast(m Message)

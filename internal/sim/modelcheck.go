@@ -20,7 +20,9 @@ import (
 //     its directed edge (FIFO), and its time t and that send's time s
 //     satisfy s < t ≤ s + 1 (τ = 1), with s + 1 the engines' own float sum;
 //   - at finish no message is in flight, and Messages, AwakeCount, SentBy
-//     and ReceivedBy equal the checker's own tallies.
+//     and ReceivedBy equal the checker's own tallies, as does PortsUsed
+//     (when the run tracks ports) with the distinct ports each node sent
+//     or received on.
 //
 // Payloads are compared through the %#v hash DigestObserver uses. The
 // first violation is kept and returned from OnFinish, which fails the run
@@ -38,6 +40,7 @@ type ModelCheck struct {
 	byMsg    []bool // woken by a message whose delivery is not yet seen
 	sent     []int
 	received []int
+	portUsed []bool // by out-edge: the node sent or received on the port
 	err      error
 }
 
@@ -55,16 +58,18 @@ func NewModelCheck(g *graph.Graph, pm *graph.PortMap, model Model) *ModelCheck {
 		pm = graph.IdentityPorts(g)
 	}
 	n := g.N()
+	edges := newEdgeFIFO[checkedSend](pm)
 	return &ModelCheck{
 		g:        g,
 		model:    model,
 		limit:    model.congestLimit(n),
-		edges:    newEdgeFIFO[checkedSend](pm),
+		edges:    edges,
 		awake:    make([]bool, n),
 		wakeAt:   make([]Time, n),
 		byMsg:    make([]bool, n),
 		sent:     make([]int, n),
 		received: make([]int, n),
+		portUsed: make([]bool, len(edges.to)),
 	}
 }
 
@@ -101,6 +106,7 @@ func (o *ModelCheck) OnSend(at Time, from, port int, m Message) {
 	default:
 		o.edges.push(e, checkedSend{at: at, hash: digestMessage(fnvOffset, m)})
 		o.sent[from]++
+		o.portUsed[e] = true
 	}
 }
 
@@ -143,6 +149,7 @@ func (o *ModelCheck) OnDeliver(at Time, node int, d Delivery) {
 		o.fail("message %d→%d sent at %v arrived at %v, outside (0, τ]", from, node, s.at, at)
 	default:
 		o.received[node]++
+		o.portUsed[o.edges.out(node, d.Port)] = true
 	}
 }
 
@@ -175,6 +182,24 @@ func (o *ModelCheck) OnFinish(res *Result) error {
 	if res.Messages != sent || res.AwakeCount != awake {
 		return fmt.Errorf("modelcheck: Result reports %d messages and %d awake, the event stream %d and %d",
 			res.Messages, res.AwakeCount, sent, awake)
+	}
+	if res.PortsUsed == nil {
+		return nil
+	}
+	if len(res.PortsUsed) != n {
+		return fmt.Errorf("modelcheck: Result has %d PortsUsed entries for %d nodes", len(res.PortsUsed), n)
+	}
+	start := o.edges.start
+	for v := 0; v < n; v++ {
+		used := 0
+		for _, u := range o.portUsed[start[v]:start[v+1]] {
+			if u {
+				used++
+			}
+		}
+		if res.PortsUsed[v] != used {
+			return fmt.Errorf("modelcheck: node %d used %d ports, Result says %d", v, used, res.PortsUsed[v])
+		}
 	}
 	return nil
 }

@@ -80,6 +80,90 @@ type Result struct {
 	Mem *MemReport `json:",omitempty"`
 }
 
+// result builds the Result of a drained run of the algorithm named alg
+// on the given cores from the run's ledger: the node records, the
+// per-edge message counts and the cores' tallies. end is the time of the
+// run's last event and first that of its first wake, from which Span and
+// WakeSpan are measured. A drained run has delivered every message it
+// sent, so node v sent the messages counted on its out-edges and received
+// those counted on the edges into it, and with trackPorts it used each
+// port whose edge carried a message in either direction. WakeAt is -1
+// for a node that never woke, and AwakeTime sums the awake durations in
+// node order.
+func (r *runShared) result(alg string, cores []engineCore, end, first Time, trackPorts bool) *Result {
+	s := r.s
+	n := r.g.N()
+	res := &Result{
+		Algorithm:       alg,
+		N:               n,
+		M:               r.g.M(),
+		Span:            end - first,
+		AdviceTotalBits: s.adviceTotalBits,
+		AdviceMaxBits:   s.adviceMaxBits,
+		WakeAt:          make([]Time, n),
+		AdversaryWoken:  make([]bool, n),
+		SentBy:          make([]int, n),
+		ReceivedBy:      make([]int, n),
+	}
+	for i := range cores {
+		c := &cores[i]
+		res.Events += c.events
+		res.AwakeCount += c.woken
+		res.MessageBits += c.bits
+		res.MaxMessageBits = max(res.MaxMessageBits, c.maxBits)
+		res.CongestViolations += c.congest
+	}
+	res.AllAwake = res.AwakeCount == n
+	lastWake := Time(0)
+	for v := range n {
+		slot := &r.nodes[v]
+		res.WakeAt[v] = -1
+		if slot.awake {
+			res.WakeAt[v] = slot.wakeAt
+			res.AwakeTime += float64(end - slot.wakeAt)
+			if slot.wakeAt > lastWake {
+				lastWake = slot.wakeAt
+			}
+		}
+		res.AdversaryWoken[v] = slot.adv
+		sent := 0
+		for ei := s.EdgeStart[v]; ei < s.EdgeStart[v+1]; ei++ {
+			k := int(r.edgeSeq[ei])
+			sent += k
+			res.ReceivedBy[s.EdgeTo[ei]] += k
+		}
+		res.SentBy[v] = sent
+		res.Messages += sent
+	}
+	res.WakeSpan = lastWake - first
+	if trackPorts {
+		res.PortsUsed = make([]int, n)
+		for v := range n {
+			for ei := s.EdgeStart[v]; ei < s.EdgeStart[v+1]; ei++ {
+				back := s.EdgeStart[s.EdgeTo[ei]] + s.RevPort[ei] - 1
+				if r.edgeSeq[ei] > 0 || r.edgeSeq[back] > 0 {
+					res.PortsUsed[v]++
+				}
+			}
+		}
+	}
+	return res
+}
+
+// firstWake returns the time of an asynchronous run's first wake: the
+// schedule's earliest time, taken from the first entry that has it, as
+// the queue pops equal times in schedule order. Its sign is kept, since
+// −0 is a legal wake time.
+func firstWake(wakeups []Wakeup) Time {
+	first := wakeups[0].At
+	for _, w := range wakeups[1:] {
+		if w.At < first {
+			first = w.At
+		}
+	}
+	return first
+}
+
 // AwakeSet returns the node indices woken directly by the adversary.
 func (r *Result) AwakeSet() []int {
 	var out []int

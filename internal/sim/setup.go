@@ -50,14 +50,18 @@ type Setup struct {
 }
 
 // NewSetup validates the common configuration surface and assembles the
-// shared state. A nil ports argument selects the identity mapping.
-// Advice, when non-nil, must assign a bit string to every node;
-// adviceBits, when non-nil, needs advice and gives each node's exact
-// length in bits, at most 8·len(advice[v]). Bad advice is an error before
-// anything is allocated.
+// shared state. A nil ports argument selects the identity mapping; a
+// given one must fit g (graph.PortMap.Fits). Advice, when non-nil, must
+// assign a bit string to every node; adviceBits, when non-nil, needs
+// advice and gives each node's exact length in bits, at most
+// 8·len(advice[v]). Bad ports or advice are an error before anything is
+// allocated.
 func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, advice [][]byte, adviceBits []int) (*Setup, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sim: graph is required")
+	}
+	if ports != nil && !ports.Fits(g) {
+		return nil, fmt.Errorf("sim: port map was built for a different graph")
 	}
 	n := g.N()
 	if advice != nil && len(advice) != n {

@@ -106,12 +106,9 @@ func (e *Engine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Re
 	}
 
 	obs := cfg.Observer
-	master := NewAccounting(r.s, alg.Name(), cfg.TrackPorts)
-
 	for i := 0; i < p; i++ {
 		c := &e.cores[i]
-		c.reset(r, i, int(part.Bounds[i]), int(part.Bounds[i+1]))
-		c.acct = master.shardView()
+		c.reset(r)
 		c.obs = nil
 		c.staging = true
 		c.recOn = obs != nil
@@ -265,22 +262,13 @@ func (e *Engine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Re
 
 	end := Time(0)
 	for i := range e.cores {
-		c := &e.cores[i]
-		if c.lastAt > end {
-			end = c.lastAt
-		}
-		master.absorb(c.acct)
+		end = max(end, e.cores[i].now)
 	}
 	if end >= maxWake {
 		return nil, timeLimitErr(end)
 	}
-	master.Result().Events = totalEvents
-	master.finish(end, r.nodes)
-	res := master.Result()
-	if cfg.MemReport {
-		res.Mem = e.memReport(p)
-	}
-	return finishRun(master, obs, tr, t2)
+	res := r.result(alg.Name(), e.cores, end, firstWake(wakeups), cfg.TrackPorts)
+	return e.finishRun(cfg, res, p, t2)
 }
 
 // minErrCore returns the erroring core whose failing event has the minimal

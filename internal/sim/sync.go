@@ -44,7 +44,7 @@ func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 	n := s.Graph.N()
 	r.machines = growClear(r.machines, n)
 	r.inboxEnd = growClear(r.inboxEnd, n)
-	c := e.sequentialCore(cfg, alg.Name())
+	c := e.sequentialCore(cfg)
 
 	// Wakes enter the queue before any message, sorted by (round, node), so
 	// each round's wakes pop first and in node order. The sort works on a
@@ -62,7 +62,6 @@ func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 	first := int(r.wakes[0].At)
 	maxRounds := maxEventsFor(cfg, DefaultMaxRounds)
 
-	res := c.acct.Result()
 	t1 := execPhase(cfg.Tracer, ExecSetup, t0, 0)
 	lastActive := first
 	for round := first; ; round++ {
@@ -73,7 +72,7 @@ func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 			return nil, fmt.Errorf("sim: round %d is at or above the engine's limit %v", round, maxWake)
 		}
 		c.now, c.round = Time(round), round
-		awake, seq := res.AwakeCount, c.seq
+		woken, seq := c.woken, c.seq
 		c.popRound(round)
 		c.deliverRound()
 		lo := int32(0)
@@ -92,8 +91,8 @@ func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		res.Events++
-		if res.AwakeCount != awake || len(r.arrivals) > 0 || c.seq != seq {
+		c.events++
+		if c.woken != woken || len(r.arrivals) > 0 || c.seq != seq {
 			lastActive = round
 		}
 		if c.queue.live == 0 && r.allQuiescent() {
@@ -101,13 +100,10 @@ func (e *Engine) RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 		}
 	}
 
-	t2 := execPhase(cfg.Tracer, ExecRun, t1, res.Events)
+	t2 := execPhase(cfg.Tracer, ExecRun, t1, c.events)
+	res := r.result(alg.Name(), e.cores[:1], Time(lastActive), Time(first), cfg.TrackPorts)
 	res.Rounds = lastActive - first
-	c.acct.finish(Time(lastActive), r.nodes)
-	if cfg.MemReport {
-		res.Mem = e.memReport(1)
-	}
-	return finishRun(c.acct, c.obs, cfg.Tracer, t2)
+	return e.finishRun(cfg, res, 1, t2)
 }
 
 // popRound takes the round's events off the queue, running each wake as it
@@ -131,7 +127,7 @@ func (c *engineCore) popRound(round int) {
 // deliverRound groups the round's arrivals by receiver with a stable
 // counting sort into run.inbox, where node v's messages end at inboxEnd[v]
 // and start where node v-1's end. Then each receiver, in node order, wakes
-// if asleep and is credited its messages.
+// if asleep and has its messages passed to the observer.
 func (c *engineCore) deliverRound() {
 	r := c.run
 	end := r.inboxEnd
@@ -156,11 +152,9 @@ func (c *engineCore) deliverRound() {
 		if hi == lo || c.err != nil {
 			continue
 		}
-		slot := &r.nodes[v]
 		c.wake(v, false)
-		for _, d := range r.inbox[lo:hi] {
-			c.acct.Deliver(&slot.NodeTally, v, d.Port)
-			if c.obs != nil {
+		if c.obs != nil {
+			for _, d := range r.inbox[lo:hi] {
 				c.obs.OnDeliver(c.now, v, d)
 			}
 		}

@@ -99,6 +99,10 @@ func Prepare(cfg RunConfig) (*Prepared, error) {
 	ports := cfg.Ports
 	if ports == nil {
 		ports = graph.IdentityPorts(cfg.Graph)
+	} else if !ports.Fits(cfg.Graph) {
+		// Checked here as well as in sim.NewSetup: the oracle reads the
+		// port map first.
+		return nil, fmt.Errorf("riseandshine: RunConfig.Ports was built for a different graph")
 	}
 	var adviceBytes [][]byte
 	var adviceBits []int
