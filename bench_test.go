@@ -461,11 +461,13 @@ func BenchmarkRunAsync(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAsyncLarge is the sequential 10⁶-node sparse case: flood
-// from one source over binary:1000000 with delays in [0.25, 1], on a reused
-// engine (warmed outside the timer) with a prebuilt Setup, the shape of the
-// benchmark module's flood-1e6 workload on one core. BenchmarkRunAsync's largest sparse graph,
-// binary:16383, fits in cache; here the node records (48 B per node) and
+// BenchmarkRunAsyncLarge is the 10⁶-node sparse case: flood from one
+// source over binary:1000000 with delays in [0.25, 1], on a reused engine
+// (warmed outside the timer) with a prebuilt Setup. The binary:1000000 row
+// runs it sequentially, the shape of the benchmark module's flood-1e6
+// workload on one core; the binary:1000000/shards:2 row runs it on two
+// shards, as flood-1e6 does. BenchmarkRunAsync's largest sparse graph,
+// binary:16383, fits in cache; here the node records (32 B per node) and
 // the edge tables do not, so it measures the memory traffic of wake and
 // deliver.
 func BenchmarkRunAsyncLarge(b *testing.B) {
@@ -479,7 +481,7 @@ func BenchmarkRunAsyncLarge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(eng *sim.Engine, i int) *sim.Result {
+	run := func(eng *sim.Engine, shards, i int) *sim.Result {
 		res, err := eng.Run(sim.Config{
 			Graph: g,
 			Model: model,
@@ -487,25 +489,31 @@ func BenchmarkRunAsyncLarge(b *testing.B) {
 				Schedule: sim.WakeSet{Nodes: []int{0}},
 				Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
 			},
-			Seed:  int64(i),
-			Setup: setup,
+			Seed:   int64(i),
+			Setup:  setup,
+			Shards: shards,
 		}, core.Flood{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return res
 	}
-	b.Run(spec, func(b *testing.B) {
-		b.ReportAllocs()
-		eng := &sim.Engine{}
-		run(eng, -1) // grows the engine scratch outside the timer
-		b.ResetTimer()
-		events := 0
-		for i := 0; i < b.N; i++ {
-			events += run(eng, i).Events
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-	})
+	for _, row := range []struct {
+		name   string
+		shards int
+	}{{spec, 0}, {spec + "/shards:2", 2}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			eng := &sim.Engine{}
+			run(eng, row.shards, -1) // grows the engine scratch outside the timer
+			b.ResetTimer()
+			events := 0
+			for i := 0; i < b.N; i++ {
+				events += run(eng, row.shards, i).Events
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
 }
 
 // BenchmarkRunAsyncExecTrace repeats two BenchmarkRunAsync workloads with

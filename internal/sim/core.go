@@ -429,9 +429,9 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 
 // reset readies the core for a run of run: per-run counters, tallies
 // and barrier buffers cleared, the queue emptied (its storage kept) and
-// pointed at the run's node records, which reset may have reallocated, and
-// the core's Context bound to this core. The caller sets the run's
-// observer and staging mode.
+// pointed at the tables of the run its look-ahead reads, which
+// runShared.reset may have reallocated, and the core's Context bound to
+// this core. The caller sets the run's observer and staging mode.
 func (c *engineCore) reset(run *runShared) {
 	c.run = run
 	c.now = 0
@@ -449,7 +449,17 @@ func (c *engineCore) reset(run *runShared) {
 	truncateStaged(c)
 	truncateRec(c)
 	c.queue.reset()
-	c.queue.nodes = run.nodes
+	c.queue.tables = engineTables{
+		nodes:     run.nodes,
+		edgeStart: run.s.EdgeStart,
+		edgeTo:    run.s.EdgeTo,
+		revPort:   run.s.RevPort,
+		edgeSeq:   run.edgeSeq,
+		fifoLast:  run.fifoLast,
+	}
+	if run.part != nil {
+		c.queue.tables.edgeShard = run.part.EdgeShard
+	}
 	c.ctx = coreCtx{c: c}
 }
 

@@ -61,11 +61,24 @@ type eventHeap struct {
 	slabLen   uint32
 	freeSlots []uint32
 
-	// nodes is the engine's node record table, which warm loads ahead of
-	// delivery. The engine points it at the current table on every run
-	// (engineCore.reset); a queue used on its own leaves it nil.
-	nodes []nodeSlot
-	sink  uint8 // see warm
+	// tables are the engine tables warm loads ahead of delivery. The
+	// engine points them at the current run's on every run
+	// (engineCore.reset); a queue used on its own leaves them empty.
+	tables engineTables
+	ahead  [chunkKeys]int32 // warm's scratch: what one pass hands the next
+	sink   uint8            // see warm
+}
+
+// engineTables are views of the engine tables that popping a key and
+// handling its event read: the node records and, for a node that wakes,
+// its CSR offsets and the state of its out-edge slots (see runShared).
+// edgeShard is nil in sequential and synchronous runs.
+type engineTables struct {
+	nodes                      []nodeSlot
+	edgeStart, edgeTo, revPort []int32
+	edgeSeq                    []int32
+	fifoLast                   []Time
+	edgeShard                  []uint8
 }
 
 const (
@@ -292,31 +305,91 @@ func (h *eventHeap) spread(b int) {
 	}
 }
 
-// warm reads the payload of every key in keys and the record of the node
-// it is addressed to. A bucket that fits in one chunk holds the next keys
-// to pop; their payloads lie scattered over the slab and their nodes'
-// records over the node table, and loading them together overlaps the
-// cache misses that pop and deliver would otherwise take one at a time.
-// A sharded core's queue holds only events for its own nodes, so the
-// record loads stay inside the core's node range. The loads feed h.sink so
-// the compiler keeps them.
+// warm is the queue's look-ahead. A bucket that fits in one chunk holds
+// the next keys to pop; their payloads lie scattered over the slab, and
+// their nodes' records and edges over the engine's tables. warm loads
+// every cache line that popping those keys and handling their events will
+// read, so that the misses overlap instead of stalling pop and the
+// handlers one at a time. It runs in passes ordered by dependency, each
+// writing what the next one needs into h.ahead, so no pass waits on a miss
+// of its own:
+//
+//  1. payloads: both lines of a payload that straddles two — pop reads msg
+//     at offset 0 and node and kind at 24 and 36, and in 3 of every 8
+//     slots msg starts on the line before them — keeping each key's node;
+//  2. records: each node's record, keeping the nodes still asleep, which
+//     the event wakes (Setup.info, NewMachine, OnWake);
+//  3. offsets: each sleeping node's EdgeStart entries, keeping the first
+//     out-edge slot of each node that has one;
+//  4. edge slots: that slot of EdgeTo, RevPort, edgeSeq, fifoLast and, in
+//     sharded runs, EdgeShard, which the wake's sends read.
+//
+// Passes 2 to 4 need the engine's tables, so a queue used on its own runs
+// pass 1 alone. They also run only on batches of at least warmTablesMin
+// keys: half of all spreads on a deep queue are of one-key buckets, a
+// small batch has few misses to overlap, and on small runs, whose tables
+// sit in cache, the passes are pure cost.
+//
+// The look-ahead writes only h.ahead and h.sink, which the loads feed so
+// the compiler keeps them. A sharded core's queue holds only events for
+// its own nodes, and a node's out-edge slots belong to the core that owns
+// the node, so every load stays in the core's own ranges of the shared
+// tables. Pass 3 drops a node without edges: its EdgeStart entry is the
+// next node's first slot, which may be another core's.
 func (h *eventHeap) warm(keys []queueKey) {
 	var x uint8
-	nodes := h.nodes
+	ahead := h.ahead[:len(keys)]
 	for i := range keys {
 		s := keys[i].slot
 		p := &h.slab[s/pageSlots][s%pageSlots]
-		x ^= p.kind
-		if v := int(p.node); uint(v) < uint(len(nodes)) {
-			var b uint8 // set as below, it compiles to a byte load, not a branch
-			if nodes[v].awake {
-				b = 1
-			}
-			x ^= b
+		var b uint8 // set as below, it compiles to a load and a flag, not a branch
+		if p.msg != nil {
+			b = 1
+		}
+		x ^= b ^ p.kind
+		ahead[i] = p.node
+	}
+	t := &h.tables
+	if len(keys) < warmTablesMin || t.nodes == nil {
+		h.sink = x
+		return
+	}
+
+	// Passes 2 and 3 keep an entry by writing it and advancing the count
+	// by a flag, not by branching on the value just loaded.
+	nodes, asleep := t.nodes, 0
+	for _, v := range ahead {
+		var b int
+		if !nodes[v].awake {
+			b = 1
+		}
+		ahead[asleep] = v
+		asleep += b
+	}
+	edgeStart, slots := t.edgeStart, 0
+	for _, v := range ahead[:asleep] {
+		first := edgeStart[v]
+		var b int
+		if first < edgeStart[v+1] {
+			b = 1
+		}
+		ahead[slots] = first
+		slots += b
+	}
+	edgeTo, revPort, edgeSeq, fifoLast, edgeShard := t.edgeTo, t.revPort, t.edgeSeq, t.fifoLast, t.edgeShard
+	for _, ei := range ahead[:slots] {
+		x ^= uint8(edgeTo[ei]) ^ uint8(revPort[ei]) ^ uint8(edgeSeq[ei]) ^
+			uint8(math.Float64bits(float64(fifoLast[ei])))
+		if edgeShard != nil {
+			x ^= edgeShard[ei]
 		}
 	}
 	h.sink = x
 }
+
+// warmTablesMin is the smallest batch for which warm reads the engine's
+// tables.
+const warmTablesMin = 16
 
 // add appends k to bucket b and folds it into the bucket's minimum.
 func (h *eventHeap) add(b int, k queueKey) {

@@ -260,9 +260,20 @@ func (e *Engine) runSharded(cfg Config, wakeups []Wakeup, W Time, t0 int64) (*Re
 
 	t2 := execPhase(tr, ExecRun, t1, totalEvents)
 
+	// The run ends at the event a sequential run pops last: the largest
+	// (at, vseq) key any core processed. Taking that core's now, not a
+	// max over the cores' times, keeps the sign of a −0 end.
 	end := Time(0)
+	var last *engineCore
 	for i := range e.cores {
-		end = max(end, e.cores[i].now)
+		c := &e.cores[i]
+		if c.events > 0 && (last == nil || c.curAt > last.curAt ||
+			c.curAt == last.curAt && c.curVseq > last.curVseq) {
+			last = c
+		}
+	}
+	if last != nil {
+		end = last.now
 	}
 	if end >= maxWake {
 		return nil, timeLimitErr(end)

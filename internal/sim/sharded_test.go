@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -420,6 +421,85 @@ func TestPartitionInvariants(t *testing.T) {
 						gi, p, ei, pt.EdgeShard[ei], pt.NodeShard[s.EdgeTo[ei]])
 				}
 			}
+		}
+	}
+}
+
+// TestShardedKeepsNegativeZeroSpan pins the end of a run whose last event
+// is a −0 wake: a sequential run ends at the time of the event it pops
+// last, whose sign Span keeps, so a sharded run must end at the same
+// event's time, not at the largest of its cores' times. On an edgeless
+// graph the wakes are the only events; the schedules put the −0 wake last
+// in pop order on the same shard as the +0 one and on another, and first.
+func TestShardedKeepsNegativeZeroSpan(t *testing.T) {
+	g, err := graph.NewBuilder(8).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := Time(math.Copysign(0, -1))
+	for _, sched := range []wakeList{
+		{{Node: 1, At: 0}, {Node: 0, At: negZero}},
+		{{Node: 7, At: 0}, {Node: 0, At: negZero}},
+		{{Node: 0, At: negZero}, {Node: 7, At: 0}},
+	} {
+		var want []byte
+		for _, p := range []int{0, 2, 3} {
+			res, err := RunAsync(withDigests(Config{
+				Graph:     g,
+				Model:     Model{Knowledge: KT0, Bandwidth: Local},
+				Adversary: Adversary{Schedule: sched, Delays: UnitDelay{}},
+				Shards:    p,
+			}), floodAlg{})
+			if err != nil {
+				t.Fatalf("schedule %v shards %d: %v", sched, p, err)
+			}
+			got := marshalDigested(t, res)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(want, got) {
+				t.Fatalf("schedule %v shards %d: Result diverged\nseq:     %s\nsharded: %s", sched, p, want, got)
+			}
+		}
+	}
+}
+
+// TestShardedLookaheadFlood runs the queue's look-ahead where its table
+// passes fire: the differential suites use graphs of at most 127 nodes,
+// whose buckets stay below warmTablesMin keys, while a single-source flood
+// on a 16383-node tree fills one-chunk buckets with hundreds of keys bound
+// for sleeping nodes. Each sharded core's look-ahead then reads records,
+// offsets and edge slots of the shared tables while the other cores write
+// theirs, so under the race detector this checks that those reads stay in
+// the core's own ranges; the Results, digests and model checks must match
+// the sequential run's byte for byte.
+func TestShardedLookaheadFlood(t *testing.T) {
+	cfg := Config{
+		Graph: graph.BinaryTree(16383),
+		Model: Model{Knowledge: KT0, Bandwidth: Local},
+		Adversary: Adversary{
+			Schedule: WakeSet{Nodes: []int{0}},
+			Delays:   RandomDelay{Seed: 9, Min: 0.25},
+		},
+		Seed: 4,
+	}
+	seq, err := RunAsync(withDigests(cfg), floodAlg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalDigested(t, seq)
+	for _, p := range []int{2, 4} {
+		cfg.Shards = p
+		cfg.MemReport = true
+		res, err := RunAsync(withDigests(cfg), floodAlg{})
+		if err != nil {
+			t.Fatalf("shards %d: %v", p, err)
+		}
+		if res.Mem == nil || res.Mem.Shards != p {
+			t.Fatalf("shards %d: expected a %d-shard parallel run, got Mem=%+v", p, p, res.Mem)
+		}
+		res.Mem = nil
+		if got := marshalDigested(t, res); !bytes.Equal(want, got) {
+			t.Fatalf("shards %d: Result diverged from sequential", p)
 		}
 	}
 }

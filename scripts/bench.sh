@@ -33,8 +33,10 @@ case "$mode" in
     # Diameter, Girth and GreedySpanner kernels; internal/sim contributes the
     # queue layer (BenchmarkEventQueue: hold model at 10^3/10^5/4*10^6
     # live events and a 4*10^6 burst-drain, 10^6+ events per op, so one
-    # op is a sample).
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDiameter|BenchmarkGirth|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    # op is a sample), and the delay adversary per delayer (BenchmarkDelay)
+    # and the node generator (BenchmarkPCG), 2^20 calls per op reported as
+    # ns/call.
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDelay|BenchmarkPCG|BenchmarkDiameter|BenchmarkGirth|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
     packages='. ./internal/graph ./internal/sim'
     benchtime='1x'
     ;;
