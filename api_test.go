@@ -1,6 +1,7 @@
 package riseandshine_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,15 @@ func TestRunValidation(t *testing.T) {
 				t.Errorf("%s with the ports of a %d-node graph: err = %v, want a different-graph error", alg, other.N(), err)
 			}
 		}
+	}
+	// A NaN option is refused by name: Prepared.Run's Options comparison
+	// could never match it.
+	if _, err := riseandshine.Run(riseandshine.RunConfig{
+		Graph:     riseandshine.Complete(8),
+		Algorithm: "fast-wakeup",
+		Options:   riseandshine.Options{RootProb: math.NaN()},
+	}); err == nil || !strings.Contains(err.Error(), "RootProb") {
+		t.Errorf("NaN RootProb: err = %v, want an error naming RootProb", err)
 	}
 }
 

@@ -30,6 +30,19 @@ import (
 	"riseandshine/internal/sim"
 )
 
+// setupOf is the Setup of g under m with identity ports and no advice.
+func setupOf(g *graph.Graph, m sim.Model) *sim.Setup { return mustSetup(g, nil, m, nil, nil) }
+
+// mustSetup is sim.NewSetup for inputs a benchmark knows to be valid; it
+// panics on an error.
+func mustSetup(g *graph.Graph, ports *graph.PortMap, m sim.Model, adv [][]byte, bits []int) *sim.Setup {
+	s, err := sim.NewSetup(g, ports, m, adv, bits)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // benchRun executes b.N runs of one configuration through the parallel
 // experiment Runner and reports metrics. Per-run seeds derive from the
 // (master seed, run index) pair, so the reported complexity metrics are
@@ -275,13 +288,10 @@ func BenchmarkAblation(b *testing.B) {
 				var msgs float64
 				for i := 0; i < b.N; i++ {
 					res, err := sim.RunAsync(sim.Config{
-						Graph: g,
-						Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-						Adversary: sim.Adversary{
-							Schedule: riseandshine.RandomWake{Count: 32, Seed: int64(i)},
-							Delays:   riseandshine.RandomDelay{Seed: int64(i)},
-						},
-						Seed: int64(i),
+						Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+						Schedule: riseandshine.RandomWake{Count: 32, Seed: int64(i)},
+						Delays:   riseandshine.RandomDelay{Seed: int64(i)},
+						Seed:     int64(i),
 					}, core.DFSRank{DisableRanks: disable})
 					if err != nil {
 						b.Fatal(err)
@@ -311,14 +321,8 @@ func BenchmarkAblation(b *testing.B) {
 				var span float64
 				for i := 0; i < b.N; i++ {
 					res, err := sim.RunAsync(sim.Config{
-						Graph: g,
-						Ports: ports,
-						Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-						Adversary: sim.Adversary{
-							Schedule: riseandshine.WakeSingle(0),
-						},
-						Advice:     adv,
-						AdviceBits: bits,
+						Setup:    mustSetup(g, ports, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}, adv, bits),
+						Schedule: riseandshine.WakeSingle(0),
 					}, core.CEN{})
 					if err != nil {
 						b.Fatal(err)
@@ -344,10 +348,9 @@ func BenchmarkAblation(b *testing.B) {
 				var msgs float64
 				for i := 0; i < b.N; i++ {
 					res, err := sim.RunSync(sim.Config{
-						Graph:     g,
-						Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-						Adversary: sim.Adversary{Schedule: riseandshine.WakeAll{}},
-						Seed:      int64(i),
+						Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+						Schedule: riseandshine.WakeAll{},
+						Seed:     int64(i),
 					}, core.FastWakeUp{RootProb: tc.prob})
 					if err != nil {
 						b.Fatal(err)
@@ -443,13 +446,10 @@ func BenchmarkRunAsync(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
 				res, err := sim.RunAsync(sim.Config{
-					Graph: g,
-					Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-					Adversary: sim.Adversary{
-						Schedule: sim.WakeAll{},
-						Delays:   sim.RandomDelay{Seed: int64(i)},
-					},
-					Seed: int64(i),
+					Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+					Schedule: sim.WakeAll{},
+					Delays:   sim.RandomDelay{Seed: int64(i)},
+					Seed:     int64(i),
 				}, core.Flood{})
 				if err != nil {
 					b.Fatal(err)
@@ -483,15 +483,11 @@ func BenchmarkRunAsyncLarge(b *testing.B) {
 	}
 	run := func(eng *sim.Engine, shards, i int) *sim.Result {
 		res, err := eng.Run(sim.Config{
-			Graph: g,
-			Model: model,
-			Adversary: sim.Adversary{
-				Schedule: sim.WakeSet{Nodes: []int{0}},
-				Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
-			},
-			Seed:   int64(i),
-			Setup:  setup,
-			Shards: shards,
+			Setup:    setup,
+			Schedule: sim.WakeSet{Nodes: []int{0}},
+			Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
+			Seed:     int64(i),
+			Shards:   shards,
 		}, core.Flood{})
 		if err != nil {
 			b.Fatal(err)
@@ -534,14 +530,11 @@ func BenchmarkRunAsyncExecTrace(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
 				res, err := sim.RunAsync(sim.Config{
-					Graph: g,
-					Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-					Adversary: sim.Adversary{
-						Schedule: sim.WakeAll{},
-						Delays:   sim.RandomDelay{Seed: int64(i)},
-					},
-					Seed:   int64(i),
-					Tracer: rec,
+					Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+					Schedule: sim.WakeAll{},
+					Delays:   sim.RandomDelay{Seed: int64(i)},
+					Seed:     int64(i),
+					Tracer:   rec,
 				}, core.Flood{})
 				if err != nil {
 					b.Fatal(err)
@@ -574,14 +567,10 @@ func BenchmarkRunAsyncReuse(b *testing.B) {
 		events := 0
 		for i := 0; i < b.N; i++ {
 			res, err := eng.Run(sim.Config{
-				Graph: g,
-				Model: model,
-				Adversary: sim.Adversary{
-					Schedule: sim.WakeAll{},
-					Delays:   sim.RandomDelay{Seed: int64(i)},
-				},
-				Seed:  int64(i),
-				Setup: setup,
+				Setup:    setup,
+				Schedule: sim.WakeAll{},
+				Delays:   sim.RandomDelay{Seed: int64(i)},
+				Seed:     int64(i),
 			}, core.Flood{})
 			if err != nil {
 				b.Fatal(err)
@@ -606,12 +595,9 @@ func BenchmarkRunAsyncMetrics(b *testing.B) {
 		events := 0
 		for i := 0; i < b.N; i++ {
 			res, err := sim.RunAsync(sim.Config{
-				Graph: g,
-				Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-				Adversary: sim.Adversary{
-					Schedule: sim.WakeAll{},
-					Delays:   sim.RandomDelay{Seed: int64(i)},
-				},
+				Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+				Schedule: sim.WakeAll{},
+				Delays:   sim.RandomDelay{Seed: int64(i)},
 				Seed:     int64(i),
 				Observer: riseandshine.NewMetricsObserver(g.N()),
 			}, core.Flood{})
@@ -650,15 +636,11 @@ func BenchmarkRunSharded(b *testing.B) {
 				events := 0
 				for i := 0; i < b.N; i++ {
 					res, err := eng.Run(sim.Config{
-						Graph: g,
-						Model: model,
-						Adversary: sim.Adversary{
-							Schedule: sim.WakeAll{},
-							Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
-						},
-						Seed:   int64(i),
-						Setup:  setup,
-						Shards: p,
+						Setup:    setup,
+						Schedule: sim.WakeAll{},
+						Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
+						Seed:     int64(i),
+						Shards:   p,
 					}, core.Flood{})
 					if err != nil {
 						b.Fatal(err)
@@ -695,16 +677,12 @@ func BenchmarkRunShardedExecTrace(b *testing.B) {
 			events := 0
 			for i := 0; i < b.N; i++ {
 				res, err := eng.Run(sim.Config{
-					Graph: g,
-					Model: model,
-					Adversary: sim.Adversary{
-						Schedule: sim.WakeAll{},
-						Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
-					},
-					Seed:   int64(i),
-					Setup:  setup,
-					Shards: p,
-					Tracer: rec,
+					Setup:    setup,
+					Schedule: sim.WakeAll{},
+					Delays:   sim.RandomDelay{Seed: int64(i), Min: 0.25},
+					Seed:     int64(i),
+					Shards:   p,
+					Tracer:   rec,
 				}, core.Flood{})
 				if err != nil {
 					b.Fatal(err)

@@ -19,13 +19,10 @@ func TestAblationDFSRanksMatter(t *testing.T) {
 	sched := sim.RandomWake{Count: 40, Seed: 2}
 	run := func(disable bool) int {
 		res, err := sim.RunAsync(sim.Config{
-			Graph: g,
-			Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sched,
-				Delays:   sim.RandomDelay{Seed: 3},
-			},
-			Seed: 4,
+			Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+			Schedule: sched,
+			Delays:   sim.RandomDelay{Seed: 3},
+			Seed:     4,
 		}, core.DFSRank{DisableRanks: disable})
 		if err != nil {
 			t.Fatal(err)
@@ -104,10 +101,9 @@ func TestAblationFastWakeUpSampling(t *testing.T) {
 	g := graph.RandomConnected(250, 0.25, rng)
 	run := func(prob float64) int {
 		res, err := sim.RunSync(sim.Config{
-			Graph:     g,
-			Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{Schedule: sim.WakeAll{}},
-			Seed:      8,
+			Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+			Schedule: sim.WakeAll{},
+			Seed:     8,
 		}, core.FastWakeUp{RootProb: prob})
 		if err != nil {
 			t.Fatal(err)

@@ -13,14 +13,10 @@ import (
 func runCongestDFS(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.Delayer, seed int64) *sim.Result {
 	t.Helper()
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Ports: graph.RandomPorts(g, rand.New(rand.NewSource(seed))),
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Seed: seed,
+		Setup:    mustSetup(g, graph.RandomPorts(g, rand.New(rand.NewSource(seed))), sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}, nil, nil),
+		Schedule: sched,
+		Delays:   delays,
+		Seed:     seed,
 	}, core.CongestDFS{})
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +83,9 @@ func TestCongestVsLocalDFSSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomConnected(400, 0.1, rng) // m ≈ 8000 » n
 	local, err := sim.RunAsync(sim.Config{
-		Graph:     g,
-		Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{Schedule: sim.WakeSingle(0)},
-		Seed:      6,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+		Schedule: sim.WakeSingle(0),
+		Seed:     6,
 	}, core.DFSRank{})
 	if err != nil {
 		t.Fatal(err)

@@ -24,13 +24,10 @@ func runCounting(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays s
 		},
 	}
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Seed: seed,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+		Schedule: sched,
+		Delays:   delays,
+		Seed:     seed,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)

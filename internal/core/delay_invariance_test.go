@@ -38,11 +38,11 @@ func runDFSRankUnderDelays(t *testing.T, g *graph.Graph, seed int64) []dfsRankRu
 		digests := sim.NewDigestObserver(true)
 		causal := sim.NewCausalObserver(g, nil)
 		res, err := sim.RunAsync(sim.Config{
-			Graph:     g,
-			Model:     model,
-			Adversary: sim.Adversary{Schedule: sim.WakeSingle(0), Delays: td.delay},
-			Seed:      seed,
-			Observer:  sim.StackObservers(digests, causal, sim.NewModelCheck(g, nil, model)),
+			Setup:    setupOf(g, model),
+			Schedule: sim.WakeSingle(0),
+			Delays:   td.delay,
+			Seed:     seed,
+			Observer: sim.StackObservers(digests, causal, sim.NewModelCheck(g, nil, model)),
 		}, core.DFSRank{})
 		if err != nil {
 			t.Fatalf("%s: %v", td.name, err)

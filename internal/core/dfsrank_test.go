@@ -13,13 +13,10 @@ import (
 func runDFS(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.Delayer, seed int64) *sim.Result {
 	t.Helper()
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Seed: seed,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+		Schedule: sched,
+		Delays:   delays,
+		Seed:     seed,
 	}, core.DFSRank{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +131,9 @@ func TestDFSRankBitsOverride(t *testing.T) {
 	g := graph.Cycle(20)
 	for _, bits := range []int{1, 8, 100} {
 		res, err := sim.RunAsync(sim.Config{
-			Graph: g,
-			Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sim.WakeAll{},
-			},
-			Seed: 5,
+			Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+			Schedule: sim.WakeAll{},
+			Seed:     5,
 		}, core.DFSRank{RankBits: bits})
 		if err != nil {
 			t.Fatalf("bits=%d: %v", bits, err)

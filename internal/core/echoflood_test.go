@@ -23,13 +23,10 @@ func runEcho(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.D
 		},
 	}
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Seed: seed,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+		Schedule: sched,
+		Delays:   delays,
+		Seed:     seed,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)

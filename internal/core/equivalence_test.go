@@ -52,29 +52,20 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			setup := mustSetup(g, pm, tc.model, adv, bits)
 			async, err := sim.RunAsync(sim.Config{
-				Graph: g,
-				Ports: pm,
-				Model: tc.model,
-				Adversary: sim.Adversary{
-					Schedule: sched,
-					Delays:   sim.UnitDelay{},
-				},
-				Seed:       9,
-				Advice:     adv,
-				AdviceBits: bits,
+				Setup:    setup,
+				Schedule: sched,
+				Delays:   sim.UnitDelay{},
+				Seed:     9,
 			}, tc.alg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			syncRes, err := sim.RunSync(sim.Config{
-				Graph:      g,
-				Ports:      pm,
-				Model:      tc.model,
-				Adversary:  sim.Adversary{Schedule: sched},
-				Seed:       9,
-				Advice:     adv,
-				AdviceBits: bits,
+				Setup:    setup,
+				Schedule: sched,
+				Seed:     9,
 			}, sim.AsSync(tc.alg))
 			if err != nil {
 				t.Fatal(err)

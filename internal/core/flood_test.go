@@ -12,12 +12,9 @@ import (
 func runFlood(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delays sim.Delayer) *sim.Result {
 	t.Helper()
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}),
+		Schedule: sched,
+		Delays:   delays,
 	}, core.Flood{})
 	if err != nil {
 		t.Fatal(err)

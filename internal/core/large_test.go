@@ -26,6 +26,7 @@ func TestFloodModelCheckedAtMillion(t *testing.T) {
 	g := graph.BinaryTree(1_000_000)
 	pm := graph.RandomPorts(g, rand.New(rand.NewSource(1)))
 	model := sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}
+	setup := mustSetup(g, pm, model, nil, nil)
 	for _, tc := range []struct {
 		name   string
 		delays sim.Delayer
@@ -36,10 +37,9 @@ func TestFloodModelCheckedAtMillion(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := sim.RunAsync(sim.Config{
-				Graph:      g,
-				Ports:      pm,
-				Model:      model,
-				Adversary:  sim.Adversary{Schedule: sim.WakeSingle(0), Delays: tc.delays},
+				Setup:      setup,
+				Schedule:   sim.WakeSingle(0),
+				Delays:     tc.delays,
 				Seed:       1,
 				Shards:     tc.shards,
 				TrackPorts: true,

@@ -23,13 +23,10 @@ func electionResult(t *testing.T, g *graph.Graph, sched sim.WakeScheduler, delay
 		},
 	}
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Seed: seed,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+		Schedule: sched,
+		Delays:   delays,
+		Seed:     seed,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)

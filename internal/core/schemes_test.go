@@ -21,15 +21,9 @@ func runScheme(t *testing.T, g *graph.Graph, pm *graph.PortMap, oracle advice.Or
 		t.Fatalf("oracle: %v", err)
 	}
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Ports: pm,
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   delays,
-		},
-		Advice:     adv,
-		AdviceBits: bits,
+		Setup:    mustSetup(g, pm, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Congest}, adv, bits),
+		Schedule: sched,
+		Delays:   delays,
 	}, alg)
 	if err != nil {
 		t.Fatal(err)

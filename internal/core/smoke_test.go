@@ -11,6 +11,19 @@ import (
 	"riseandshine/internal/sim"
 )
 
+// setupOf is the Setup of g under m with identity ports and no advice.
+func setupOf(g *graph.Graph, m sim.Model) *sim.Setup { return mustSetup(g, nil, m, nil, nil) }
+
+// mustSetup is sim.NewSetup for inputs a test knows to be valid; it panics
+// on an error.
+func mustSetup(g *graph.Graph, ports *graph.PortMap, m sim.Model, adv [][]byte, bits []int) *sim.Setup {
+	s, err := sim.NewSetup(g, ports, m, adv, bits)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // namedGraph pairs a test graph with its subtest name; tables are ordered
 // slices so that subtests enumerate in a fixed order on every run.
 type namedGraph struct {
@@ -105,26 +118,22 @@ func TestAsyncAlgorithmsWakeEveryone(t *testing.T) {
 					name := gname + "/" + aname + "/" + sname + "/" + dname
 					t.Run(name, func(t *testing.T) {
 						pm := graph.RandomPorts(g, rand.New(rand.NewSource(5)))
-						cfg := sim.Config{
-							Graph: g,
-							Ports: pm,
-							Model: tc.model,
-							Adversary: sim.Adversary{
-								Schedule: sched,
-								Delays:   delay,
-							},
+						var adv [][]byte
+						var bits []int
+						if tc.oracle != nil {
+							var err error
+							if adv, bits, err = tc.oracle.Advise(g, pm); err != nil {
+								t.Fatalf("oracle: %v", err)
+							}
+						}
+						res, err := sim.RunAsync(sim.Config{
+							Setup:      mustSetup(g, pm, tc.model, adv, bits),
+							Schedule:   sched,
+							Delays:     delay,
 							Seed:       99,
 							TrackPorts: true,
 							Observer:   sim.NewModelCheck(g, pm, tc.model),
-						}
-						if tc.oracle != nil {
-							adv, bits, err := tc.oracle.Advise(g, pm)
-							if err != nil {
-								t.Fatalf("oracle: %v", err)
-							}
-							cfg.Advice, cfg.AdviceBits = adv, bits
-						}
-						res, err := sim.RunAsync(cfg, tc.alg)
+						}, tc.alg)
 						if err != nil {
 							t.Fatalf("run: %v", err)
 						}
@@ -158,9 +167,8 @@ func TestSyncAlgorithmsWakeEveryone(t *testing.T) {
 				name := gname + "/" + aname + "/" + sname
 				t.Run(name, func(t *testing.T) {
 					res, err := sim.RunSync(sim.Config{
-						Graph:      g,
-						Model:      tc.model,
-						Adversary:  sim.Adversary{Schedule: sched},
+						Setup:      setupOf(g, tc.model),
+						Schedule:   sched,
 						Seed:       42,
 						TrackPorts: true,
 						Observer:   sim.NewModelCheck(g, nil, tc.model),
@@ -191,10 +199,9 @@ func TestFastWakeUpRhoAwkTime(t *testing.T) {
 			sched := sim.WakeSingle(0)
 			rho := g.AwakeDistance([]int{0})
 			res, err := sim.RunSync(sim.Config{
-				Graph:     g,
-				Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-				Adversary: sim.Adversary{Schedule: sched},
-				Seed:      7,
+				Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+				Schedule: sched,
+				Seed:     7,
 			}, core.FastWakeUp{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -221,13 +228,10 @@ func TestDFSRankMessageBound(t *testing.T) {
 		Seed:  13,
 	}
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{
-			Schedule: sched,
-			Delays:   sim.RandomDelay{Seed: 17},
-		},
-		Seed: 21,
+		Setup:    setupOf(g, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}),
+		Schedule: sched,
+		Delays:   sim.RandomDelay{Seed: 17},
+		Seed:     21,
 	}, core.DFSRank{})
 	if err != nil {
 		t.Fatalf("run: %v", err)

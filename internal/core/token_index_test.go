@@ -50,6 +50,10 @@ func (o *tokenIndexObserver) check(at sim.Time, node int, visited []graph.NodeID
 // rank-free ablation where every traversal runs to completion.
 func TestTokenIndexMatchesVisited(t *testing.T) {
 	g := graph.RandomConnected(120, 0.05, rand.New(rand.NewSource(5)))
+	setup, err := sim.NewSetup(g, nil, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	schedules := []struct {
 		name  string
 		sched sim.WakeScheduler
@@ -70,11 +74,11 @@ func TestTokenIndexMatchesVisited(t *testing.T) {
 			t.Run(s.name+"/"+a.name, func(t *testing.T) {
 				obs := &tokenIndexObserver{t: t}
 				res, err := sim.RunAsync(sim.Config{
-					Graph:     g,
-					Model:     sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-					Adversary: sim.Adversary{Schedule: s.sched, Delays: sim.RandomDelay{Seed: 7}},
-					Seed:      8,
-					Observer:  obs,
+					Setup:    setup,
+					Schedule: s.sched,
+					Delays:   sim.RandomDelay{Seed: 7},
+					Seed:     8,
+					Observer: obs,
 				}, a.alg)
 				if err != nil {
 					t.Fatal(err)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -216,10 +217,19 @@ func (r Runner) Run(specs []RunSpec) ([]RunResult, error) {
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiment: run %d (%s on %q): %w", i, specs[i].Algorithm, specs[i].Graph, err)
+			return nil, fmt.Errorf("experiment: run %d (%s on %s): %w", i, specs[i].Algorithm, graphName(specs[i]), err)
 		}
 	}
 	return results, nil
+}
+
+// graphName names spec's graph in an error: its quoted spec string, or the
+// size of a pre-built graph given without one.
+func graphName(spec RunSpec) string {
+	if spec.Graph == "" && spec.G != nil {
+		return fmt.Sprintf("n=%d m=%d", spec.G.N(), spec.G.M())
+	}
+	return strconv.Quote(spec.Graph)
 }
 
 // runOne executes a single cell; it is also the sequential path (a Runner

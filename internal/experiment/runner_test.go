@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
 )
 
@@ -143,6 +144,14 @@ func TestRunnerErrorIsDeterministic(t *testing.T) {
 	}
 	if msgs[0] != msgs[1] {
 		t.Errorf("error depends on worker count: %q vs %q", msgs[0], msgs[1])
+	}
+	if want := `experiment: run 1 (no-such-algorithm on "cycle:8"): `; !strings.HasPrefix(msgs[0], want) {
+		t.Errorf("error %q, want prefix %q", msgs[0], want)
+	}
+	// A pre-built graph without a spec string is named by its size.
+	_, err := Runner{Workers: 1}.Run([]RunSpec{{G: graph.Star(4), Algorithm: "no-such-algorithm"}})
+	if want := "experiment: run 0 (no-such-algorithm on n=4 m=3): "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("pre-built graph: err = %v, want prefix %q", err, want)
 	}
 }
 

@@ -92,15 +92,16 @@ func (WakeProbe) Bits() int { return 4 }
 // stall probability the paper's §1.3 argument predicts to be
 // 1 − 1/√(n·log n).
 func StallFraction(g *graph.Graph, wakeNode int, seeds []int64) (float64, error) {
+	setup, err := sim.NewSetup(g, nil, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}, nil, nil)
+	if err != nil {
+		return 0, err
+	}
 	stalls := 0
 	for _, seed := range seeds {
 		res, err := sim.RunAsync(sim.Config{
-			Graph: g,
-			Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sim.WakeSingle(wakeNode),
-			},
-			Seed: seed,
+			Setup:    setup,
+			Schedule: sim.WakeSingle(wakeNode),
+			Seed:     seed,
 		}, StarSampling{})
 		if err != nil {
 			return 0, err

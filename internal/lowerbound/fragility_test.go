@@ -48,15 +48,15 @@ func TestStarSamplingProceedsFromLowDegree(t *testing.T) {
 // adversarial single-wake — this is exactly the robustness the paper's
 // algorithms provide over the MST-style sampling.
 func TestDFSRankDoesNotStall(t *testing.T) {
-	g := graph.Star(400)
+	setup, err := sim.NewSetup(graph.Star(400), nil, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(0); seed < 5; seed++ {
 		res, err := sim.RunAsync(sim.Config{
-			Graph: g,
-			Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sim.WakeSingle(0),
-			},
-			Seed: seed,
+			Setup:    setup,
+			Schedule: sim.WakeSingle(0),
+			Seed:     seed,
 		}, core.DFSRank{})
 		if err != nil {
 			t.Fatal(err)

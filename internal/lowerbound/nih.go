@@ -27,25 +27,25 @@ type Report struct {
 // awake set, under the given model, delays and optional oracle, and
 // evaluates the NIH criterion.
 func Run(in *Instance, model sim.Model, alg sim.Algorithm, oracle advice.Oracle, delays sim.Delayer, seed int64) (*Report, error) {
-	cfg := sim.Config{
-		Graph: in.G,
-		Ports: in.Ports,
-		Model: model,
-		Adversary: sim.Adversary{
-			Schedule: sim.WakeSet{Nodes: in.Centers()},
-			Delays:   delays,
-		},
-		Seed:       seed,
-		TrackPorts: true,
-	}
+	var adv [][]byte
+	var bits []int
+	var err error
 	if oracle != nil {
-		adv, bits, err := oracle.Advise(in.G, in.Ports)
-		if err != nil {
+		if adv, bits, err = oracle.Advise(in.G, in.Ports); err != nil {
 			return nil, err
 		}
-		cfg.Advice, cfg.AdviceBits = adv, bits
 	}
-	res, err := sim.RunAsync(cfg, alg)
+	setup, err := sim.NewSetup(in.G, in.Ports, model, adv, bits)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.RunAsync(sim.Config{
+		Setup:      setup,
+		Schedule:   sim.WakeSet{Nodes: in.Centers()},
+		Delays:     delays,
+		Seed:       seed,
+		TrackPorts: true,
+	}, alg)
 	if err != nil {
 		return nil, err
 	}

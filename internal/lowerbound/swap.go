@@ -110,13 +110,13 @@ func SwapIndistinguishability(in *Instance) (*SwapReport, error) {
 	// Each run installs a fresh shared digest observer; the transcripts it
 	// publishes into Result.TranscriptDigests are the Lemma 5/6 "views".
 	run := func(g *graph.Graph) (*sim.Result, error) {
+		setup, err := sim.NewSetup(g, in.Ports, sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local}, nil, nil)
+		if err != nil {
+			return nil, err
+		}
 		return sim.RunAsync(sim.Config{
-			Graph: g,
-			Ports: in.Ports,
-			Model: sim.Model{Knowledge: sim.KT1, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sim.WakeSet{Nodes: in.Centers()},
-			},
+			Setup:    setup,
+			Schedule: sim.WakeSet{Nodes: in.Centers()},
 			Observer: sim.NewDigestObserver(false),
 		}, parityProbe{})
 	}

@@ -12,6 +12,15 @@ import (
 	"riseandshine/internal/sim"
 )
 
+// setupOf is the KT0 LOCAL Setup of g with identity ports and no advice.
+func setupOf(g *graph.Graph) *sim.Setup {
+	s, err := sim.NewSetup(g, nil, sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local}, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // counter returns the value of the named counter in s.
 func counter(t *testing.T, s metrics.Snapshot, name string) uint64 {
 	t.Helper()
@@ -42,12 +51,9 @@ func TestObserverMatchesResult(t *testing.T) {
 	g := graph.RandomConnected(60, 0.08, rand.New(rand.NewSource(21)))
 	obs := metrics.NewObserver(g.N())
 	res, err := sim.RunAsync(sim.Config{
-		Graph: g,
-		Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{
-			Schedule: sim.RandomWake{Count: 3, Seed: 22},
-			Delays:   sim.RandomDelay{Seed: 23},
-		},
+		Setup:    setupOf(g),
+		Schedule: sim.RandomWake{Count: 3, Seed: 22},
+		Delays:   sim.RandomDelay{Seed: 23},
 		Observer: obs,
 	}, core.Flood{})
 	if err != nil {
@@ -103,10 +109,9 @@ func TestObserverFrontier(t *testing.T) {
 	g := graph.Path(50)
 	obs := metrics.NewObserver(g.N())
 	if _, err := sim.RunAsync(sim.Config{
-		Graph:     g,
-		Model:     sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{Schedule: sim.WakeSingle(0)},
-		Observer:  obs,
+		Setup:    setupOf(g),
+		Schedule: sim.WakeSingle(0),
+		Observer: obs,
 	}, core.Flood{}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +156,9 @@ func TestObserverDeterministic(t *testing.T) {
 		g := graph.RandomConnected(40, 0.1, rand.New(rand.NewSource(31)))
 		obs := metrics.NewObserver(g.N())
 		if _, err := sim.RunAsync(sim.Config{
-			Graph: g,
-			Model: sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
-			Adversary: sim.Adversary{
-				Schedule: sim.RandomWake{Count: 2, Seed: 32},
-				Delays:   sim.RandomDelay{Seed: 33},
-			},
+			Setup:    setupOf(g),
+			Schedule: sim.RandomWake{Count: 2, Seed: 32},
+			Delays:   sim.RandomDelay{Seed: 33},
 			Observer: obs,
 		}, core.Flood{}); err != nil {
 			t.Fatal(err)
@@ -183,10 +185,9 @@ func TestObserverSyncEngine(t *testing.T) {
 	g := graph.Star(8)
 	obs := metrics.NewObserver(g.N())
 	res, err := sim.RunSync(sim.Config{
-		Graph:     g,
-		Model:     sim.Model{Knowledge: sim.KT0, Bandwidth: sim.Local},
-		Adversary: sim.Adversary{Schedule: sim.WakeSingle(1)}, // a leaf: wake center in round 1, leaves in round 2
-		Observer:  obs,
+		Setup:    setupOf(g),
+		Schedule: sim.WakeSingle(1), // a leaf: wake center in round 1, leaves in round 2
+		Observer: obs,
 	}, sim.AsSync(core.Flood{}))
 	if err != nil {
 		t.Fatal(err)

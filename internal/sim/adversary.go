@@ -49,12 +49,6 @@ type Lookahead interface {
 	Lookahead() float64
 }
 
-// Adversary couples a wake schedule with a delay strategy.
-type Adversary struct {
-	Schedule WakeScheduler
-	Delays   Delayer
-}
-
 // --- Wake schedules ---
 
 // WakeSet wakes a fixed set of node indices, all at the given time.
@@ -171,50 +165,28 @@ func (w StaggeredWake) Wakeups(g *graph.Graph) []Wakeup {
 // and Theorem 2's lower bound.
 type DominatingWake struct{}
 
-// Wakeups implements WakeScheduler.
+// Wakeups implements WakeScheduler. It visits the nodes in descending
+// degree order, ties by index, and wakes each one that no earlier pick
+// dominates.
 func (DominatingWake) Wakeups(g *graph.Graph) []Wakeup {
-	n := g.N()
-	dominated := make([]bool, n)
-	var out []Wakeup
-	// Greedy max-coverage by descending degree order, deterministic.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// simple counting sort by degree descending
 	maxDeg := g.MaxDegree()
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
+	byDegree := make([][]int, maxDeg+1)
+	for v := 0; v < g.N(); v++ {
 		d := g.Degree(v)
-		buckets[d] = append(buckets[d], v)
+		byDegree[d] = append(byDegree[d], v)
 	}
-	k := 0
+	dominated := make([]bool, g.N())
+	var out []Wakeup
 	for d := maxDeg; d >= 0; d-- {
-		for _, v := range buckets[d] {
-			order[k] = v
-			k++
-		}
-	}
-	for _, v := range order {
-		if dominated[v] {
-			continue
-		}
-		covers := false
-		if !dominated[v] {
-			covers = true
-		}
-		for _, w := range g.Neighbors(v) {
-			if !dominated[w] {
-				covers = true
+		for _, v := range byDegree[d] {
+			if dominated[v] {
+				continue
 			}
-		}
-		if !covers {
-			continue
-		}
-		out = append(out, Wakeup{Node: v})
-		dominated[v] = true
-		for _, w := range g.Neighbors(v) {
-			dominated[w] = true
+			out = append(out, Wakeup{Node: v})
+			dominated[v] = true
+			for _, w := range g.Neighbors(v) {
+				dominated[w] = true
+			}
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,76 @@ func TestDominatingWakeIsDominating(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceDominatingWake is DominatingWake.Wakeups as it stood before its
+// dead parts went: a coverage flag that was always true once dominated
+// nodes were skipped, and an identity fill of the order that the degree
+// buckets overwrote.
+func referenceDominatingWake(g *graph.Graph) []Wakeup {
+	n := g.N()
+	dominated := make([]bool, n)
+	var out []Wakeup
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	maxDeg := g.MaxDegree()
+	buckets := make([][]int, maxDeg+1)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		buckets[d] = append(buckets[d], v)
+	}
+	k := 0
+	for d := maxDeg; d >= 0; d-- {
+		for _, v := range buckets[d] {
+			order[k] = v
+			k++
+		}
+	}
+	for _, v := range order {
+		if dominated[v] {
+			continue
+		}
+		covers := false
+		if !dominated[v] {
+			covers = true
+		}
+		for _, w := range g.Neighbors(v) {
+			if !dominated[w] {
+				covers = true
+			}
+		}
+		if !covers {
+			continue
+		}
+		out = append(out, Wakeup{Node: v})
+		dominated[v] = true
+		for _, w := range g.Neighbors(v) {
+			dominated[w] = true
+		}
+	}
+	return out
+}
+
+// TestDominatingWakeMatchesReference compares DominatingWake's selection
+// with the reference on generated graphs of every density, trees and
+// disconnected graphs included: the same nodes in the same order.
+func TestDominatingWakeMatchesReference(t *testing.T) {
+	graphs := []*graph.Graph{graph.Path(1), graph.Star(9), graph.Grid(7, 5), graph.BinaryTree(63), graph.Complete(12)}
+	for seed := int64(0); seed < 20; seed++ {
+		n := 2 + int(seed)*7
+		graphs = append(graphs,
+			graph.RandomConnected(n, 0.05+float64(seed)/40, newTestRand(seed)),
+			graph.RandomGNP(n, 0.1, newTestRand(seed)),
+			graph.RandomTree(n, newTestRand(seed)))
+	}
+	for i, g := range graphs {
+		got, want := DominatingWake{}.Wakeups(g), referenceDominatingWake(g)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("graph %d (n=%d m=%d): selection %v, reference %v", i, g.N(), g.M(), got, want)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"riseandshine/internal/graph"
-)
+import "fmt"
 
 // DefaultMaxEvents caps the number of engine events processed in one run
 // unless overridden, guarding against non-terminating algorithms.
@@ -18,30 +14,18 @@ const maxWake Time = 1 << 53
 
 // Config describes one execution of the engine, in either timing model.
 type Config struct {
-	// Graph is the network topology (required).
-	Graph *graph.Graph
-	// Ports is the KT0 port mapping; nil selects the identity mapping.
-	Ports *graph.PortMap
-	// Model selects knowledge and bandwidth assumptions.
-	Model Model
-	// Adversary supplies the wake schedule (required) and delays
-	// (UnitDelay when nil). Synchronous runs fix every delay at one round
-	// and ignore Delays.
-	Adversary Adversary
+	// Setup is the network (required): the graph, its port map, the
+	// knowledge/bandwidth model and the oracle's advice, all fixed before
+	// the execution starts. Build it with NewSetup. It holds no seed, so one
+	// Setup serves an entire seed matrix.
+	Setup *Setup
+	// Schedule is the adversary's wake schedule (required).
+	Schedule WakeScheduler
+	// Delays is the adversary's delay strategy; nil means UnitDelay.
+	// Synchronous runs fix every delay at one round and ignore it.
+	Delays Delayer
 	// Seed drives all node-private randomness.
 	Seed int64
-	// Advice and AdviceBits carry the oracle's output; both nil when the
-	// scheme uses no advice. AdviceBits[v] is the exact bit length charged
-	// to node v.
-	Advice     [][]byte
-	AdviceBits []int
-	// Setup, when non-nil, supplies a prebuilt harness Setup so sweeps can
-	// amortize the per-topology work (port map, CSR edge metadata, KT1
-	// neighbour IDs) across runs. It must have been built from the same
-	// Graph, Ports and Model as this Config, and it replaces Advice and
-	// AdviceBits. A Setup holds no seed, so one cached Setup serves an
-	// entire seed matrix.
-	Setup *Setup
 	// MaxEvents overrides DefaultMaxEvents when positive. In a synchronous
 	// run it bounds the rounds after the first wake instead, which
 	// DefaultMaxRounds caps when it is unset.
@@ -94,8 +78,8 @@ type event struct {
 // clamp and sequence arrays, the synchronous machine table and inboxes —
 // on first use and thereafter resets it in place rather than reallocating,
 // so repeated runs (a seed sweep over a fixed topology) allocate nothing
-// per delivered message in steady state. Combined with Config.Setup the
-// per-run cost drops to the Result being assembled.
+// per delivered message in steady state. With one Setup shared across the
+// runs the per-run cost drops to the Result being assembled.
 //
 // A sequential or synchronous run is one engineCore spanning the whole
 // node range; a sharded run (Config.Shards) drives one core per partition
@@ -113,13 +97,11 @@ type Engine struct {
 	inboxes [][]event
 	cursors []int // k-way merge cursors, reused across barriers
 
-	// Partition cache: the partition depends only on the topology (the CSR
-	// arrays) and P, so it is keyed by the stable backing array of a cached
-	// Setup and survives whole seed sweeps.
-	partKey *int32
-	partN   int
-	partP   int
-	part    *Partition
+	// Partition cache: the partition depends only on the Setup (graph and
+	// port map) and P, so a cached Setup keeps it across whole seed sweeps.
+	partSetup *Setup
+	partP     int
+	part      *Partition
 }
 
 // RunAsync executes alg on the configured network until the event queues
@@ -129,42 +111,24 @@ func RunAsync(cfg Config, alg Algorithm) (*Result, error) {
 	return new(Engine).Run(cfg, alg)
 }
 
-// setupForRun checks what every run needs — a graph, an algorithm and a
-// wake schedule — and validates the schedule's wake-ups, whose times must
-// lie below maxWake. Only then does it resolve the run's Setup, so a bad
-// schedule fails before anything is allocated: cfg.Setup is checked
-// against cfg, or a new Setup is built. alg is the run's Algorithm or
-// SyncAlgorithm.
+// setupForRun checks what every run needs — a Setup, an algorithm and a
+// wake schedule — and validates the schedule's wake-ups against the
+// Setup's graph: each must name a node and lie below maxWake. alg is the
+// run's Algorithm or SyncAlgorithm.
 func setupForRun(cfg Config, alg interface{ Name() string }) (*Setup, []Wakeup, error) {
-	if cfg.Graph == nil {
-		return nil, nil, fmt.Errorf("sim: Graph is required")
+	s := cfg.Setup
+	if s == nil {
+		return nil, nil, fmt.Errorf("sim: Setup is required")
 	}
 	if alg == nil {
 		return nil, nil, fmt.Errorf("sim: algorithm is required")
 	}
-	if cfg.Adversary.Schedule == nil {
+	if cfg.Schedule == nil {
 		return nil, nil, fmt.Errorf("sim: wake Schedule is required")
 	}
-	wakeups := cfg.Adversary.Schedule.Wakeups(cfg.Graph)
-	if err := validateSchedule(cfg.Graph, wakeups, maxWake); err != nil {
+	wakeups := cfg.Schedule.Wakeups(s.Graph)
+	if err := validateSchedule(s.Graph, wakeups, maxWake); err != nil {
 		return nil, nil, err
-	}
-	if cfg.Setup == nil {
-		s, err := NewSetup(cfg.Graph, cfg.Ports, cfg.Model, cfg.Advice, cfg.AdviceBits)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, wakeups, nil
-	}
-	s := cfg.Setup
-	if s.Graph != cfg.Graph {
-		return nil, nil, fmt.Errorf("sim: Setup was built for a different graph")
-	}
-	if s.Model != cfg.Model {
-		return nil, nil, fmt.Errorf("sim: Setup was built for model %v, config wants %v", s.Model, cfg.Model)
-	}
-	if cfg.Ports != nil && s.Ports != cfg.Ports {
-		return nil, nil, fmt.Errorf("sim: Setup was built for a different port map")
 	}
 	return s, wakeups, nil
 }
@@ -210,7 +174,7 @@ func (e *Engine) Run(cfg Config, alg Algorithm) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	delays := cfg.Adversary.Delays
+	delays := cfg.Delays
 	if delays == nil {
 		delays = UnitDelay{}
 	}

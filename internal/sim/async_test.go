@@ -64,12 +64,9 @@ func pairGraph() *graph.Graph {
 func TestFIFOUnderRandomDelays(t *testing.T) {
 	var received []int
 	_, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-			Delays:   RandomDelay{Seed: 99},
-		},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
+		Delays:   RandomDelay{Seed: 99},
 	}, seqAlgorithm{count: 50, bits: 8, received: &received})
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +85,8 @@ func TestCongestAccounting(t *testing.T) {
 	var received []int
 	// 2 nodes: limit is 4·⌈log2 2⌉ = 4 bits; send oversized messages.
 	res, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Congest},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Congest}),
+		Schedule: WakeSingle(0),
 	}, seqAlgorithm{count: 3, bits: 100, received: &received})
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +105,8 @@ func TestCongestAccounting(t *testing.T) {
 func TestCongestLimitOverride(t *testing.T) {
 	var received []int
 	res, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Congest, CongestBits: 128},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Congest, CongestBits: 128}),
+		Schedule: WakeSingle(0),
 	}, seqAlgorithm{count: 2, bits: 100, received: &received})
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +119,8 @@ func TestCongestLimitOverride(t *testing.T) {
 func TestLocalModelHasNoLimit(t *testing.T) {
 	var received []int
 	res, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, seqAlgorithm{count: 1, bits: 1 << 20, received: &received})
 	if err != nil {
 		t.Fatal(err)
@@ -170,11 +158,8 @@ func (m *echoMachine) OnMessage(ctx Context, d Delivery) {
 func TestSpanMeasuredFromFirstWake(t *testing.T) {
 	// Wake node 0 at time 10; unit delays: ping at 11, echo at 12.
 	res, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSet{Nodes: []int{0}, At: 10},
-		},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0}, At: 10},
 	}, echoAlgorithm{})
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +183,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() *Result {
 		var received []int
 		res, err := RunAsync(Config{
-			Graph: g,
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: RandomWake{Count: 4, Window: 3, Seed: 7},
-				Delays:   RandomDelay{Seed: 11},
-			},
-			Seed: 13,
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: RandomWake{Count: 4, Window: 3, Seed: 7},
+			Delays:   RandomDelay{Seed: 11},
+			Seed:     13,
 		}, seqAlgorithm{count: 5, bits: 8, received: &received})
 		if err != nil {
 			t.Fatal(err)
@@ -225,47 +207,47 @@ func TestDeterminism(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	var received []int
 	alg := seqAlgorithm{count: 1, bits: 4, received: &received}
-	if _, err := RunAsync(Config{}, alg); err == nil {
-		t.Error("expected error for missing graph")
+	for _, cfg := range []Config{{}, {Schedule: WakeSingle(0)}} {
+		if _, err := RunAsync(cfg, alg); err == nil || err.Error() != "sim: Setup is required" {
+			t.Errorf("nil Setup: err = %v, want sim: Setup is required", err)
+		}
 	}
-	if _, err := RunAsync(Config{Graph: pairGraph()}, alg); err == nil {
+	if _, err := RunAsync(Config{Setup: setupOf(pairGraph(), Model{})}, alg); err == nil {
 		t.Error("expected error for missing schedule")
 	}
 	if _, err := RunAsync(Config{
-		Graph:     pairGraph(),
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(pairGraph(), Model{}),
+		Schedule: WakeSingle(0),
 	}, nil); err == nil {
 		t.Error("expected error for nil algorithm")
 	}
 	if _, err := RunAsync(Config{
-		Graph:     pairGraph(),
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{7}}},
+		Setup:    setupOf(pairGraph(), Model{}),
+		Schedule: WakeSet{Nodes: []int{7}},
 	}, alg); err == nil {
 		t.Error("expected error for out-of-range wakeup")
 	}
 	for _, at := range []Time{-1, Time(math.NaN()), Time(math.Inf(1))} {
 		for _, shards := range []int{0, 2} {
 			if _, err := RunAsync(Config{
-				Graph:     pairGraph(),
-				Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: at}, Delays: UnitDelay{}},
-				Shards:    shards,
+				Setup:    setupOf(pairGraph(), Model{}),
+				Schedule: WakeSet{Nodes: []int{0}, At: at},
+				Delays:   UnitDelay{},
+				Shards:   shards,
 			}, alg); err == nil {
 				t.Errorf("expected error for wake time %v at shards %d", at, shards)
 			}
 		}
 	}
-	if _, err := RunAsync(Config{
-		Graph:     pairGraph(),
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Advice:    make([][]byte, 5),
-	}, alg); err == nil {
-		t.Error("expected error for advice length mismatch")
-	}
-	// Advice bit lengths: one per node, only beside advice, and each
-	// within [0, 8·len(advice[v])] — what advice.Reader can read. A port
-	// map must be built for the run's graph or a clone of it: another
+	// The network's own checks run in NewSetup, before any run: advice for
+	// every node, advice bit lengths one per node, only beside advice, and
+	// each within [0, 8·len(advice[v])] — what advice.Reader can read. A
+	// port map must be built for the graph or a clone of it: another
 	// graph's map indexed past the path's edges, or silently ran the
 	// wrong topology.
+	if _, err := NewSetup(pairGraph(), nil, Model{}, make([][]byte, 5), nil); err == nil {
+		t.Error("expected error for advice length mismatch")
+	}
 	oneByte := [][]byte{{1}, {2}, {3}}
 	path := graph.Path(3)
 	for _, c := range []struct {
@@ -285,18 +267,20 @@ func TestConfigValidation(t *testing.T) {
 		{"ports of a larger graph", oneByte, []int{8, 0, 5}, graph.IdentityPorts(graph.Star(6)), false},
 		{"ports of another 3-node graph", oneByte, []int{8, 0, 5}, graph.IdentityPorts(graph.Cycle(3)), false},
 	} {
-		res, err := RunAsync(Config{
-			Graph:      path,
-			Ports:      c.ports,
-			Adversary:  Adversary{Schedule: WakeSingle(0)},
-			Advice:     c.advice,
-			AdviceBits: c.bits,
-		}, alg)
-		if c.ok && (err != nil || res.AdviceTotalBits != 13 || res.AdviceMaxBits != 8) {
-			t.Errorf("%s: err=%v, result %+v; want a run with 13 advice bits, at most 8", c.name, err, res)
+		s, err := NewSetup(path, c.ports, Model{}, c.advice, c.bits)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("%s: expected an error", c.name)
+			}
+			continue
 		}
-		if !c.ok && err == nil {
-			t.Errorf("%s: expected an error, got advice total %d", c.name, res.AdviceTotalBits)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		res, err := RunAsync(Config{Setup: s, Schedule: WakeSingle(0)}, alg)
+		if err != nil || res.AdviceTotalBits != 13 || res.AdviceMaxBits != 8 {
+			t.Errorf("%s: err=%v, result %+v; want a run with 13 advice bits, at most 8", c.name, err, res)
 		}
 	}
 }
@@ -316,12 +300,9 @@ func TestDelayValidation(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		cfg := func(v float64) Config {
 			return Config{
-				Graph: pairGraph(),
-				Model: Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{
-					Schedule: WakeSingle(0),
-					Delays:   badDelayer{v: v},
-				},
+				Setup:     setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule:  WakeSingle(0),
+				Delays:    badDelayer{v: v},
 				Shards:    shards,
 				MemReport: true,
 			}
@@ -360,11 +341,8 @@ func (chainMachine) OnMessage(ctx Context, d Delivery) {
 
 func TestEventLimit(t *testing.T) {
 	_, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:     setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  WakeSingle(0),
 		MaxEvents: 500,
 	}, chainAlgorithm{})
 	if err == nil || !strings.Contains(err.Error(), "event limit") {
@@ -378,11 +356,8 @@ func TestSendToIDRequiresKT1(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, idSendAlgorithm{target: 200})
 	if want := "sim: SendToID requires KT1 (model is KT0)"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -411,11 +386,8 @@ func TestSendToIDWorksUnderKT1(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT1, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(g, Model{Knowledge: KT1, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, idSendAlgorithm{target: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -428,11 +400,8 @@ func TestSendToIDWorksUnderKT1(t *testing.T) {
 func TestSendToIDRejectsNonNeighbor(t *testing.T) {
 	g := graph.Path(3)
 	_, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT1, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(g, Model{Knowledge: KT1, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, idSendAlgorithm{target: 2}) // node 2 not adjacent to node 0
 	if want := "sim: node ID 0 has no neighbor with ID 2"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -447,12 +416,8 @@ func TestKT1NeighborIDsFollowPorts(t *testing.T) {
 	pm := graph.RandomPorts(g, newTestRand(3))
 	var captured []graph.NodeID
 	_, err := RunAsync(Config{
-		Graph: g,
-		Ports: pm,
-		Model: Model{Knowledge: KT1, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    mustSetup(g, pm, Model{Knowledge: KT1, Bandwidth: Local}, nil, nil),
+		Schedule: WakeSingle(0),
 	}, captureAlgorithm{out: &captured})
 	if err != nil {
 		t.Fatal(err)
@@ -486,12 +451,9 @@ func (captureMachine) OnMessage(Context, Delivery) {}
 func TestAdversaryWakingAwakeNodeIsNoop(t *testing.T) {
 	var received []int
 	res, err := RunAsync(Config{
-		Graph: pairGraph(),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			// Node 0 woken twice; second wake must be ignored.
-			Schedule: wakeTwice{},
-		},
+		Setup: setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		// Node 0 woken twice; second wake must be ignored.
+		Schedule: wakeTwice{},
 	}, seqAlgorithm{count: 1, bits: 4, received: &received})
 	if err != nil {
 		t.Fatal(err)
@@ -536,10 +498,10 @@ func TestOutOfRangePortPanics(t *testing.T) {
 		run  func(alg Algorithm) (*Result, error)
 	}{
 		{"async", func(alg Algorithm) (*Result, error) {
-			return RunAsync(Config{Graph: g, Model: model, Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}}}, alg)
+			return RunAsync(Config{Setup: setupOf(g, model), Schedule: WakeSet{Nodes: []int{0}}}, alg)
 		}},
 		{"sync", func(alg Algorithm) (*Result, error) {
-			return RunSync(Config{Graph: g, Model: model, Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}}}, AsSync(alg))
+			return RunSync(Config{Setup: setupOf(g, model), Schedule: WakeSet{Nodes: []int{0}}}, AsSync(alg))
 		}},
 	}
 	for _, eng := range engines {

@@ -12,10 +12,10 @@ func runCausal(t *testing.T, g *graph.Graph, src int, delays Delayer) CausalRepo
 	t.Helper()
 	obs := NewCausalObserver(g, nil)
 	res, err := RunAsync(Config{
-		Graph:     g,
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(src), Delays: delays},
-		Observer:  obs,
+		Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(src),
+		Delays:   delays,
+		Observer: obs,
 	}, broadcastOnWake{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +152,9 @@ func TestCausalSyncEngine(t *testing.T) {
 	g := graph.Path(10)
 	obs := NewCausalObserver(g, nil)
 	res, err := RunSync(Config{
-		Graph:     g,
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Observer:  obs,
+		Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
+		Observer: obs,
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +176,9 @@ func TestCausalReportAdversarialLast(t *testing.T) {
 	g := graph.Path(4)
 	obs := NewCausalObserver(g, nil)
 	if _, err := RunAsync(Config{
-		Graph:     g,
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0, 1, 2, 3}}},
-		Observer:  obs,
+		Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0, 1, 2, 3}},
+		Observer: obs,
 	}, broadcastOnWake{}); err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,8 @@ func (m *asyncProbeMachine) OnMessage(Context, Delivery) {}
 func TestAsyncContextAccessors(t *testing.T) {
 	p := &ctxProbe{}
 	_, err := RunAsync(Config{
-		Graph: graph.Path(3),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSet{Nodes: []int{0}, At: 2.5},
-		},
+		Setup:    setupOf(graph.Path(3), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0}, At: 2.5},
 	}, asyncProbeAlg{p: p})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +91,8 @@ func (m *syncIDMachine) OnRound(ctx Context, _ []Delivery) {
 func TestSyncSendToID(t *testing.T) {
 	p := &ctxProbe{}
 	res, err := RunSync(Config{
-		Graph:     graph.Star(5),
-		Model:     Model{Knowledge: KT1, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Star(5), Model{Knowledge: KT1, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, syncIDAlg{p: p})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +111,8 @@ func TestSyncSendToID(t *testing.T) {
 func TestSyncSendToIDRequiresKT1(t *testing.T) {
 	p := &ctxProbe{}
 	_, err := RunSync(Config{
-		Graph:     graph.Star(3),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(1)}, // a leaf: NeighborIDs nil, but force a call
+		Setup:    setupOf(graph.Star(3), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(1), // a leaf: NeighborIDs nil, but force a call
 	}, forcedIDAlg{})
 	if want := "sim: SendToID requires KT1 (model is KT0)"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -141,9 +136,8 @@ func (forcedIDMachine) OnRound(ctx Context, _ []Delivery) {
 
 func TestSyncSendToIDRejectsNonNeighbor(t *testing.T) {
 	_, err := RunSync(Config{
-		Graph:     graph.Path(3),
-		Model:     Model{Knowledge: KT1, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Path(3), Model{Knowledge: KT1, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, forcedNonNeighborAlg{})
 	if want := "sim: node ID 0 has no neighbor with ID 2"; err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
@@ -169,9 +163,8 @@ func (forcedNonNeighborMachine) OnRound(ctx Context, _ []Delivery) {
 func TestSyncCongestAccounting(t *testing.T) {
 	var received []int
 	res, err := RunSync(Config{
-		Graph:     graph.Path(2),
-		Model:     Model{Knowledge: KT0, Bandwidth: Congest},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Path(2), Model{Knowledge: KT0, Bandwidth: Congest}),
+		Schedule: WakeSingle(0),
 	}, AsSync(seqAlgorithm{count: 2, bits: 500, received: &received}))
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +174,9 @@ func TestSyncCongestAccounting(t *testing.T) {
 	}
 	g, model := graph.Path(2), Model{Knowledge: KT0, Bandwidth: Congest}
 	_, err = RunSync(Config{
-		Graph:     g,
-		Model:     model,
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Observer:  NewModelCheck(g, nil, model),
+		Setup:    setupOf(g, model),
+		Schedule: WakeSingle(0),
+		Observer: NewModelCheck(g, nil, model),
 	}, AsSync(seqAlgorithm{count: 1, bits: 500, received: &received}))
 	if err == nil || !strings.Contains(err.Error(), "CONGEST") {
 		t.Errorf("model check passed an oversized message: %v", err)

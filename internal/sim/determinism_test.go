@@ -26,11 +26,8 @@ func marshalResult(t *testing.T, res *Result) []byte {
 // building a config list: an observer holds the state of one run, so one
 // shared across the runs of a reused config would fold them together.
 func withDigests(cfg Config) Config {
-	pm := cfg.Ports
-	if cfg.Setup != nil {
-		pm = cfg.Setup.Ports
-	}
-	cfg.Observer = StackObservers(NewDigestObserver(false), NewModelCheck(cfg.Graph, pm, cfg.Model), cfg.Observer)
+	s := cfg.Setup
+	cfg.Observer = StackObservers(NewDigestObserver(false), NewModelCheck(s.Graph, s.Ports, s.Model), cfg.Observer)
 	return cfg
 }
 
@@ -53,13 +50,10 @@ func TestAsyncResultsByteIdentical(t *testing.T) {
 	run := func() *Result {
 		var received []int
 		res, err := RunAsync(Config{
-			Graph: g,
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: RandomWake{Count: 5, Window: 4, Seed: 19},
-				Delays:   RandomDelay{Seed: 23},
-			},
-			Seed: 29,
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: RandomWake{Count: 5, Window: 4, Seed: 19},
+			Delays:   RandomDelay{Seed: 23},
+			Seed:     29,
 		}, seqAlgorithm{count: 6, bits: 8, received: &received})
 		if err != nil {
 			t.Fatal(err)
@@ -78,10 +72,9 @@ func TestSyncResultsByteIdentical(t *testing.T) {
 	run := func() *Result {
 		var received []int
 		res, err := RunSync(Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: RandomWake{Count: 5, Window: 4, Seed: 37}},
-			Seed:      41,
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: RandomWake{Count: 5, Window: 4, Seed: 37},
+			Seed:     41,
 		}, AsSync(seqAlgorithm{count: 6, bits: 8, received: &received}))
 		if err != nil {
 			t.Fatal(err)

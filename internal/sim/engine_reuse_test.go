@@ -49,10 +49,10 @@ func tieHeavyConfigs(delayers ...Delayer) []Config {
 		for si, sched := range schedules {
 			for _, d := range delayers {
 				cfgs = append(cfgs, Config{
-					Graph:     g,
-					Model:     Model{Knowledge: KT0, Bandwidth: Local},
-					Adversary: Adversary{Schedule: sched, Delays: d},
-					Seed:      int64(gi*10 + si),
+					Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+					Schedule: sched,
+					Delays:   d,
+					Seed:     int64(gi*10 + si),
 				})
 			}
 		}
@@ -75,13 +75,10 @@ func reuseConfigs(t *testing.T) []Config {
 	for i, g := range graphs {
 		for seed := int64(0); seed < 3; seed++ {
 			cfgs = append(cfgs, Config{
-				Graph: g,
-				Model: Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{
-					Schedule: RandomWake{Count: 2 + i, Window: 3, Seed: seed},
-					Delays:   RandomDelay{Seed: seed + 11},
-				},
-				Seed: seed,
+				Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule: RandomWake{Count: 2 + i, Window: 3, Seed: seed},
+				Delays:   RandomDelay{Seed: seed + 11},
+				Seed:     seed,
 			})
 		}
 	}
@@ -138,7 +135,7 @@ func TestEngineReuseAcrossShardCounts(t *testing.T) {
 			t.Fatalf("config %d fresh: %v", i, err)
 		}
 		want := marshalDigested(t, fresh)
-		lh, _ := cfg.Adversary.Delays.(Lookahead)
+		lh, _ := cfg.Delays.(Lookahead)
 		for _, p := range []int{0, 2, 0, 4, 1} {
 			tr := &trackTracer{}
 			cfg.Shards = p
@@ -182,12 +179,10 @@ func TestSetupReuseByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d fresh: %v", i, err)
 		}
-		s := setups[cfg.Graph]
+		s := setups[cfg.Setup.Graph]
 		if s == nil {
-			if s, err = NewSetup(cfg.Graph, nil, cfg.Model, nil, nil); err != nil {
-				t.Fatalf("run %d setup: %v", i, err)
-			}
-			setups[cfg.Graph] = s
+			s = cfg.Setup
+			setups[s.Graph] = s
 		}
 		cfg.Setup = s
 		reused, err := eng.Run(withDigests(cfg), alg)
@@ -214,10 +209,9 @@ func TestEngineRNGWrappersAliasState(t *testing.T) {
 	run := func(n int) {
 		t.Helper()
 		cfg := Config{
-			Graph:     graph.Complete(n),
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
-			Seed:      1,
+			Setup:    setupOf(graph.Complete(n), Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: WakeSet{Nodes: []int{0}},
+			Seed:     1,
 		}
 		if _, err := eng.Run(cfg, randFloodAlg{}); err != nil {
 			t.Fatal(err)
@@ -300,11 +294,11 @@ func TestFirstUseRandMatchesNodeRand(t *testing.T) {
 		for _, seed := range []int64{3, 4} {
 			alg := lateDrawAlg{g: g, draws: make([][]uint64, g.N())}
 			cfg := Config{
-				Graph:     g,
-				Model:     Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0, 5}}, Delays: RandomDelay{Seed: seed, Min: 0.25}},
-				Seed:      seed,
-				Shards:    shards,
+				Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule: WakeSet{Nodes: []int{0, 5}},
+				Delays:   RandomDelay{Seed: seed, Min: 0.25},
+				Seed:     seed,
+				Shards:   shards,
 			}
 			if _, err := eng.Run(cfg, alg); err != nil {
 				t.Fatal(err)
@@ -390,11 +384,9 @@ func checkAllocsFlat(t *testing.T, run func(*Engine, Config) (*Result, error)) {
 		}
 		eng := &Engine{}
 		cfg := Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}},
-			Seed:      1,
-			Setup:     s,
+			Setup:    s,
+			Schedule: WakeSet{Nodes: []int{0}},
+			Seed:     1,
 		}
 		once := func() *Result {
 			res, err := run(eng, cfg)

@@ -57,12 +57,9 @@ func TestFlatArrayFIFOUnderRandomDelay(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var trace bytes.Buffer
 			_, err := RunAsync(Config{
-				Graph: tc.g,
-				Model: Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{
-					Schedule: WakeAll{},
-					Delays:   RandomDelay{Seed: 11},
-				},
+				Setup:    setupOf(tc.g, Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule: WakeAll{},
+				Delays:   RandomDelay{Seed: 11},
 				Seed:     7,
 				Observer: NewTraceObserver(&trace),
 			}, chattyAlg{})
@@ -109,13 +106,10 @@ func TestFlatArrayMatchesDelayerContract(t *testing.T) {
 	g := graph.Complete(6)
 	rec := &recordingDelayer{seen: make(map[[2]int][]int)}
 	_, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeAll{},
-			Delays:   rec,
-		},
-		Seed: 5,
+		Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeAll{},
+		Delays:   rec,
+		Seed:     5,
 	}, chattyAlg{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,13 +182,9 @@ func FuzzFIFODeterminism(f *testing.F) {
 		run := func(eng *Engine) (*Result, string) {
 			var trace bytes.Buffer
 			res, err := eng.Run(Config{
-				Graph: g,
-				Ports: pm,
-				Model: model,
-				Adversary: Adversary{
-					Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
-					Delays:   quantizedDelay{inner: RandomDelay{Seed: seed}, q: q},
-				},
+				Setup:    mustSetup(g, pm, model, nil, nil),
+				Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
+				Delays:   quantizedDelay{inner: RandomDelay{Seed: seed}, q: q},
 				Seed:     seed,
 				Observer: StackObservers(NewTraceObserver(&trace), NewDigestObserver(false), NewModelCheck(g, pm, model)),
 			}, fuzzAlg{budget: int(budget)%16 + 1})

@@ -50,14 +50,10 @@ func TestEngineInvariantsUnderFuzz(t *testing.T) {
 		g := graph.RandomConnected(n, 0.1, newTestRand(seed))
 		pm := graph.RandomPorts(g, newTestRand(seed+1))
 		res, err := RunAsync(Config{
-			Graph: g,
-			Ports: pm,
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: RandomWake{Count: 1 + int(nRaw)%3, Window: 2, Seed: seed},
-				Delays:   RandomDelay{Seed: seed},
-			},
-			Seed: seed,
+			Setup:    mustSetup(g, pm, Model{Knowledge: KT0, Bandwidth: Local}, nil, nil),
+			Schedule: RandomWake{Count: 1 + int(nRaw)%3, Window: 2, Seed: seed},
+			Delays:   RandomDelay{Seed: seed},
+			Seed:     seed,
 		}, fuzzAlg{budget: int(budget)%20 + 1})
 		if err != nil {
 			t.Logf("run error: %v", err)
@@ -106,10 +102,9 @@ func TestSyncEngineInvariantsUnderFuzz(t *testing.T) {
 		n := int(nRaw)%50 + 2
 		g := graph.RandomConnected(n, 0.1, newTestRand(seed))
 		res, err := RunSync(Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: RandomWake{Count: 2, Seed: seed}},
-			Seed:      seed,
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: RandomWake{Count: 2, Seed: seed},
+			Seed:     seed,
 		}, AsSync(fuzzAlg{budget: int(budget)%20 + 1}))
 		if err != nil {
 			return false
@@ -132,12 +127,9 @@ func TestDigestsDeterministic(t *testing.T) {
 	g := graph.RandomConnected(40, 0.1, newTestRand(3))
 	run := func(delaySeed int64) []uint64 {
 		res, err := RunAsync(Config{
-			Graph: g,
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: WakeSingle(0),
-				Delays:   RandomDelay{Seed: delaySeed},
-			},
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: WakeSingle(0),
+			Delays:   RandomDelay{Seed: delaySeed},
 			Seed:     7,
 			Observer: NewDigestObserver(false),
 		}, fuzzAlg{budget: 10})

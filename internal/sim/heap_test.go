@@ -375,9 +375,8 @@ func TestEventHeapNegativeZeroTiesZero(t *testing.T) {
 
 	// End to end: the −0 wake is recorded as −0 and wakes first by seq.
 	res, err := RunAsync(Config{
-		Graph:     pairGraph(),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: wakeList{{Node: 1, At: negZero}, {Node: 0, At: 0}}},
+		Setup:    setupOf(pairGraph(), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: wakeList{{Node: 1, At: negZero}, {Node: 0, At: 0}},
 	}, floodAlg{})
 	if err != nil {
 		t.Fatal(err)

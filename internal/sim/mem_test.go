@@ -10,9 +10,9 @@ import (
 
 func memConfig(report bool) Config {
 	return Config{
-		Graph:     graph.BinaryTree(127),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: RandomDelay{Seed: 2}},
+		Setup:     setupOf(graph.BinaryTree(127), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  WakeSet{Nodes: []int{0}},
+		Delays:    RandomDelay{Seed: 2},
 		Seed:      1,
 		MemReport: report,
 	}
@@ -26,7 +26,7 @@ func memConfig(report bool) Config {
 func TestMemReportPopulated(t *testing.T) {
 	eng := &Engine{}
 	warm := memConfig(false)
-	warm.Adversary.Delays = RandomDelay{Seed: 2, Min: 0.25}
+	warm.Delays = RandomDelay{Seed: 2, Min: 0.25}
 	warm.Shards = 4
 	if _, err := eng.Run(warm, floodAlg{}); err != nil {
 		t.Fatal(err)
@@ -66,12 +66,13 @@ func TestMemReportCSRBytes(t *testing.T) {
 		perEdge int64
 	}{{KT0, 8}, {KT1, 16}} {
 		cfg := memConfig(true)
-		cfg.Model.Knowledge = c.kt
+		g := cfg.Setup.Graph
+		cfg.Setup = setupOf(g, Model{Knowledge: c.kt, Bandwidth: Local})
 		res, err := RunAsync(cfg, floodAlg{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, dir := int64(cfg.Graph.N()), 2*int64(cfg.Graph.M())
+		n, dir := int64(g.N()), 2*int64(g.M())
 		if want := 4*(n+1) + c.perEdge*dir; res.Mem.CSRBytes != want {
 			t.Errorf("%v: CSRBytes %d, want 4·(n+1) + %d·2m = %d", c.kt, res.Mem.CSRBytes, c.perEdge, want)
 		}

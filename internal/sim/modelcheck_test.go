@@ -18,12 +18,9 @@ func TestTinyDelayTakesPositiveTime(t *testing.T) {
 	model := Model{Knowledge: KT0, Bandwidth: Local}
 	for _, shards := range []int{0, 2} {
 		res, err := RunAsync(Config{
-			Graph: g,
-			Model: model,
-			Adversary: Adversary{
-				Schedule: WakeSingle(0),
-				Delays:   BiasedDelay{Slow: map[[2]int]bool{{0, 1}: true}, Fast: 1e-17},
-			},
+			Setup:    setupOf(g, model),
+			Schedule: WakeSingle(0),
+			Delays:   BiasedDelay{Slow: map[[2]int]bool{{0, 1}: true}, Fast: 1e-17},
 			Shards:   shards,
 			Observer: NewModelCheck(g, nil, model),
 		}, broadcastOnWake{})

@@ -38,9 +38,8 @@ func (o *finishError) OnFinish(*Result) error { return errors.New(o.msg) }
 // engine's returned error — and a stack joins every failing observer.
 func TestObserverFinishErrorPropagates(t *testing.T) {
 	cfg := Config{
-		Graph:     graph.Path(2),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Path(2), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}
 	cfg.Observer = &finishError{msg: "flush failed"}
 	res, err := RunAsync(cfg, broadcastOnWake{})
@@ -66,10 +65,9 @@ func TestSyncObserverStack(t *testing.T) {
 	g := graph.Star(5)
 	model := Model{Knowledge: KT0, Bandwidth: Local}
 	if _, err := RunSync(Config{
-		Graph:     g,
-		Model:     model,
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Observer:  StackObservers(NewTraceObserver(&buf), NewModelCheck(g, nil, model)),
+		Setup:    setupOf(g, model),
+		Schedule: WakeSingle(0),
+		Observer: StackObservers(NewTraceObserver(&buf), NewModelCheck(g, nil, model)),
 	}, AsSync(broadcastOnWake{})); err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +83,9 @@ func TestSyncObserverStack(t *testing.T) {
 // sink fails the synchronous run too, not only the asynchronous one.
 func TestSyncTraceWriterErrorSurfaces(t *testing.T) {
 	_, err := RunSync(Config{
-		Graph:     graph.Path(2),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Observer:  NewTraceObserver(failingWriter{}),
+		Setup:    setupOf(graph.Path(2), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
+		Observer: NewTraceObserver(failingWriter{}),
 	}, AsSync(broadcastOnWake{}))
 	if err == nil || !strings.Contains(err.Error(), "trace writer") {
 		t.Fatalf("expected trace-writer error, got %v", err)
@@ -104,10 +101,10 @@ func TestDigestObserverPerDelivery(t *testing.T) {
 	run := func(delays Delayer) *DigestObserver {
 		obs := NewDigestObserver(true)
 		_, err := RunAsync(Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: WakeSingle(0), Delays: delays},
-			Observer:  obs,
+			Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+			Schedule: WakeSingle(0),
+			Delays:   delays,
+			Observer: obs,
 		}, broadcastOnWake{})
 		if err != nil {
 			t.Fatal(err)

@@ -45,24 +45,22 @@ func (m *rngRecorderMachine) OnMessage(Context, Delivery) {}
 func TestCrossEngineRNGStreams(t *testing.T) {
 	g := graph.Grid(6, 6)
 	const seed = 97
-	model := Model{Knowledge: KT0, Bandwidth: Local}
+	setup := setupOf(g, Model{Knowledge: KT0, Bandwidth: Local})
 
 	asyncRec := newRNGRecorder()
 	if _, err := RunAsync(Config{
-		Graph:     g,
-		Model:     model,
-		Adversary: Adversary{Schedule: WakeAll{}},
-		Seed:      seed,
+		Setup:    setup,
+		Schedule: WakeAll{},
+		Seed:     seed,
 	}, asyncRec); err != nil {
 		t.Fatal(err)
 	}
 
 	syncRec := newRNGRecorder()
 	if _, err := RunSync(Config{
-		Graph:     g,
-		Model:     model,
-		Adversary: Adversary{Schedule: WakeAll{}},
-		Seed:      seed,
+		Setup:    setup,
+		Schedule: WakeAll{},
+		Seed:     seed,
 	}, AsSync(syncRec)); err != nil {
 		t.Fatal(err)
 	}

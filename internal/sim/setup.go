@@ -10,10 +10,10 @@ import (
 // topology, the port mapping, the CSR edge metadata, the oracle's advice
 // and the CONGEST limit. It holds nothing seed-dependent, so one Setup
 // serves a whole seed matrix. Every run, asynchronous or synchronous,
-// resolves exactly one Setup and builds each node's NodeInfo from it
-// (info), so a node sees identical NodeInfo in either timing model. The
-// Setup reads node IDs from Graph when a node wakes, so the graph's IDs
-// must not change (Graph.SetIDs) once the Setup is built.
+// receives its network as one Setup (Config.Setup) and builds each node's
+// NodeInfo from it (info), so a node sees identical NodeInfo in either
+// timing model. The Setup reads node IDs from Graph when a node wakes, so
+// the graph's IDs must not change (Graph.SetIDs) once the Setup is built.
 type Setup struct {
 	// Graph is the network topology.
 	Graph *graph.Graph

@@ -9,6 +9,19 @@ import (
 	"riseandshine/internal/graph"
 )
 
+// setupOf is the Setup of g under m with identity ports and no advice.
+func setupOf(g *graph.Graph, m Model) *Setup { return mustSetup(g, nil, m, nil, nil) }
+
+// mustSetup is NewSetup for inputs a test knows to be valid; it panics on
+// an error.
+func mustSetup(g *graph.Graph, ports *graph.PortMap, m Model, advice [][]byte, bits []int) *Setup {
+	s, err := NewSetup(g, ports, m, advice, bits)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // referenceNodeInfo is the per-node NodeInfo table Setup used to build in
 // NewSetup, one entry per node with a fresh NeighborIDs slice each. It is
 // kept here as the reference Setup.info is compared against.
@@ -185,11 +198,9 @@ func TestRunNodeInfoMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{
-				Graph:     c.g,
-				Ports:     c.ports,
-				Model:     c.model,
-				Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0, c.g.N() - 1}}, Delays: RandomDelay{Seed: 3, Min: 0.25}},
-				Setup:     s,
+				Setup:    s,
+				Schedule: WakeSet{Nodes: []int{0, c.g.N() - 1}},
+				Delays:   RandomDelay{Seed: 3, Min: 0.25},
 			}
 			for _, mode := range []string{"async", "sharded", "sync"} {
 				a := newInfoAlg(c.g)

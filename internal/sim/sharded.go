@@ -45,15 +45,14 @@ func (e *Engine) shardPlan(shards int, s *Setup, delays Delayer) (*Partition, Ti
 	return part, Time(w)
 }
 
-// partition returns the cached Partition for (topology, p), computing it on
-// first use.
+// partition returns the cached Partition for (s, p), computing it on first
+// use. The key is the Setup itself, not its graph's offset table: every
+// port map of a graph shares that table, but EdgeShard follows the port
+// map.
 func (e *Engine) partition(s *Setup, p int) *Partition {
-	n := s.Graph.N()
-	key := &s.EdgeStart[0]
-	if e.part == nil || e.partKey != key || e.partN != n || e.partP != p {
+	if e.part == nil || e.partSetup != s || e.partP != p {
 		e.part = s.Partition(p)
-		e.partKey = key
-		e.partN = n
+		e.partSetup = s
 		e.partP = p
 	}
 	return e.part

@@ -47,13 +47,10 @@ func shardedConfigs(t *testing.T) []Config {
 	for i, g := range graphs {
 		for j, d := range delayers {
 			cfgs = append(cfgs, Config{
-				Graph: g,
-				Model: Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{
-					Schedule: RandomWake{Count: 1 + (i+j)%4, Window: 2, Seed: int64(i*7 + j)},
-					Delays:   d,
-				},
-				Seed: int64(i + j*5),
+				Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule: RandomWake{Count: 1 + (i+j)%4, Window: 2, Seed: int64(i*7 + j)},
+				Delays:   d,
+				Seed:     int64(i + j*5),
 			})
 		}
 	}
@@ -105,9 +102,9 @@ func TestShardedByteIdentical(t *testing.T) {
 // the memory report must show the parallel path ran.
 func TestShardedActuallyShards(t *testing.T) {
 	res, err := RunAsync(Config{
-		Graph:     graph.Complete(16),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: UnitDelay{}},
+		Setup:     setupOf(graph.Complete(16), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  WakeSet{Nodes: []int{0}},
+		Delays:    UnitDelay{},
 		Shards:    4,
 		MemReport: true,
 	}, floodAlg{})
@@ -127,12 +124,9 @@ func TestShardedActuallyShards(t *testing.T) {
 // path even with Shards > 1 — and still match a plain sequential run.
 func TestShardedFallbackWithoutLookahead(t *testing.T) {
 	cfg := Config{
-		Graph: graph.RandomConnected(40, 0.12, newTestRand(9)),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: RandomWake{Count: 2, Window: 1, Seed: 4},
-			Delays:   RandomDelay{Seed: 8}, // Min = 0: lookahead 0
-		},
+		Setup:     setupOf(graph.RandomConnected(40, 0.12, newTestRand(9)), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  RandomWake{Count: 2, Window: 1, Seed: 4},
+		Delays:    RandomDelay{Seed: 8}, // Min = 0: lookahead 0
 		Seed:      3,
 		Shards:    4,
 		MemReport: true,
@@ -159,9 +153,9 @@ func TestShardedFallbackWithoutLookahead(t *testing.T) {
 // sequential error string at every shard count, with a nil Result.
 func TestShardedEventLimitError(t *testing.T) {
 	cfg := Config{
-		Graph:     graph.Complete(20),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeAll{}, Delays: UnitDelay{}},
+		Setup:     setupOf(graph.Complete(20), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  WakeAll{},
+		Delays:    UnitDelay{},
 		MaxEvents: 25,
 	}
 	_, seqErr := RunAsync(cfg, chattyAlg{})
@@ -189,9 +183,9 @@ func TestAsyncRoundSentinel(t *testing.T) {
 		t.Fatalf("AsyncRound = %d; synchronous rounds are ≥ 0, the sentinel must be negative", AsyncRound)
 	}
 	cfg := Config{
-		Graph:     graph.Complete(8),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: UnitDelay{}},
+		Setup:    setupOf(graph.Complete(8), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0}},
+		Delays:   UnitDelay{},
 	}
 	var mu sync.Mutex // probes fire from shard goroutines
 	seen := map[string]map[int]bool{}
@@ -256,14 +250,10 @@ func FuzzShardedFIFO(f *testing.F) {
 		q := int(qRaw)%8 + 1
 		g := graph.RandomConnected(n, 0.15, newTestRand(seed))
 		cfg := Config{
-			Graph: g,
-			Ports: graph.RandomPorts(g, newTestRand(seed+1)),
-			Model: Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{
-				Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
-				Delays:   quantizedLookahead{quantizedDelay{inner: RandomDelay{Seed: seed}, q: q}},
-			},
-			Seed: seed,
+			Setup:    mustSetup(g, graph.RandomPorts(g, newTestRand(seed+1)), Model{Knowledge: KT0, Bandwidth: Local}, nil, nil),
+			Schedule: RandomWake{Count: int(nRaw)%3 + 1, Window: 2, Seed: seed},
+			Delays:   quantizedLookahead{quantizedDelay{inner: RandomDelay{Seed: seed}, q: q}},
+			Seed:     seed,
 		}
 		alg := fuzzAlg{budget: int(budget)%16 + 1}
 		seqRes, seqTrace := runTraced(t, RunAsync, cfg, alg)
@@ -335,12 +325,11 @@ func TestShardedSteadyStateZeroAllocs(t *testing.T) {
 		}
 		eng := &Engine{}
 		cfg := Config{
-			Graph:     g,
-			Model:     Model{Knowledge: KT0, Bandwidth: Local},
-			Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}}, Delays: UnitDelay{}},
-			Seed:      1,
-			Setup:     s,
-			Shards:    4,
+			Setup:    s,
+			Schedule: WakeSet{Nodes: []int{0}},
+			Delays:   UnitDelay{},
+			Seed:     1,
+			Shards:   4,
 		}
 		run := func() *Result {
 			res, err := eng.Run(cfg, floodAlg{})
@@ -445,10 +434,10 @@ func TestShardedKeepsNegativeZeroSpan(t *testing.T) {
 		var want []byte
 		for _, p := range []int{0, 2, 3} {
 			res, err := RunAsync(withDigests(Config{
-				Graph:     g,
-				Model:     Model{Knowledge: KT0, Bandwidth: Local},
-				Adversary: Adversary{Schedule: sched, Delays: UnitDelay{}},
-				Shards:    p,
+				Setup:    setupOf(g, Model{Knowledge: KT0, Bandwidth: Local}),
+				Schedule: sched,
+				Delays:   UnitDelay{},
+				Shards:   p,
 			}), floodAlg{})
 			if err != nil {
 				t.Fatalf("schedule %v shards %d: %v", sched, p, err)
@@ -474,13 +463,10 @@ func TestShardedKeepsNegativeZeroSpan(t *testing.T) {
 // the sequential run's byte for byte.
 func TestShardedLookaheadFlood(t *testing.T) {
 	cfg := Config{
-		Graph: graph.BinaryTree(16383),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSet{Nodes: []int{0}},
-			Delays:   RandomDelay{Seed: 9, Min: 0.25},
-		},
-		Seed: 4,
+		Setup:    setupOf(graph.BinaryTree(16383), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0}},
+		Delays:   RandomDelay{Seed: 9, Min: 0.25},
+		Seed:     4,
 	}
 	seq, err := RunAsync(withDigests(cfg), floodAlg{})
 	if err != nil {
@@ -500,6 +486,36 @@ func TestShardedLookaheadFlood(t *testing.T) {
 		res.Mem = nil
 		if got := marshalDigested(t, res); !bytes.Equal(want, got) {
 			t.Fatalf("shards %d: Result diverged from sequential", p)
+		}
+	}
+}
+
+// TestShardedPartitionFollowsPortMap runs one graph under two port maps on
+// one Engine at two shards. Every port map of a graph shares the graph's
+// CSR offset table, but the partition's EdgeShard follows the map, so the
+// engine's partition cache must tell the two Setups apart: a cache keyed
+// on the offset table staged the second run's sends to the wrong shard.
+func TestShardedPartitionFollowsPortMap(t *testing.T) {
+	g := graph.Grid(20, 20)
+	eng := &Engine{}
+	for _, seed := range []int64{1, 2} {
+		cfg := Config{
+			Setup:      mustSetup(g, graph.RandomPorts(g, newTestRand(seed)), Model{Knowledge: KT0, Bandwidth: Local}, nil, nil),
+			Schedule:   WakeSet{Nodes: []int{0, g.N() - 1}},
+			Delays:     RandomDelay{Seed: 5, Min: 0.25},
+			TrackPorts: true,
+		}
+		seq, err := RunAsync(withDigests(cfg), floodAlg{})
+		if err != nil {
+			t.Fatalf("ports %d sequential: %v", seed, err)
+		}
+		cfg.Shards = 2
+		sharded, err := eng.Run(withDigests(cfg), floodAlg{})
+		if err != nil {
+			t.Fatalf("ports %d sharded: %v", seed, err)
+		}
+		if a, b := marshalDigested(t, seq), marshalDigested(t, sharded); !bytes.Equal(a, b) {
+			t.Fatalf("ports %d: sharded run on a reused engine diverged from sequential\nseq:     %s\nsharded: %s", seed, a, b)
 		}
 	}
 }

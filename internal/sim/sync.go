@@ -22,7 +22,7 @@ func RunSync(cfg Config, alg SyncAlgorithm) (*Result, error) {
 // implement Quiescer always is). The synchronous model is the asynchronous
 // one with every delay fixed at one round, so wake times are truncated to
 // rounds, a message sent in round r is queued at r + 1, and Result.Events
-// counts rounds. cfg.Adversary.Delays and cfg.Shards do not apply;
+// counts rounds. cfg.Delays and cfg.Shards do not apply;
 // cfg.MaxEvents bounds the rounds after the first wake (DefaultMaxRounds
 // when unset).
 //

@@ -59,9 +59,8 @@ func (m *relayMachine) OnRound(ctx Context, inbox []Delivery) {
 func TestSyncOneHopPerRound(t *testing.T) {
 	var rounds []int
 	res, err := RunSync(Config{
-		Graph:     graph.Path(5),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Path(5), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, relayAlg{recvRound: &rounds})
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +116,8 @@ func (m *timerMachine) Quiescent() bool {
 
 func TestSyncQuiescerKeepsEngineRunning(t *testing.T) {
 	res, err := RunSync(Config{
-		Graph:     graph.Star(6),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setupOf(graph.Star(6), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 	}, timerAlg{delay: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +132,8 @@ func TestSyncQuiescerKeepsEngineRunning(t *testing.T) {
 
 func TestSyncRoundLimit(t *testing.T) {
 	_, err := RunSync(Config{
-		Graph:     graph.Path(3),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:     setupOf(graph.Path(3), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:  WakeSingle(0),
 		MaxEvents: 5,
 	}, timerAlg{delay: 50})
 	if err == nil || !strings.Contains(err.Error(), "round limit") {
@@ -147,9 +144,8 @@ func TestSyncRoundLimit(t *testing.T) {
 func TestSyncLateAdversarialWake(t *testing.T) {
 	var rounds []int
 	res, err := RunSync(Config{
-		Graph:     graph.Path(3),
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: 9}},
+		Setup:    setupOf(graph.Path(3), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSet{Nodes: []int{0}, At: 9},
 	}, relayAlg{recvRound: &rounds})
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +195,9 @@ func TestSyncWakeTimeLimit(t *testing.T) {
 		for _, row := range rows {
 			t.Run(fmt.Sprintf("%s/at=%v", eng.name, row.at), func(t *testing.T) {
 				res, err := eng.run(Config{
-					Graph:     g,
-					Model:     model,
-					Adversary: Adversary{Schedule: WakeSet{Nodes: []int{0}, At: row.at}},
-					Observer:  NewModelCheck(g, nil, model),
+					Setup:    setupOf(g, model),
+					Schedule: WakeSet{Nodes: []int{0}, At: row.at},
+					Observer: NewModelCheck(g, nil, model),
 				})
 				want := row.want
 				if row.crosses {
@@ -231,17 +226,14 @@ func TestSyncWakeTimeLimit(t *testing.T) {
 func TestSyncValidation(t *testing.T) {
 	var rounds []int
 	alg := relayAlg{recvRound: &rounds}
-	if _, err := RunSync(Config{}, alg); err == nil {
-		t.Error("expected missing-graph error")
+	if _, err := RunSync(Config{Schedule: WakeSingle(0)}, alg); err == nil || err.Error() != "sim: Setup is required" {
+		t.Errorf("nil Setup: err = %v, want sim: Setup is required", err)
 	}
-	if _, err := RunSync(Config{Graph: graph.Path(2)}, alg); err == nil {
+	if _, err := RunSync(Config{Setup: setupOf(graph.Path(2), Model{})}, alg); err == nil {
 		t.Error("expected missing-schedule error")
 	}
-	if _, err := RunSync(Config{
-		Graph:     graph.Path(2),
-		Adversary: Adversary{Schedule: WakeSingle(0)},
-		Advice:    make([][]byte, 9),
-	}, alg); err == nil {
+	// Advice that does not fit the graph fails in NewSetup, before a run.
+	if _, err := NewSetup(graph.Path(2), nil, Model{}, make([][]byte, 9), nil); err == nil {
 		t.Error("expected advice-mismatch error")
 	}
 }
@@ -259,22 +251,18 @@ func (bcastMachine) OnWake(ctx Context)          { ctx.Broadcast(testMsg{bits: 4
 func (bcastMachine) OnMessage(Context, Delivery) {}
 
 func TestAsSyncMatchesAsyncUnitDelays(t *testing.T) {
-	g := graph.RandomConnected(50, 0.08, newTestRand(21))
+	setup := setupOf(graph.RandomConnected(50, 0.08, newTestRand(21)), Model{Knowledge: KT0, Bandwidth: Local})
 	async, err := RunAsync(Config{
-		Graph: g,
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-			Delays:   UnitDelay{},
-		},
+		Setup:    setup,
+		Schedule: WakeSingle(0),
+		Delays:   UnitDelay{},
 	}, broadcastOnWake{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sync, err := RunSync(Config{
-		Graph:     g,
-		Model:     Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{Schedule: WakeSingle(0)},
+		Setup:    setup,
+		Schedule: WakeSingle(0),
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +285,8 @@ func TestAsSyncMatchesAsyncUnitDelays(t *testing.T) {
 
 func TestSyncPortsUsedTracking(t *testing.T) {
 	res, err := RunSync(Config{
-		Graph:      graph.Star(5),
-		Model:      Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary:  Adversary{Schedule: WakeSingle(0)},
+		Setup:      setupOf(graph.Star(5), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule:   WakeSingle(0),
 		TrackPorts: true,
 	}, AsSync(broadcastOnWake{}))
 	if err != nil {

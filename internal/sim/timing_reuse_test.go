@@ -65,11 +65,15 @@ func TestEngineReuseAcrossTimingModels(t *testing.T) {
 	for gi, g := range graphs {
 		for _, st := range steps {
 			t.Run(fmt.Sprintf("graph%d/%s", gi, st.name), func(t *testing.T) {
+				s, err := sim.NewSetup(g, nil, st.model, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := sim.Config{
-					Graph:     g,
-					Model:     st.model,
-					Adversary: sim.Adversary{Schedule: sim.RandomWake{Count: 3, Window: 2, Seed: int64(gi)}, Delays: st.delays},
-					Seed:      int64(gi + 7),
+					Setup:    s,
+					Schedule: sim.RandomWake{Count: 3, Window: 2, Seed: int64(gi)},
+					Delays:   st.delays,
+					Seed:     int64(gi + 7),
 				}
 				fresh, err := st.run(new(sim.Engine), sim.WithDigests(cfg))
 				if err != nil {

@@ -11,11 +11,8 @@ import (
 func TestTraceOutput(t *testing.T) {
 	var buf strings.Builder
 	_, err := RunAsync(Config{
-		Graph: graph.Path(3),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(graph.Path(3), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 		Observer: NewTraceObserver(&buf),
 	}, broadcastOnWake{})
 	if err != nil {
@@ -45,11 +42,8 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 
 func TestTraceWriterErrorSurfaces(t *testing.T) {
 	_, err := RunAsync(Config{
-		Graph: graph.Path(2),
-		Model: Model{Knowledge: KT0, Bandwidth: Local},
-		Adversary: Adversary{
-			Schedule: WakeSingle(0),
-		},
+		Setup:    setupOf(graph.Path(2), Model{Knowledge: KT0, Bandwidth: Local}),
+		Schedule: WakeSingle(0),
 		Observer: NewTraceObserver(failingWriter{}),
 	}, broadcastOnWake{})
 	if err == nil || !strings.Contains(err.Error(), "trace writer") {

@@ -2,6 +2,7 @@ package riseandshine
 
 import (
 	"fmt"
+	"math"
 
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
@@ -75,11 +76,9 @@ type RunConfig struct {
 // none). The underlying graph and port map must not be mutated (e.g. via
 // SwapPorts) while the Prepared is in use.
 type Prepared struct {
-	graph     *Graph
 	algorithm string
 	options   Options
 	info      AlgorithmInfo
-	ports     *PortMap
 	setup     *sim.Setup
 }
 
@@ -91,6 +90,10 @@ type Prepared struct {
 func Prepare(cfg RunConfig) (*Prepared, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("riseandshine: RunConfig.Graph is required")
+	}
+	// Prepared.Run compares Options with ==, which a NaN never passes.
+	if math.IsNaN(cfg.Options.RootProb) {
+		return nil, fmt.Errorf("riseandshine: Options.RootProb is NaN")
 	}
 	info, err := Lookup(cfg.Algorithm)
 	if err != nil {
@@ -118,11 +121,9 @@ func Prepare(cfg RunConfig) (*Prepared, error) {
 		return nil, err
 	}
 	return &Prepared{
-		graph:     cfg.Graph,
 		algorithm: cfg.Algorithm,
 		options:   cfg.Options,
 		info:      info,
-		ports:     ports,
 		setup:     setup,
 	}, nil
 }
@@ -132,7 +133,7 @@ func Prepare(cfg RunConfig) (*Prepared, error) {
 // everything per-run — Seed, Schedule, Delays, observers, Engine — is
 // taken from cfg as in the package-level Run.
 func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
-	if cfg.Graph != p.graph {
+	if cfg.Graph != p.setup.Graph {
 		return nil, fmt.Errorf("riseandshine: Prepared was built for a different graph")
 	}
 	if cfg.Algorithm != p.algorithm {
@@ -141,7 +142,7 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	if cfg.Options != p.options {
 		return nil, fmt.Errorf("riseandshine: Prepared was built with different Options")
 	}
-	if cfg.Ports != nil && cfg.Ports != p.ports {
+	if cfg.Ports != nil && cfg.Ports != p.setup.Ports {
 		return nil, fmt.Errorf("riseandshine: Prepared was built for a different port map")
 	}
 
@@ -158,15 +159,10 @@ func (p *Prepared) Run(cfg RunConfig) (*Result, error) {
 	}
 
 	simCfg := sim.Config{
-		Graph: p.graph,
-		Ports: p.ports,
-		Model: p.info.Model,
-		Adversary: sim.Adversary{
-			Schedule: schedule,
-			Delays:   cfg.Delays,
-		},
-		Seed:      cfg.Seed,
 		Setup:     p.setup,
+		Schedule:  schedule,
+		Delays:    cfg.Delays,
+		Seed:      cfg.Seed,
 		Observer:  cfg.Observer,
 		MemReport: cfg.MemReport,
 		Shards:    cfg.Shards,
