@@ -17,11 +17,7 @@ import (
 // ns/event divides the op time by the events it pops. Every event carries
 // a message, as deliveries do.
 func BenchmarkEventQueue(b *testing.B) {
-	// delay is a distinct U(0,1] value per sequence number, cheap enough
-	// (one splitmix64 step) to stay out of the measurement.
-	delay := func(seq int64) Time {
-		return Time(float64(splitmix64(uint64(seq))>>11+1) / (1 << 53))
-	}
+	delay := uniformDelay
 	var msg Message = testMsg{bits: 8}
 	deliver := func(at Time, seq int64) event {
 		return event{at: at, seq: seq, kind: evDeliver, node: int(seq & 1023),
@@ -61,4 +57,10 @@ func BenchmarkEventQueue(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/event")
 	})
+}
+
+// uniformDelay is a distinct U(0,1] value per sequence number, cheap
+// enough (one splitmix64 step) to stay out of a measurement.
+func uniformDelay(seq int64) Time {
+	return Time(float64(splitmix64(uint64(seq))>>11+1) / (1 << 53))
 }

@@ -453,14 +453,17 @@ func TestShardedKeepsNegativeZeroSpan(t *testing.T) {
 }
 
 // TestShardedLookaheadFlood runs the queue's look-ahead where its table
-// passes fire: the differential suites use graphs of at most 127 nodes,
-// whose buckets stay below warmTablesMin keys, while a single-source flood
-// on a 16383-node tree fills one-chunk buckets with hundreds of keys bound
-// for sleeping nodes. Each sharded core's look-ahead then reads records,
-// offsets and edge slots of the shared tables while the other cores write
-// theirs, so under the race detector this checks that those reads stay in
-// the core's own ranges; the Results, digests and model checks must match
-// the sequential run's byte for byte.
+// passes fire in every core: a single-source flood on a 16383-node tree
+// keeps hundreds of keys bound for sleeping nodes in each core's queue,
+// so lookAhead fills batches of warmMin keys, past warmTablesMin, where
+// the differential suites' graphs of at most 127 nodes leave batches
+// small. Each core's look-ahead then reads records, offsets and edge slots
+// of the shared tables while the other cores write theirs, so under the
+// race detector this checks that those reads stay in the core's own
+// ranges; the Results, digests and model checks must match the sequential
+// run's byte for byte. Each core's warm counter must show about one key
+// warmed per event it ran, so every core ran the passes on all of its
+// keys.
 func TestShardedLookaheadFlood(t *testing.T) {
 	cfg := Config{
 		Setup:    setupOf(graph.BinaryTree(16383), Model{Knowledge: KT0, Bandwidth: Local}),
@@ -476,7 +479,8 @@ func TestShardedLookaheadFlood(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		cfg.Shards = p
 		cfg.MemReport = true
-		res, err := RunAsync(withDigests(cfg), floodAlg{})
+		eng := &Engine{}
+		res, err := eng.Run(withDigests(cfg), floodAlg{})
 		if err != nil {
 			t.Fatalf("shards %d: %v", p, err)
 		}
@@ -486,6 +490,13 @@ func TestShardedLookaheadFlood(t *testing.T) {
 		res.Mem = nil
 		if got := marshalDigested(t, res); !bytes.Equal(want, got) {
 			t.Fatalf("shards %d: Result diverged from sequential", p)
+		}
+		for i := range eng.cores[:p] {
+			c := &eng.cores[i]
+			if c.queue.tables.nodes == nil || c.events == 0 || c.queue.warmed < int64(c.events)*9/10 {
+				t.Fatalf("shards %d core %d: %d keys warmed for %d events (tables attached: %v), want at least 9/10 of the events",
+					p, i, c.queue.warmed, c.events, c.queue.tables.nodes != nil)
+			}
 		}
 	}
 }
