@@ -121,12 +121,20 @@ func eccentricity(g *Graph, s *bfsScratch, v int) int {
 //
 // The eccentricities are computed 64 sources at a time by a bit-parallel
 // BFS (MS-BFS; Then et al., VLDB 2014): each node holds one uint64 of
-// seen, frontier and next-frontier bits, bit i for source i, and one scan
-// of a frontier node's edges advances every source that reached it. A node
-// enters the frontier at most once per level and once per source, so a
-// batch costs O(min(D, 64)·m) word operations, and the worst case, where
-// every node must be a source (a cycle), stays within the O(n·m) of a BFS
-// per node. The scratch is two allocations at any n.
+// seen, frontier and next-frontier bits, bit i for source i. A level runs
+// top-down, where one scan of a frontier node's edges advances every
+// source that reached it, or bottom-up (direction-optimizing BFS; Beamer,
+// Asanović and Patterson, SC 2012), where each open node, one that some
+// source has not reached, ORs its neighbours' frontier words and stops
+// scanning once they cover every source it lacks. If u's eccentricity is
+// at most 32, a batch runs a level bottom-up whenever its frontier holds
+// more than a third as many nodes as are open; otherwise every level runs
+// top-down. A node enters the frontier at most once per level and once
+// per source, and a switching batch runs at most D ≤ 2·ecc(u) ≤ 64
+// levels, so a batch costs O(min(D, 64)·m) word operations either way,
+// and the worst case, where every node must be a source (a cycle), stays
+// within the O(n·m) of a BFS per node. The scratch is two allocations at
+// any n.
 func (g *Graph) Diameter() (int, error) {
 	n := g.N()
 	if n == 0 {
@@ -153,6 +161,10 @@ func (g *Graph) Diameter() (int, error) {
 	}
 	ecc, _ = s.run(g, int(u))
 	best = max(best, int(ecc))
+	dir := topDown
+	if ecc <= switchMaxEcc {
+		dir = switching
+	}
 
 	// s.queue lists the nodes by nondecreasing level, so sources are taken
 	// from its end.
@@ -162,56 +174,152 @@ func (g *Graph) Diameter() (int, error) {
 		cur: buf[2*n : 2*n : 3*n], nxt: buf[3*n : 3*n : 4*n],
 	}
 	for i := n; i > 0 && best < 2*int(s.dist[s.queue[i-1]]); i -= 64 {
-		best = max(best, ms.maxEccentricity(g, s.queue[max(i-64, 0):i]))
+		best = max(best, ms.maxEccentricity(g, s.queue[max(i-64, 0):i], dir))
 	}
 	return best, nil
 }
 
+// switchMaxEcc is the largest eccentricity of the midpoint u for which
+// Diameter lets its batches switch direction. A graph where u lies farther
+// from some node is long and thin: its frontiers stay narrow, an open
+// node's missing sources lie at many distances, so a bottom-up scan
+// seldom stops early, and the switching loop ran 1.3–1.9× slower than
+// the top-down one on path:8192, cycle:8192 and grid:64x128 (EXPERIMENTS.md
+// "Direction-optimizing batches").
+const switchMaxEcc = 32
+
 // msbfs is the scratch of a bit-parallel BFS from up to 64 sources: per
 // node, the sources that have reached it (seen), whose frontier holds it
 // (visit) and whose next frontier holds it (next), plus the nodes of the
-// current and next frontiers as lists.
+// current and next frontiers as lists. A level runs top-down (push), at
+// the cost of the frontier's edges, or bottom-up (pull), at the cost of a
+// pass over the seen words and of the open nodes' edges up to the one
+// that completes each.
 type msbfs struct {
 	seen, visit, next []uint64
 	cur, nxt          []int32
 }
 
+// direction is how maxEccentricity advances its levels.
+type direction uint8
+
+const (
+	topDown   direction = iota // every level top-down
+	bottomUp                   // every level bottom-up
+	switching                  // each level as its frontier and open nodes suggest
+)
+
 // maxEccentricity runs a BFS from each source (at most 64, distinct) in a
 // connected graph and returns the largest of their eccentricities: the
 // number of levels until every source has reached every node. It leaves
 // the scratch zeroed.
-func (m *msbfs) maxEccentricity(g *Graph, sources []int32) int {
-	seen, visit, next := m.seen, m.visit, m.next
-	cur, nxt := m.cur[:0], m.nxt[:0]
+//
+// Both directions leave the same words after a level, so each level may
+// take either. The switching loop counts the open nodes and runs a level
+// bottom-up while the frontier holds more than a third as many: a
+// top-down edge may update two words where a bottom-up one reads one, and
+// once the frontier covers most of the graph an open node finds the
+// sources it lacks among its first few neighbours. It stops as soon as no
+// node is open, a level before a top-down loop sees an empty frontier.
+// The top-down loop keeps no counts.
+func (m *msbfs) maxEccentricity(g *Graph, sources []int32, dir direction) int {
+	seen, cur := m.seen, m.cur[:0]
 	for i, v := range sources {
 		seen[v] = 1 << i
-		visit[v] = 1 << i
+		m.visit[v] = 1 << i
 		cur = append(cur, v)
 	}
+	m.cur = cur
 	levels := 0
-	for {
-		for _, v := range cur {
-			f := visit[v]
-			visit[v] = 0
-			for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
-				if d := f &^ seen[w]; d != 0 {
-					if next[w] == 0 {
-						nxt = append(nxt, w)
-					}
-					next[w] |= d
-					seen[w] |= d
+	if dir == topDown {
+		for {
+			m.push(g)
+			if len(m.nxt) == 0 {
+				break
+			}
+			levels++
+			m.advance()
+		}
+	} else {
+		all := ^uint64(0) >> (64 - len(sources))
+		open := len(seen)
+		if all == 1 {
+			open-- // a lone source has reached itself
+		}
+		for ; open > 0 && len(m.cur) > 0; levels++ {
+			if dir == bottomUp || 3*len(m.cur) > open {
+				m.pull(g, all)
+			} else {
+				m.push(g)
+			}
+			for _, v := range m.nxt {
+				if seen[v] == all {
+					open--
 				}
 			}
+			m.advance()
 		}
-		if len(nxt) == 0 {
-			break
+		for _, v := range m.cur {
+			m.visit[v] = 0
 		}
-		levels++
-		visit, next = next, visit
-		cur, nxt = nxt, cur[:0]
 	}
 	clear(seen)
 	return levels
+}
+
+// push runs a level top-down: every frontier node passes the sources it
+// holds to the neighbours that have not seen them. It fills nxt with the
+// next frontier and zeroes the frontier's words.
+func (m *msbfs) push(g *Graph) {
+	seen, visit, next, nxt := m.seen, m.visit, m.next, m.nxt[:0]
+	for _, v := range m.cur {
+		f := visit[v]
+		visit[v] = 0
+		for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+			if d := f &^ seen[w]; d != 0 {
+				if next[w] == 0 {
+					nxt = append(nxt, w)
+				}
+				next[w] |= d
+				seen[w] |= d
+			}
+		}
+	}
+	m.nxt = nxt
+}
+
+// pull runs a level bottom-up: every node that has not seen all the
+// sources ORs its neighbours' frontier words, stopping once they and its
+// seen word cover all. It fills nxt with the next frontier and zeroes the
+// frontier's words.
+func (m *msbfs) pull(g *Graph, all uint64) {
+	seen, visit, next, nxt := m.seen, m.visit, m.next, m.nxt[:0]
+	for v, sv := range seen {
+		if sv == all {
+			continue
+		}
+		var acc uint64
+		for _, w := range g.nbr[g.off[v]:g.off[v+1]] {
+			if acc |= visit[w]; acc|sv == all {
+				break
+			}
+		}
+		if d := acc &^ sv; d != 0 {
+			next[v] = d
+			seen[v] = sv | d
+			nxt = append(nxt, int32(v))
+		}
+	}
+	for _, v := range m.cur {
+		visit[v] = 0
+	}
+	m.nxt = nxt
+}
+
+// advance makes the next frontier the current one.
+func (m *msbfs) advance() {
+	m.visit, m.next = m.next, m.visit
+	m.cur, m.nxt = m.nxt, m.cur[:0]
 }
 
 // AwakeDistance returns ρ_awk(G, awake) = max_u dist(awake, u), the paper's

@@ -33,16 +33,22 @@ func benchGraph(b *testing.B) *Graph {
 
 // benchShapes are the Diameter and spanner benchmark graphs, named by
 // their experiment spec (random graphs at seed 1, as ParseGraph builds
-// them). connected:2048:0.05 is the largest table1 graph; the path and
-// grid are high-diameter lattices; the cycle is Diameter's worst case,
-// where every node has the same eccentricity and no early exit applies.
-// The spanner runs on the table1 graph and the grid only.
+// them). connected:2048:0.05 is the largest table1 graph and
+// connected:2048:0.01 the one five table1 rows share; there Diameter's
+// batches switch to bottom-up levels. The hypercube has low degree and
+// small diameter, so its batches switch too but a bottom-up scan seldom
+// stops early. The path and grid are high-diameter lattices, which stay
+// top-down; the cycle is Diameter's worst case, where every node has the
+// same eccentricity and no early exit applies. The spanner runs on the
+// largest table1 graph and the grid only.
 var benchShapes = []struct {
 	name    string
 	build   func() *Graph
 	spanner bool
 }{
 	{"connected:2048:0.05", func() *Graph { return RandomConnected(2048, 0.05, rand.New(rand.NewSource(1))) }, true},
+	{"connected:2048:0.01", func() *Graph { return RandomConnected(2048, 0.01, rand.New(rand.NewSource(1))) }, false},
+	{"hypercube:13", func() *Graph { return Hypercube(13) }, false},
 	{"path:8192", func() *Graph { return Path(8192) }, false},
 	{"grid:64x128", func() *Graph { return Grid(64, 128) }, true},
 	{"cycle:8192", func() *Graph { return Cycle(8192) }, false},

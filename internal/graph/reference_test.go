@@ -202,6 +202,50 @@ func TestDiameterMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMaxEccentricityDirections runs the batched BFS behind Diameter on
+// batches of 1, 63 and 64 sources with every level top-down, every level
+// bottom-up, and switching, and compares each level count with the largest
+// scalar-BFS eccentricity in the batch. Besides the differential set, a
+// dense random graph, a hypercube and a clique make a full 64-source batch
+// switch to bottom-up levels. Every call must leave the scratch zeroed.
+func TestMaxEccentricityDirections(t *testing.T) {
+	gs := differentialGraphs()
+	gs["connected300:0.1"] = RandomConnected(300, 0.1, rand.New(rand.NewSource(3)))
+	gs["hypercube9"] = Hypercube(9)
+	gs["complete100"] = Complete(100)
+	for name, g := range gs {
+		n := g.N()
+		if n == 0 || !g.Connected() {
+			continue
+		}
+		words := make([]uint64, 3*n)
+		ids := make([]int32, 2*n)
+		ms := msbfs{
+			seen: words[:n], visit: words[n : 2*n], next: words[2*n:],
+			cur: ids[:0:n], nxt: ids[n : n : 2*n],
+		}
+		s := newBFSScratch(n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, k := range []int{1, 63, 64} {
+			k = min(k, n)
+			batch := make([]int32, k)
+			want := 0
+			for i, v := range rng.Perm(n)[:k] {
+				batch[i] = int32(v)
+				want = max(want, eccentricity(g, s, v))
+			}
+			for _, dir := range []direction{topDown, bottomUp, switching} {
+				if got := ms.maxEccentricity(g, batch, dir); got != want {
+					t.Errorf("%s: %d sources, direction %d: %d levels, largest eccentricity %d", name, k, dir, got, want)
+				}
+				if i := slices.IndexFunc(words, func(w uint64) bool { return w != 0 }); i >= 0 {
+					t.Fatalf("%s: %d sources, direction %d: scratch word %d left %#x", name, k, dir, i, words[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGreedySpannerMatchesReference(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		logn := max(1, bits.Len(uint(max(g.N(), 1)-1))) // ⌈log₂ n⌉
@@ -379,6 +423,19 @@ func fuzzSeeds(f *testing.F) {
 
 func FuzzDiameter(f *testing.F) {
 	fuzzSeeds(f)
+	// Two adjacent hubs with 35 and 70 leaves (D = 3): the midpoint is
+	// the larger hub, and Diameter's one batch of 64 sources, the other
+	// hub's 35 leaves and 29 of the nodes next to the midpoint, starts
+	// bottom-up.
+	stars := []byte{106, 0, 1} // n = 107, hubs 0 and 1
+	for v := 2; v < 107; v++ {
+		hub := byte(0)
+		if v >= 37 {
+			hub = 1
+		}
+		stars = append(stars, hub, byte(v))
+	}
+	f.Add(stars, uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, _ uint8) {
 		g := fuzzGraph(data)
 		want, wantErr := diameterReference(g)

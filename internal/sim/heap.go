@@ -53,9 +53,11 @@ import (
 // where the rest of the event — node, kind and the Delivery — is written
 // once at push and read once at pop. Buckets are singly linked lists of
 // fixed 64-key chunks from one pool shared by all 4096 buckets; every
-// chunk but a bucket's newest is full, so storage stays within
-// ⌈live/64⌉ + 4096 chunks of the live key count. The slab grows in pages
-// of 1024 payloads, so neither structure ever copies to grow.
+// chunk but a bucket's newest is full, so the arena stays within
+// ⌈live/64⌉ + 4096 chunks of the live key count. Chunks are allocated 16
+// to a group and join the arena one at a time, so storage stays within
+// ⌈live/64⌉ + 4096 + 15 chunks. The slab grows in pages of 1024 payloads,
+// so neither structure ever copies to grow.
 type eventHeap struct {
 	lastHi, lastLo uint64 // last: the last popped key, (0, 0) after reset
 	live           int    // events queued
@@ -72,11 +74,13 @@ type eventHeap struct {
 	warmTo int
 
 	// The chunk arena: chunks[c] is chunk c, link[c] the next-older chunk
-	// of its bucket (-1 for a bucket's oldest), and freeChunks the pool of
-	// unused chunk indices.
+	// of its bucket (-1 for a bucket's oldest), freeChunks the pool of
+	// unused chunk indices, and spare the chunks of the last group
+	// allocated that have not joined the arena yet.
 	chunks     []*keyChunk
 	link       []int32
 	freeChunks []int32
+	spare      []keyChunk
 
 	// The payload slab, in pages so that growing it never copies, the
 	// number of slots it has handed out, and its LIFO free list of slots.
@@ -111,6 +115,7 @@ type engineTables struct {
 const (
 	numBuckets = 16 * 256 // a level of 256 byte digits per byte of the 128-bit key
 	chunkKeys  = 64
+	chunkGroup = 16 // chunks allocated at once: 24 KiB
 	pageSlots  = 1024
 )
 
@@ -151,9 +156,10 @@ type eventPayload struct {
 type payloadPage [pageSlots]eventPayload
 
 // memBytes reports the queue's backing storage for the memory report: the
-// chunk arena with its link table, the payload slab, and both free lists.
+// chunk arena with its link table and spare chunks, the payload slab, and
+// both free lists.
 func (h *eventHeap) memBytes() int64 {
-	return int64(len(h.chunks))*keyChunkBytes + int64(cap(h.chunks))*ptrBytes +
+	return int64(len(h.chunks)+len(h.spare))*keyChunkBytes + int64(cap(h.chunks))*ptrBytes +
 		int64(cap(h.link))*4 + int64(cap(h.freeChunks))*4 +
 		int64(len(h.slab))*payloadPageBytes + int64(cap(h.slab))*ptrBytes +
 		int64(cap(h.freeSlots))*4
@@ -515,15 +521,21 @@ func (h *eventHeap) openChunk(b int) {
 }
 
 // takeChunk returns a free chunk index, growing the arena when the pool is
-// empty.
+// empty. The arena's chunks are allocated a group at a time: spare holds
+// the group's chunks not yet in the arena.
 func (h *eventHeap) takeChunk() int32 {
 	if n := len(h.freeChunks); n > 0 {
 		c := h.freeChunks[n-1]
 		h.freeChunks = h.freeChunks[:n-1]
 		return c
 	}
-	//lint:noalloc-ok the arena grows to ⌈live/64⌉ + 4096 chunks at the high-water mark, then the pool recycles them (reset keeps the arena)
-	h.chunks = append(h.chunks, new(keyChunk))
+	if len(h.spare) == 0 {
+		//lint:noalloc-ok the arena grows to ⌈live/64⌉ + 4096 chunks at the high-water mark, a group at a time, then the pool recycles them (reset keeps the arena)
+		h.spare = new([chunkGroup]keyChunk)[:]
+	}
+	//lint:noalloc-ok grows with the arena above
+	h.chunks = append(h.chunks, &h.spare[0])
+	h.spare = h.spare[1:]
 	//lint:noalloc-ok grows with the arena above
 	h.link = append(h.link, -1)
 	return int32(len(h.chunks) - 1)

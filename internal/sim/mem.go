@@ -48,11 +48,12 @@ type MemReport struct {
 	// core the run used: the radix heap's chunk arena (24-byte keys in
 	// 64-key chunks, with the chunk pointer and link tables), its payload
 	// slab (40-byte payloads in 1024-slot pages, with the page table), and
-	// the free lists of chunks and slots. The arena stays within
-	// ⌈peak live events/64⌉ + 4096 chunks. The 4096 bucket heads, a fixed
-	// 128 KiB per core, sit in the core itself and are not counted. Once
-	// the engine has run a synchronous algorithm it also covers the round
-	// buffers: one round's deliveries as popped and as grouped by
+	// the free lists of chunks and slots. Chunks are allocated 16 at a
+	// time, so the arena and its spare chunks stay within
+	// ⌈peak live events/64⌉ + 4096 + 15 chunks. The 4096 bucket heads, a
+	// fixed 128 KiB per core, sit in the core itself and are not counted.
+	// Once the engine has run a synchronous algorithm it also covers the
+	// round buffers: one round's deliveries as popped and as grouped by
 	// receiver.
 	QueueBytes int64
 	// FIFOBytes covers the per-directed-edge FIFO clamp and message
