@@ -44,35 +44,34 @@ func IdentityPorts(g *Graph) *PortMap {
 // RandomPorts returns a port map where every node's port bijection is an
 // independent uniformly random permutation — the input distribution of the
 // Theorem 1 lower bound.
+//
+// Each node's ports segment first holds adjacency positions 0..deg−1,
+// shuffled in place; port p then leads to the neighbour at position
+// ports[p−1], which is also where the inverse entry p goes, so the whole
+// map costs O(n + m) and no search.
 func RandomPorts(g *Graph, rng *rand.Rand) *PortMap {
-	pm := IdentityPorts(g)
+	off, nbr := g.CSR()
+	pm := &PortMap{
+		g:     g,
+		start: off,
+		ports: make([]int32, len(nbr)),
+		inv:   make([]int32, len(nbr)),
+	}
 	for v := 0; v < g.N(); v++ {
-		seg := pm.ports[pm.start[v]:pm.start[v+1]]
+		base := off[v]
+		seg := pm.ports[base:off[v+1]]
+		for i := range seg {
+			seg[i] = int32(i)
+		}
 		rng.Shuffle(len(seg), func(i, j int) {
 			seg[i], seg[j] = seg[j], seg[i]
 		})
-		pm.rebuildInverse(v)
+		for p, i := range seg {
+			pm.inv[base+i] = int32(p + 1)
+			seg[p] = nbr[base+i]
+		}
 	}
 	return pm
-}
-
-func (pm *PortMap) rebuildInverse(v int) {
-	adj := pm.g.Neighbors(v)
-	base := pm.start[v]
-	inv := pm.inv[base : base+int32(len(adj))]
-	for p0, w := range pm.ports[base : base+int32(len(adj))] {
-		// Position of neighbor w in the sorted adjacency segment.
-		lo, hi := 0, len(adj)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if adj[mid] < w {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		inv[lo] = int32(p0 + 1)
-	}
 }
 
 // Graph returns the underlying graph.
@@ -103,6 +102,14 @@ func (pm *PortMap) Neighbor(v, p int) int {
 //
 //wakeup:noalloc
 func (pm *PortMap) PortTo(v, u int) int {
+	return int(pm.inv[pm.start[v]+int32(pm.position(v, u))])
+}
+
+// position returns the index of neighbor u in v's sorted adjacency. It
+// panics if u is not a neighbor of v.
+//
+//wakeup:noalloc
+func (pm *PortMap) position(v, u int) int {
 	adj := pm.g.Neighbors(v)
 	t := int32(u)
 	lo, hi := 0, len(adj)
@@ -118,7 +125,7 @@ func (pm *PortMap) PortTo(v, u int) int {
 		//lint:noalloc-ok panic formatting on the programming-error path only
 		panic(fmt.Sprintf("graph: %d is not a neighbor of %d", u, v))
 	}
-	return int(pm.inv[pm.start[v]+int32(lo)])
+	return lo
 }
 
 // CSR exports the port mapping as flat compressed-sparse-row arrays over
@@ -162,8 +169,10 @@ func (pm *PortMap) CSR() (start, to, rev []int32) {
 // configurations.
 func (pm *PortMap) SwapPorts(v, p1, p2 int) {
 	base := pm.start[v]
-	pm.ports[base+int32(p1)-1], pm.ports[base+int32(p2)-1] = pm.ports[base+int32(p2)-1], pm.ports[base+int32(p1)-1]
-	pm.rebuildInverse(v)
+	i1, i2 := base+int32(p1)-1, base+int32(p2)-1
+	pm.ports[i1], pm.ports[i2] = pm.ports[i2], pm.ports[i1]
+	pm.inv[base+int32(pm.position(v, int(pm.ports[i1])))] = int32(p1)
+	pm.inv[base+int32(pm.position(v, int(pm.ports[i2])))] = int32(p2)
 }
 
 // Validate checks that every node's port assignment is a bijection onto its

@@ -29,14 +29,15 @@ case "$mode" in
     # prefix; BenchmarkRunSharded adds the parallel-engine speedup curve;
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
     # compact-RNG setup path (incl. the 10^6-node construction case); the
-    # graph package contributes the build benchmarks and the batched
-    # Diameter, Girth and GreedySpanner kernels; internal/sim contributes the
+    # graph package contributes the build benchmarks, the batched
+    # Diameter, Girth and GreedySpanner kernels and the random port map
+    # every RandomPorts cell builds (BenchmarkRandomPorts); internal/sim contributes the
     # queue layer (BenchmarkEventQueue: hold model at 10^3/10^5/4*10^6
     # live events and a 4*10^6 burst-drain, 10^6+ events per op, so one
     # op is a sample), and the delay adversary per delayer (BenchmarkDelay)
     # and the node generator (BenchmarkPCG), 2^20 calls per op reported as
     # ns/call.
-    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDelay|BenchmarkPCG|BenchmarkDiameter|BenchmarkGirth|BenchmarkGreedySpanner|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
+    pattern='BenchmarkRunAsync|BenchmarkRunSharded|BenchmarkEngine|BenchmarkEventQueue|BenchmarkDelay|BenchmarkPCG|BenchmarkDiameter|BenchmarkGirth|BenchmarkGreedySpanner|BenchmarkRandomPorts|BenchmarkBuild|BenchmarkSetup|BenchmarkReseedNode|BenchmarkNodeRand'
     packages='. ./internal/graph ./internal/sim'
     benchtime='1x'
     ;;
