@@ -728,6 +728,31 @@ func BenchmarkRunner(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild measures graph construction as the benchmark's set-up
+// does it, through experiment.ParseGraph: the four regular families the
+// generators fill through a sized Builder, a sparse million-node tree and
+// a random table1-sized graph. It uses only exported generators, so the
+// file runs unchanged on older checkouts.
+func BenchmarkBuild(b *testing.B) {
+	for _, spec := range []string{
+		"complete:2000", "bipartite:1000:1000", "torus:400x400",
+		"hypercube:16", "binary:1000000", "connected:2048:0.01",
+	} {
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			edges := 0
+			for i := 0; i < b.N; i++ {
+				g, err := experiment.ParseGraph(spec, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges = g.M()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
 // BenchmarkSetup measures per-topology Setup construction — port maps,
 // CSR edge metadata and, under KT1, the flat neighbour-ID table —
 // including the million-node sparse case the compact node RNG makes

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"riseandshine/internal/advice"
 	"riseandshine/internal/graph"
@@ -68,13 +70,8 @@ func (o CENOracle) Advise(g *graph.Graph, pm *graph.PortMap) ([][]byte, []int, e
 			children[p] = append(children[p], v)
 		}
 	}
-	for u := range children {
-		cs := children[u]
-		for i := 1; i < len(cs); i++ { // insertion sort by port at u
-			for j := i; j > 0 && pm.PortTo(u, cs[j]) < pm.PortTo(u, cs[j-1]); j-- {
-				cs[j], cs[j-1] = cs[j-1], cs[j]
-			}
-		}
+	for u, cs := range children {
+		slices.SortFunc(cs, func(a, b int) int { return cmp.Compare(pm.PortTo(u, a), pm.PortTo(u, b)) })
 	}
 
 	w := cenWidth(g.N())

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
@@ -336,7 +336,7 @@ func (m *fwMachine) assignLevel2(ctx sim.Context, reports []fwChildReport, w int
 		}
 	}
 	perParent := make(map[graph.NodeID][]graph.NodeID)
-	//lint:maporder-ok every perParent bucket is sortIDs-ed before sending
+	//lint:maporder-ok every perParent bucket is sorted before sending
 	for child, s := range tree {
 		if s.level == 2 {
 			perParent[s.parent] = append(perParent[s.parent], child)
@@ -344,7 +344,7 @@ func (m *fwMachine) assignLevel2(ctx sim.Context, reports []fwChildReport, w int
 	}
 	for _, parent := range sortedKeys(perParent) {
 		children := perParent[parent]
-		sortIDs(children)
+		slices.Sort(children)
 		ctx.SendToID(parent, fwS2Assign{Root: me, Children: children, W: w})
 	}
 }
@@ -369,24 +369,20 @@ func (m *fwMachine) assignLevel3(ctx sim.Context, reports []fwChildReport, w int
 	// Group grandchildren by their level-2 parent, then by that parent's
 	// level-1 parent for routing.
 	perL2 := make(map[graph.NodeID][]graph.NodeID)
-	//lint:maporder-ok every perL2 bucket is sortIDs-ed before use
+	//lint:maporder-ok every perL2 bucket is sorted before use
 	for gc, l2 := range l3Parent {
 		perL2[l2] = append(perL2[l2], gc)
 	}
 	perL1 := make(map[graph.NodeID][]fwL3Entry)
 	for _, l2 := range sortedKeys(perL2) {
 		gcs := perL2[l2]
-		sortIDs(gcs)
+		slices.Sort(gcs)
 		l1 := tree[l2].parent
 		perL1[l1] = append(perL1[l1], fwL3Entry{Child: l2, Grandchildren: gcs})
 	}
 	for _, l1 := range sortedKeys(perL1) {
 		ctx.SendToID(l1, fwS3Assign{Root: me, Entries: perL1[l1], W: w})
 	}
-}
-
-func sortIDs(ids []graph.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // sortedKeys returns the keys of a map in ascending order for
@@ -396,6 +392,6 @@ func sortedKeys[V any](m map[graph.NodeID]V) []graph.NodeID {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortIDs(keys)
+	slices.Sort(keys)
 	return keys
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"riseandshine/internal/advice"
 	"riseandshine/internal/graph"
@@ -83,7 +84,7 @@ func (o SpannerOracle) Advise(g *graph.Graph, pm *graph.PortMap) ([][]byte, []in
 		}
 	}
 	for v := range inList {
-		sortInts(inList[v])
+		slices.Sort(inList[v])
 	}
 	// posIn[x][v] would be x's heap position in inList[v]; compute next
 	// pairs directly instead: for inList[v][i-1] (1-based i), successors
@@ -131,7 +132,7 @@ func (o SpannerOracle) Advise(g *graph.Graph, pm *graph.PortMap) ([][]byte, []in
 		for k := range entries {
 			keys = append(keys, k)
 		}
-		sortInts(keys)
+		slices.Sort(keys)
 		wr.WriteBits(uint64(len(keys)), w)
 		for _, k := range keys {
 			p := entries[k]

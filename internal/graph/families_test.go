@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// buildReference materializes the same family through the Builder path the
-// implicit generators replaced, as an independent witness.
+// buildReference builds a graph from an edge list enumerated by hand, as an
+// independent witness for the generators.
 func buildReference(n int, edges [][2]int) *Graph {
 	b := NewBuilder(n)
 	for _, e := range edges {
@@ -33,8 +33,9 @@ func sameGraph(t *testing.T, name string, got, want *Graph) {
 	}
 }
 
-// TestImplicitFamiliesMatchBuilder pins each implicit family to an
-// explicitly enumerated Builder-built reference.
+// TestImplicitFamiliesMatchBuilder pins the regular families Complete,
+// CompleteBipartite, Hypercube and Torus to edge lists enumerated here by
+// hand, apart from the generators' own loops: it is their reference.
 func TestImplicitFamiliesMatchBuilder(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 16} {
 		var edges [][2]int
@@ -115,100 +116,8 @@ func TestGeneratorGuards(t *testing.T) {
 	mustPanic(t, "torus small", "r,c >= 3", func() { Torus(2, 5) })
 	mustPanic(t, "complete negative", "n >= 0", func() { Complete(-1) })
 	mustPanic(t, "bipartite negative", "a,b >= 0", func() { CompleteBipartite(3, -1) })
-}
-
-// brokenTopology wraps a valid topology with one corrupted answer, to
-// exercise FromTopology's validation.
-type brokenTopology struct {
-	Topology
-	neighbor func(v, i int) int
-}
-
-func (b brokenTopology) Neighbor(v, i int) int { return b.neighbor(v, i) }
-
-func TestFromTopologyValidation(t *testing.T) {
-	base := CompleteTopology{Nodes: 4}
-	cases := []struct {
-		name    string
-		t       Topology
-		wantSub string
-	}{
-		{"out of range", brokenTopology{base, func(v, i int) int {
-			if v == 2 && i == 0 {
-				return 9
-			}
-			return base.Neighbor(v, i)
-		}}, "out of range"},
-		{"self loop", brokenTopology{base, func(v, i int) int {
-			if v == 1 && i == 1 {
-				return 1
-			}
-			return base.Neighbor(v, i)
-		}}, "self-loop"},
-		{"not ascending", brokenTopology{base, func(v, i int) int {
-			// Node 0's neighbors become 3,2,1.
-			if v == 0 {
-				return 3 - i
-			}
-			return base.Neighbor(v, i)
-		}}, "not strictly ascending"},
-		{"asymmetric", asymTopology{}, "no reverse"},
-		{"negative n", CompleteTopology{Nodes: -2}, "negative node count"},
-		{"odd degree sum", oddTopology{}, "odd"},
-		{"edge overflow", BipartiteTopology{Left: 1 << 16, Right: 1 << 16}, "exceeding the int32 index space"},
-	}
-	for _, c := range cases {
-		if _, err := FromTopology(c.t); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		} else if !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantSub)
-		}
-	}
-}
-
-// asymTopology claims 0→1 without the reverse edge, but keeps per-node
-// lists locally valid and the degree sum even.
-type asymTopology struct{}
-
-func (asymTopology) N() int           { return 4 }
-func (asymTopology) Degree(v int) int { return 1 }
-func (asymTopology) Neighbor(v, _ int) int {
-	switch v {
-	case 0:
-		return 1
-	case 1:
-		return 2
-	case 2:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// oddTopology reports an odd degree sum.
-type oddTopology struct{}
-
-func (oddTopology) N() int { return 3 }
-func (oddTopology) Degree(v int) int {
-	if v == 0 {
-		return 1
-	}
-	return 0
-}
-func (oddTopology) Neighbor(int, int) int { return 1 }
-
-// TestImplicitFamiliesValid runs the implicit families through the full
-// FromTopology validator (the generators use mustTopology, so any emitted
-// asymmetry or ordering bug fails here first).
-func TestImplicitFamiliesValid(t *testing.T) {
-	for _, tp := range []Topology{
-		CompleteTopology{Nodes: 9},
-		BipartiteTopology{Left: 4, Right: 6},
-		HypercubeTopology{Dim: 6},
-		TorusTopology{Rows: 5, Cols: 7},
-	} {
-		if _, err := FromTopology(tp); err != nil {
-			t.Errorf("%T: %v", tp, err)
-		}
-	}
+	// The sized builder checks the edge count before it allocates: without
+	// it each of these would first append about 2·10⁹ edges.
+	mustPanic(t, "complete overflow", "int32 index space", func() { Complete(1 << 16) })
+	mustPanic(t, "bipartite overflow", "int32 index space", func() { CompleteBipartite(1<<16, 1<<16) })
 }

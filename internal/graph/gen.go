@@ -35,24 +35,33 @@ func Star(n int) *Graph {
 	return b.MustBuild()
 }
 
-// Complete returns the complete graph K_n, materialized directly from the
-// implicit CompleteTopology: no O(n²) edge-list intermediate and no sort,
-// just the single CSR neighbor array.
+// Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: complete graph needs n >= 0, got %d", n))
 	}
-	return mustTopology(CompleteTopology{Nodes: n})
+	b := newSizedBuilder(n, n*(n-1)/2)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.MustBuild()
 }
 
 // CompleteBipartite returns K_{a,b}: nodes 0..a-1 on the left side, nodes
-// a..a+b-1 on the right side. Like Complete, it materializes straight from
-// the implicit topology.
+// a..a+b-1 on the right side.
 func CompleteBipartite(a, b int) *Graph {
 	if a < 0 || b < 0 {
 		panic(fmt.Sprintf("graph: complete bipartite graph needs a,b >= 0, got %d,%d", a, b))
 	}
-	return mustTopology(BipartiteTopology{Left: a, Right: b})
+	bld := newSizedBuilder(a+b, a*b)
+	for u := 0; u < a; u++ {
+		for v := a; v < a+b; v++ {
+			bld.AddEdge(u, v)
+		}
+	}
+	return bld.MustBuild()
 }
 
 // gridNodes validates r×c dimensions for the grid-shaped generators:
@@ -86,26 +95,43 @@ func Grid(r, c int) *Graph {
 	return b.MustBuild()
 }
 
-// Torus returns the r×c torus (grid with wraparound), materialized from the
-// implicit TorusTopology. Requires r, c ≥ 3 so the wrap edges do not
-// duplicate grid edges.
+// Torus returns the r×c torus (grid with wraparound). Node (i, j) has
+// index i*c + j. Requires r, c ≥ 3 so the wrap edges do not duplicate grid
+// edges.
 func Torus(r, c int) *Graph {
-	gridNodes("torus", r, c)
+	n := gridNodes("torus", r, c)
 	if r < 3 || c < 3 {
 		panic(fmt.Sprintf("graph: torus needs r,c >= 3, got %d,%d", r, c))
 	}
-	return mustTopology(TorusTopology{Rows: r, Cols: c})
+	b := newSizedBuilder(n, 2*n)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			v := i*c + j
+			b.AddEdge(v, i*c+(j+1)%c)
+			b.AddEdge(v, ((i+1)%r)*c+j)
+		}
+	}
+	return b.MustBuild()
 }
 
-// Hypercube returns the d-dimensional hypercube on 2^d nodes, materialized
-// from the implicit HypercubeTopology. The dimension is bounded to 26: at
-// d = 27 the d·2^d directed edges already exceed the int32 index space
-// (and an unchecked 1 << d would silently wrap for d ≥ 63).
+// Hypercube returns the d-dimensional hypercube on 2^d nodes: v and w are
+// adjacent iff they differ in exactly one bit. The dimension is bounded to
+// 26: at d = 27 the d·2^d directed edges already exceed the int32 index
+// space (and an unchecked 1 << d would silently wrap for d ≥ 63).
 func Hypercube(d int) *Graph {
 	if d < 0 || d > 26 {
 		panic(fmt.Sprintf("graph: hypercube dimension %d out of range [0,26] (d·2^d directed edges must fit int32 indices)", d))
 	}
-	return mustTopology(HypercubeTopology{Dim: d})
+	n := 1 << d
+	b := newSizedBuilder(n, d*n/2)
+	for v := 0; v < n; v++ {
+		for bit := 0; bit < d; bit++ {
+			if w := v ^ 1<<bit; v < w {
+				b.AddEdge(v, w)
+			}
+		}
+	}
+	return b.MustBuild()
 }
 
 // Lollipop returns a clique of size k with a pendant path of length tail

@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // SymplecticGQIncidence returns the point–line incidence graph of the
 // symplectic generalized quadrangle W(3, q) for a prime q: points are all
@@ -60,7 +64,9 @@ func SymplecticGQIncidence(q int) *Graph {
 	for k := range lines {
 		keys = append(keys, k)
 	}
-	sortLineKeys(keys)
+	slices.SortFunc(keys, func(a, b lineKey) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	for li, k := range keys {
 		for _, pi := range lines[k] {
 			b.AddEdge(pi, n+li)
@@ -104,7 +110,7 @@ func linePoints(q int, p, r [4]int, index map[[4]int]int) []int {
 		}
 		members = append(members, index[canon4(q, v)])
 	}
-	sortInts(members)
+	slices.Sort(members)
 	return members
 }
 
@@ -144,16 +150,4 @@ func modInverse(a, q int) int {
 		exp >>= 1
 	}
 	return result
-}
-
-func sortLineKeys(keys [][2]int) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			a, b := keys[j], keys[j-1]
-			if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
-				break
-			}
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
 }

@@ -24,8 +24,8 @@ import (
 type NodeID int64
 
 // Graph is an immutable simple undirected graph. The zero value is an empty
-// graph with no nodes; use a Builder, a Topology, or one of the generators
-// to construct non-trivial instances.
+// graph with no nodes; use a Builder, or one of the generators (which use
+// one), to construct non-trivial instances.
 //
 // Adjacency is stored as one flat compressed-sparse-row (CSR) pair: off has
 // n+1 offsets and nbr holds all 2·M directed edges, so the neighbors of v
@@ -61,6 +61,17 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// newSizedBuilder returns a builder for a generator that knows its edge
+// count m up front. It checks the size first, so an oversized family
+// panics with CheckSize's message before anything is allocated, and then
+// allocates the edge list once.
+func newSizedBuilder(n, m int) *Builder {
+	if err := CheckSize(n, m); err != nil {
+		panic(err)
+	}
+	return &Builder{n: n, edges: make([][2]int32, 0, m)}
+}
+
 // AddEdge records the undirected edge {u, v}.
 func (b *Builder) AddEdge(u, v int) {
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
@@ -84,7 +95,7 @@ func CheckSize(n, m int) error {
 }
 
 // Build validates the accumulated edges and produces the graph. Node IDs
-// default to the identity assignment id(v) = v; use WithIDs to override.
+// default to the identity assignment id(v) = v; use SetIDs to override.
 func (b *Builder) Build() (*Graph, error) {
 	if err := CheckSize(b.n, len(b.edges)); err != nil {
 		return nil, err
@@ -169,8 +180,9 @@ func (g *Graph) MaxDegree() int {
 func (g *Graph) Neighbors(v int) []int32 { return g.nbr[g.off[v]:g.off[v+1]] }
 
 // CSR exposes the graph's offset and neighbor tables — the same
-// compressed-sparse-row layout Setup and PortMap use. Both slices are
-// shared with the graph and must not be modified.
+// compressed-sparse-row layout Setup and PortMap use, which share them
+// rather than copy them (an identity PortMap's port table is nbr). Both
+// slices must not be modified.
 func (g *Graph) CSR() (off, nbr []int32) { return g.off, g.nbr }
 
 // HasEdge reports whether the undirected edge {u, v} exists.

@@ -381,7 +381,7 @@ func (g *Graph) Components() [][]int {
 		comps = append(comps, comp)
 	}
 	for _, c := range comps {
-		sortInts(c)
+		slices.Sort(c)
 	}
 	return comps
 }
@@ -550,13 +550,4 @@ func (g *Graph) DegreeHistogram() []int {
 		counts[g.Degree(v)]++
 	}
 	return counts
-}
-
-func sortInts(a []int) {
-	// insertion sort: component slices are typically already nearly sorted
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

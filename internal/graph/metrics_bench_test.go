@@ -132,17 +132,3 @@ func BenchmarkEccentricity(b *testing.B) {
 		g.Eccentricity(0)
 	}
 }
-
-func BenchmarkBuildComplete(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Complete(512)
-	}
-}
-
-func BenchmarkBuildTorusImplicit(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Torus(64, 64)
-	}
-}

@@ -15,21 +15,26 @@ import (
 // the port-p out-edge of node v lives at flat index start[v]+p-1. Compared
 // to per-node slices this removes 2n slice headers and allocations, which
 // matters at the million-node scale the engine targets.
+//
+// A port map is immutable once built, as in the model, where the adversary
+// fixes every bijection before the execution starts. So its tables can be
+// shared: an identity map's port table is the graph's own neighbour array,
+// and CSR hands it on to the engine without a copy.
 type PortMap struct {
 	g     *Graph
-	start []int32 // CSR offsets; aliases the graph's table, never mutated
+	start []int32 // CSR offsets; aliases the graph's table
 	ports []int32 // ports[start[v]+p-1] = neighbor index reached via port p
 	inv   []int32 // inv[start[v]+i] = port at v leading to Neighbors(v)[i]
 }
 
 // IdentityPorts returns the port map where port p at v leads to the p-th
-// smallest neighbor of v.
+// smallest neighbor of v. Its port table is the graph's neighbour array.
 func IdentityPorts(g *Graph) *PortMap {
 	off, nbr := g.CSR()
 	pm := &PortMap{
 		g:     g,
 		start: off,
-		ports: append([]int32(nil), nbr...),
+		ports: nbr,
 		inv:   make([]int32, len(nbr)),
 	}
 	for v := 0; v < g.N(); v++ {
@@ -102,14 +107,6 @@ func (pm *PortMap) Neighbor(v, p int) int {
 //
 //wakeup:noalloc
 func (pm *PortMap) PortTo(v, u int) int {
-	return int(pm.inv[pm.start[v]+int32(pm.position(v, u))])
-}
-
-// position returns the index of neighbor u in v's sorted adjacency. It
-// panics if u is not a neighbor of v.
-//
-//wakeup:noalloc
-func (pm *PortMap) position(v, u int) int {
 	adj := pm.g.Neighbors(v)
 	t := int32(u)
 	lo, hi := 0, len(adj)
@@ -125,7 +122,7 @@ func (pm *PortMap) position(v, u int) int {
 		//lint:noalloc-ok panic formatting on the programming-error path only
 		panic(fmt.Sprintf("graph: %d is not a neighbor of %d", u, v))
 	}
-	return lo
+	return int(pm.inv[pm.start[v]+int32(lo)])
 }
 
 // CSR exports the port mapping as flat compressed-sparse-row arrays over
@@ -135,16 +132,16 @@ func (pm *PortMap) position(v, u int) int {
 // at the neighbor whose edge leads back to v — i.e. PortTo(to[ei], v) —
 // precomputed so per-message paths never binary-search the adjacency list.
 //
-// start is the graph's own immutable offset table (shared, do not modify);
-// to and rev are snapshots, so SwapPorts invalidates them and callers that
-// mutate the mapping must re-export.
+// start is the graph's offset table and to is the map's own port table
+// (for an identity map, the graph's neighbour array), both shared and not
+// to be modified; rev is built on each call.
 func (pm *PortMap) CSR() (start, to, rev []int32) {
 	n := pm.g.N()
 	start = pm.start
 	if start == nil {
 		start = make([]int32, 1) // zero-value Graph: one all-zero offset
 	}
-	to = append([]int32(nil), pm.ports...)
+	to = pm.ports
 	rev = make([]int32, len(pm.ports))
 	// Fill rev in O(m): scanning nodes in ascending order, the neighbors u
 	// of any fixed node w are visited in ascending u as well, and the
@@ -162,17 +159,6 @@ func (pm *PortMap) CSR() (start, to, rev []int32) {
 		}
 	}
 	return start, to, rev
-}
-
-// SwapPorts exchanges the two given ports at node v, preserving bijectivity.
-// Lower-bound experiments use this to construct indistinguishable
-// configurations.
-func (pm *PortMap) SwapPorts(v, p1, p2 int) {
-	base := pm.start[v]
-	i1, i2 := base+int32(p1)-1, base+int32(p2)-1
-	pm.ports[i1], pm.ports[i2] = pm.ports[i2], pm.ports[i1]
-	pm.inv[base+int32(pm.position(v, int(pm.ports[i1])))] = int32(p1)
-	pm.inv[base+int32(pm.position(v, int(pm.ports[i2])))] = int32(p2)
 }
 
 // Validate checks that every node's port assignment is a bijection onto its

@@ -66,10 +66,13 @@ type MemReport struct {
 	// its first ctx.Rand(), so for a program that never draws (flood) the
 	// pages stay untouched and do not count toward RSS.
 	RNGBytes int64
-	// CSRBytes covers what the Setup holds: the edge metadata EdgeStart,
-	// EdgeTo and RevPort (4 bytes per node plus 8 per directed edge) and,
-	// under KT1, the flat neighbour-ID table behind every node's
-	// NodeInfo.NeighborIDs (8 more bytes per directed edge).
+	// CSRBytes covers the tables the Setup reads: the edge metadata
+	// EdgeStart, EdgeTo and RevPort (4 bytes per node plus 8 per directed
+	// edge) and, under KT1, the flat neighbour-ID table behind every node's
+	// NodeInfo.NeighborIDs (8 more bytes per directed edge). EdgeStart and
+	// EdgeTo are the port map's tables, not copies, and under identity
+	// ports they are the graph's own offset and neighbour arrays, so only
+	// RevPort and the neighbour IDs are allocated by the Setup itself.
 	CSRBytes int64
 	// NodeBytes covers the node records: 32 bytes per node holding the
 	// machine, the wake time, and the awake, adversary and seeded flags

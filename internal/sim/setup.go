@@ -29,7 +29,9 @@ type Setup struct {
 	// node v addressed by port p lives at flat index EdgeStart[v]+p-1,
 	// EdgeTo[ei] is the receiving node, and RevPort[ei] is the receiver-side
 	// port — PortTo precomputed once per topology, so no per-message binary
-	// search.
+	// search. EdgeStart and EdgeTo are the port map's own tables, shared
+	// and never modified (under identity ports, the graph's offset and
+	// neighbour arrays); only RevPort is built here.
 	EdgeStart []int32
 	EdgeTo    []int32
 	RevPort   []int32

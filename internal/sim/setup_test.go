@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"riseandshine/internal/graph"
@@ -258,5 +259,39 @@ func TestNewSetupAllocsFlat(t *testing.T) {
 	small, large := allocs(100), allocs(10000)
 	if small != large {
 		t.Fatalf("NewSetup on KT1 allocates %v times at n=100 and %v at n=10000; want the same count", small, large)
+	}
+}
+
+// TestSetupSharesNeighbourArray pins that the layers share one neighbour
+// table instead of copying it: under identity ports the graph's neighbour
+// array is the port map's port table and the Setup's EdgeTo, one backing
+// array, and a random map's port table is the Setup's EdgeTo. Building
+// port maps and Setups leaves the graph's CSR bit for bit as it was.
+func TestSetupSharesNeighbourArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := graph.RandomConnected(300, 0.05, rng)
+	off, nbr := g.CSR()
+	wantOff, wantNbr := slices.Clone(off), slices.Clone(nbr)
+	shared := func(a, b []int32) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+
+	if _, to, _ := graph.IdentityPorts(g).CSR(); !shared(to, nbr) {
+		t.Error("IdentityPorts' port table is not the graph's neighbour array")
+	}
+	for _, kt := range []Knowledge{KT0, KT1} {
+		s := setupOf(g, Model{Knowledge: kt, Bandwidth: Congest})
+		if !shared(s.EdgeTo, nbr) || !shared(s.EdgeStart, off) {
+			t.Errorf("%v: identity-port Setup copies the graph's CSR instead of sharing it", kt)
+		}
+	}
+	random := graph.RandomPorts(g, rng)
+	_, rto, _ := random.CSR()
+	if s := mustSetup(g, random, Model{Knowledge: KT1, Bandwidth: Congest}, nil, nil); !shared(s.EdgeTo, rto) {
+		t.Error("random-port Setup copies the port map's table instead of sharing it")
+	}
+	if shared(rto, nbr) {
+		t.Error("RandomPorts shuffled the graph's neighbour array")
+	}
+	if !slices.Equal(off, wantOff) || !slices.Equal(nbr, wantNbr) {
+		t.Error("building port maps and Setups changed the graph's CSR")
 	}
 }

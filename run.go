@@ -73,8 +73,8 @@ type RunConfig struct {
 //
 // A Prepared is immutable after Prepare and safe for concurrent Run calls,
 // as long as each concurrent caller passes its own RunConfig.Engine (or
-// none). The underlying graph and port map must not be mutated (e.g. via
-// SwapPorts) while the Prepared is in use.
+// none). Graphs and port maps are immutable, but the graph's IDs must not
+// change (Graph.SetIDs) while the Prepared is in use.
 type Prepared struct {
 	algorithm string
 	options   Options

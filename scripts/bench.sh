@@ -28,10 +28,11 @@ case "$mode" in
     # BenchmarkRunAsync also matches the ExecTrace/Reuse/Metrics variants by
     # prefix; BenchmarkRunSharded adds the parallel-engine speedup curve;
     # BenchmarkSetup/BenchmarkReseedNode/BenchmarkNodeRand pin the O(1)
-    # compact-RNG setup path (incl. the 10^6-node construction case); the
-    # graph package contributes the build benchmarks, the batched
-    # Diameter, Girth and GreedySpanner kernels and the random port map
-    # every RandomPorts cell builds (BenchmarkRandomPorts); internal/sim contributes the
+    # compact-RNG setup path (incl. the 10^6-node construction case) and
+    # BenchmarkBuild graph construction through ParseGraph; the graph
+    # package contributes the batched Diameter, Girth and GreedySpanner
+    # kernels and the random port map every RandomPorts cell builds
+    # (BenchmarkRandomPorts); internal/sim contributes the
     # queue layer (BenchmarkEventQueue: hold model at 10^3/10^5/4*10^6
     # live events and a 4*10^6 burst-drain, 10^6+ events per op, so one
     # op is a sample), and the delay adversary per delayer (BenchmarkDelay)

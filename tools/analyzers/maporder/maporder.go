@@ -19,7 +19,7 @@
 //     order-dependent);
 //   - collect-then-sort: s = append(s, k) where a later statement of the
 //     same block passes s to a function whose name contains "sort"
-//     (sort.Ints, sort.Slice, sortInts, …), the idiom used throughout
+//     (slices.Sort, slices.SortFunc, sort.Slice, …), the idiom used throughout
 //     internal/core and internal/graph.
 //
 // Anything else needs an explicit, justified suppression on the loop line
@@ -441,7 +441,7 @@ func (st *bodyState) pure(e ast.Expr) bool {
 
 // sortedLater reports whether a statement after the loop passes the
 // collected slice to a sort-like function (name contains "sort",
-// case-insensitively: sort.Ints, sort.Slice, slices.Sort, sortInts, …).
+// case-insensitively: sort.Ints, sort.Slice, slices.Sort, slices.SortFunc, …).
 func sortedLater(pass *analysis.Pass, obj types.Object, rest []ast.Stmt) bool {
 	for _, s := range rest {
 		found := false
