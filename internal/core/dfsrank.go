@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
@@ -46,7 +47,7 @@ func (a DFSRank) NewMachine(info sim.NodeInfo) sim.Program {
 	if rb > 62 {
 		rb = 62
 	}
-	return &dfsMachine{info: info, rankBits: rb, bestOrigin: -1, noDiscard: a.DisableRanks}
+	return &dfsMachine{info: info, rankBits: rb, bestOrigin: math.MinInt64, noDiscard: a.DisableRanks}
 }
 
 // dfsToken is the traversal token. Ownership is handed off on send: the
@@ -63,7 +64,7 @@ type dfsToken struct {
 	// seen indexes Visited, so a hop tests its neighbors in O(deg)
 	// instead of rebuilding a set of the whole list. It is simulator
 	// state: Bits and GoString leave it out.
-	seen map[graph.NodeID]struct{}
+	seen idMap[struct{}]
 }
 
 // Bits implements sim.Message. The token is a LOCAL-model message: its
@@ -85,7 +86,7 @@ type dfsMachine struct {
 	info       sim.NodeInfo
 	rankBits   int
 	bestRank   uint64
-	bestOrigin graph.NodeID // -1 until any token is seen
+	bestOrigin graph.NodeID // math.MinInt64 until any token is seen
 	noDiscard  bool
 }
 
@@ -112,8 +113,8 @@ func (m *dfsMachine) OnWake(ctx sim.Context) {
 		Visited: []graph.NodeID{me},
 		Stack:   []graph.NodeID{me},
 		idBits:  m.info.LogN + 1,
-		seen:    map[graph.NodeID]struct{}{me: {}},
 	}
+	t.seen.put(me, struct{}{})
 	m.advance(ctx, t)
 }
 
@@ -133,10 +134,9 @@ func (m *dfsMachine) OnMessage(ctx sim.Context, d sim.Delivery) {
 // token's DFS stack: move to the smallest-ID unvisited neighbor if one
 // exists, otherwise backtrack toward the origin.
 func (m *dfsMachine) advance(ctx sim.Context, t *dfsToken) {
-	next := unvisitedMin(m.info.NeighborIDs, t.seen)
-	if next != -1 {
+	if next, ok := unvisitedMin(m.info.NeighborIDs, &t.seen); ok {
 		t.Visited = append(t.Visited, next)
-		t.seen[next] = struct{}{}
+		t.seen.put(next, struct{}{})
 		t.Stack = append(t.Stack, next)
 		ctx.SendToID(next, t)
 		return
@@ -150,14 +150,13 @@ func (m *dfsMachine) advance(ctx sim.Context, t *dfsToken) {
 	ctx.SendToID(t.Stack[len(t.Stack)-1], t)
 }
 
-// unvisitedMin returns the smallest ID among ids that is not in seen, or
-// -1 if every one is.
-func unvisitedMin(ids []graph.NodeID, seen map[graph.NodeID]struct{}) graph.NodeID {
-	next := graph.NodeID(-1)
+// unvisitedMin returns the smallest ID among ids that is not in seen, and
+// false if every one is.
+func unvisitedMin(ids []graph.NodeID, seen *idMap[struct{}]) (next graph.NodeID, ok bool) {
 	for _, id := range ids {
-		if _, ok := seen[id]; !ok && (next == -1 || id < next) {
-			next = id
+		if (!ok || id < next) && !seen.has(id) {
+			next, ok = id, true
 		}
 	}
-	return next
+	return next, ok
 }

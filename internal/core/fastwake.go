@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -161,19 +162,40 @@ func (fwActivate) Bits() int { return tagBits }
 
 // --- Machine ---
 
-// fwRootState is a root's view of its tree: tree maps each level-1 and
-// level-2 member to its slot. The pipeline is lock-step, so each of
-// assignLevel2 and assignLevel3 runs once per root: level 1 is filled at
-// sampling, level 2 by assignLevel2, and assignLevel3 only reads.
+// fwRootState is a root's view of its tree: tree maps every member to its
+// level and parent, in one table for all three levels. The pipeline
+// is lock-step, so level 1 is filled at sampling, level 2 from the level-1
+// reports in the root's third round and level 3 from the level-2 batches
+// in its seventh; a candidate already in the table is a member of a
+// shallower level, or of the same level under the lowest-ID parent seen.
 type fwRootState struct {
-	tree map[graph.NodeID]fwSlot
+	tree   idMap[fwSlot]
+	joined int // members filed at the level being built
 }
 
-// fwSlot is one tree member's level (1 or 2) and, at level 2, its level-1
-// parent.
+// fwSlot is one tree member's level (1, 2 or 3) and, at levels 2 and 3,
+// its parent one level up.
 type fwSlot struct {
-	level  int8
 	parent graph.NodeID
+	level  int8
+}
+
+// adopt files each neighbour child reported as a member at level under
+// parent child, unless it is the root or already a member; a member filed
+// at this level keeps the lowest-ID parent that reported it.
+func (r *fwRootState) adopt(root, child graph.NodeID, neighbors []graph.NodeID, level int8) {
+	for _, cand := range neighbors {
+		if cand == root {
+			continue
+		}
+		s, found := r.tree.ref(cand)
+		if !found {
+			*s = fwSlot{parent: child, level: level}
+			r.joined++
+		} else if s.level == level && child < s.parent {
+			s.parent = child
+		}
+	}
 }
 
 type fwMachine struct {
@@ -183,13 +205,8 @@ type fwMachine struct {
 	local        int // rounds since waking; 1 in the wake round
 	active       bool
 	deactivated  bool
-	deactivateAt int // local round at which deactivation applies (0: none)
-	isRoot       bool
-	root         *fwRootState
-
-	// myChildren[r] is this node's assigned level-2 children in tree r
-	// (this node is a level-1 member); used to route S3 portions.
-	myChildren map[graph.NodeID][]graph.NodeID
+	deactivateAt int          // local round at which deactivation applies (0: none)
+	root         *fwRootState // non-nil from sampling as a root until its tree is complete
 }
 
 var _ sim.Quiescer = (*fwMachine)(nil)
@@ -216,12 +233,14 @@ func (m *fwMachine) scheduleDeactivate(at int) {
 func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 	m.local++
 	w := m.info.LogN + 1
+	me := m.info.ID
 
 	// Classify the inbox. All same-role messages of a tree arrive in the
-	// same round because the construction pipeline is lock-step.
-	var l1Reports []fwChildReport                       // I am the root
-	l2Reports := make(map[graph.NodeID][]fwChildReport) // I am a level-1 parent
-	batches := make(map[graph.NodeID][]fwChildReport)   // I am the root
+	// same round because the construction pipeline is lock-step; a root
+	// files the reports of its own tree as they arrive.
+	var l2Reports []fwChildReport // I am a level-1 parent
+	var l2Roots []graph.NodeID    // l2Reports[i] belongs to tree l2Roots[i]
+	level2, level3 := false, false
 	joinedTree := false
 	sawActivation := false
 
@@ -233,12 +252,11 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 			m.scheduleDeactivate(m.local + fwL1Deactivate)
 			ctx.SendToID(msg.Root, fwL1Report{Root: msg.Root, Neighbors: m.info.NeighborIDs, W: w})
 		case fwL1Report:
-			l1Reports = append(l1Reports, fwChildReport{Child: d.From, Neighbors: msg.Neighbors})
-		case fwS2Assign:
-			if m.myChildren == nil {
-				m.myChildren = make(map[graph.NodeID][]graph.NodeID)
+			if m.root != nil {
+				m.root.adopt(me, d.From, msg.Neighbors, 2)
+				level2 = true
 			}
-			m.myChildren[msg.Root] = msg.Children
+		case fwS2Assign:
 			for _, c := range msg.Children {
 				ctx.SendToID(c, fwL2Invite{Root: msg.Root, W: w})
 			}
@@ -248,10 +266,16 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 			m.scheduleDeactivate(m.local + fwL2Deactivate)
 			ctx.SendToID(d.From, fwL2Report{Root: msg.Root, Neighbors: m.info.NeighborIDs, W: w})
 		case fwL2Report:
-			l2Reports[msg.Root] = append(l2Reports[msg.Root],
-				fwChildReport{Child: d.From, Neighbors: msg.Neighbors})
+			l2Reports = append(l2Reports, fwChildReport{Child: d.From, Neighbors: msg.Neighbors})
+			l2Roots = append(l2Roots, msg.Root)
 		case fwL2Batch:
-			batches[msg.Root] = append(batches[msg.Root], msg.Reports...)
+			// A batch is only ever sent to its own root.
+			if m.root != nil {
+				for _, rep := range msg.Reports {
+					m.root.adopt(me, rep.Child, rep.Neighbors, 3)
+				}
+				level3 = true
+			}
 		case fwS3Assign:
 			for _, e := range msg.Entries {
 				ctx.SendToID(e.Child, fwS3Leaf{Root: msg.Root, Children: e.Grandchildren, W: w})
@@ -274,18 +298,14 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 		m.active = true
 	}
 
-	// Root duties: process complete per-round batches.
-	if len(l1Reports) > 0 && m.isRoot {
-		m.assignLevel2(ctx, l1Reports, w)
+	if level2 {
+		m.assignLevel2(ctx, w)
 	}
-	for _, root := range sortedKeys(l2Reports) {
-		// Forward my children's reports to the tree root in one batch.
-		ctx.SendToID(root, fwL2Batch{Root: root, Reports: l2Reports[root], W: w})
+	if len(l2Reports) > 0 {
+		forwardLevel2(ctx, l2Reports, l2Roots, w)
 	}
-	for _, root := range sortedKeys(batches) {
-		if root == m.info.ID && m.isRoot {
-			m.assignLevel3(ctx, batches[root], w)
-		}
+	if level3 {
+		m.assignLevel3(ctx, w)
 	}
 
 	// Scheduled deactivation.
@@ -301,13 +321,15 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 	if m.local == 1 {
 		// Sampling step.
 		if ctx.Rand().Float64() < m.rootProb {
-			m.isRoot = true
-			m.root = &fwRootState{tree: make(map[graph.NodeID]fwSlot, m.info.Degree)}
+			// Room for levels 1 and 2 if every member had this node's
+			// degree; the table doubles past that.
+			d := m.info.Degree
+			m.root = &fwRootState{tree: newIDMap[fwSlot](min(m.info.N, d*d))}
 			for _, id := range m.info.NeighborIDs {
-				m.root.tree[id] = fwSlot{level: 1}
+				m.root.tree.put(id, fwSlot{level: 1})
 			}
 			m.scheduleDeactivate(fwRootDeactivate)
-			ctx.Broadcast(fwL1Invite{Root: m.info.ID, W: w})
+			ctx.Broadcast(fwL1Invite{Root: me, W: w})
 		}
 	}
 	if m.local == fwBroadcastRound {
@@ -319,79 +341,119 @@ func (m *fwMachine) OnRound(ctx sim.Context, inbox []sim.Delivery) {
 	}
 }
 
-// assignLevel2 runs at the root when all level-1 reports arrive: compute
-// the level-2 candidate set, assign each candidate its (lowest-ID) level-1
-// parent, and ship per-parent child lists (the BFS edge set S2).
-func (m *fwMachine) assignLevel2(ctx sim.Context, reports []fwChildReport, w int) {
-	me := m.info.ID
-	tree := m.root.tree
-	for _, rep := range reports {
-		for _, cand := range rep.Neighbors {
-			if cand == me {
-				continue
-			}
-			if s, ok := tree[cand]; !ok || s.level == 2 && rep.Child < s.parent {
-				tree[cand] = fwSlot{level: 2, parent: rep.Child}
-			}
-		}
+// fwEdge is a tree edge from parent to child; up is the parent's own
+// parent (zero above a level-1 parent).
+type fwEdge struct {
+	up, parent, child graph.NodeID
+}
+
+func (a fwEdge) cmp(b fwEdge) int {
+	if c := cmp.Compare(a.up, b.up); c != 0 {
+		return c
 	}
-	perParent := make(map[graph.NodeID][]graph.NodeID)
-	//lint:maporder-ok every perParent bucket is sorted before sending
-	for child, s := range tree {
-		if s.level == 2 {
-			perParent[s.parent] = append(perParent[s.parent], child)
-		}
+	if c := cmp.Compare(a.parent, b.parent); c != 0 {
+		return c
 	}
-	for _, parent := range sortedKeys(perParent) {
-		children := perParent[parent]
-		slices.Sort(children)
-		ctx.SendToID(parent, fwS2Assign{Root: me, Children: children, W: w})
+	return cmp.Compare(a.child, b.child)
+}
+
+// edgesInto returns the tree edges into level, sorted by up, parent and
+// child, and their children in that order.
+func (r *fwRootState) edgesInto(level int8) ([]fwEdge, []graph.NodeID) {
+	edges := make([]fwEdge, 0, r.joined)
+	r.joined = 0
+	r.tree.each(func(id graph.NodeID, s fwSlot) {
+		if s.level == level {
+			p, _ := r.tree.get(s.parent)
+			edges = append(edges, fwEdge{up: p.parent, parent: s.parent, child: id})
+		}
+	})
+	slices.SortFunc(edges, fwEdge.cmp)
+	children := make([]graph.NodeID, len(edges))
+	for i, e := range edges {
+		children[i] = e.child
+	}
+	return edges, children
+}
+
+// assignLevel2 runs at the root once all level-1 reports are filed: it
+// ships each level-1 node its level-2 children (the BFS edge set S2),
+// parents and children in ascending ID order.
+func (m *fwMachine) assignLevel2(ctx sim.Context, w int) {
+	edges, children := m.root.edgesInto(2)
+	for i := 0; i < len(edges); {
+		j := i + 1
+		for j < len(edges) && edges[j].parent == edges[i].parent {
+			j++
+		}
+		ctx.SendToID(edges[i].parent, fwS2Assign{Root: m.info.ID, Children: children[i:j:j], W: w})
+		i = j
 	}
 }
 
-// assignLevel3 runs at the root when all level-2 batches arrive: compute
-// level-3 candidates, assign each a level-2 parent, and route the edge set
-// S3 through the level-1 parents.
-func (m *fwMachine) assignLevel3(ctx sim.Context, reports []fwChildReport, w int) {
-	me := m.info.ID
-	tree := m.root.tree
-	l3Parent := make(map[graph.NodeID]graph.NodeID)
-	for _, rep := range reports {
-		for _, cand := range rep.Neighbors {
-			if _, inTree := tree[cand]; inTree || cand == me {
-				continue
-			}
-			if p, ok := l3Parent[cand]; !ok || rep.Child < p {
-				l3Parent[cand] = rep.Child
-			}
+// forwardLevel2 sends each root the reports of its tree's level-2 nodes
+// below this level-1 node in one batch, roots in ascending ID order and
+// each tree's reports in inbox order. reports[i] belongs to tree roots[i].
+func forwardLevel2(ctx sim.Context, reports []fwChildReport, roots []graph.NodeID, w int) {
+	if !slices.IsSorted(roots) {
+		// Sort (root, inbox position) keys, which hold no pointers, and
+		// permute the reports after them.
+		order := make([]fwInboxKey, len(roots))
+		for i, r := range roots {
+			order[i] = fwInboxKey{r, i}
 		}
+		slices.SortFunc(order, func(a, b fwInboxKey) int {
+			if c := cmp.Compare(a.root, b.root); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		sorted := make([]fwChildReport, len(reports))
+		for k, o := range order {
+			sorted[k], roots[k] = reports[o.pos], o.root
+		}
+		reports = sorted
 	}
-	// Group grandchildren by their level-2 parent, then by that parent's
-	// level-1 parent for routing.
-	perL2 := make(map[graph.NodeID][]graph.NodeID)
-	//lint:maporder-ok every perL2 bucket is sorted before use
-	for gc, l2 := range l3Parent {
-		perL2[l2] = append(perL2[l2], gc)
-	}
-	perL1 := make(map[graph.NodeID][]fwL3Entry)
-	for _, l2 := range sortedKeys(perL2) {
-		gcs := perL2[l2]
-		slices.Sort(gcs)
-		l1 := tree[l2].parent
-		perL1[l1] = append(perL1[l1], fwL3Entry{Child: l2, Grandchildren: gcs})
-	}
-	for _, l1 := range sortedKeys(perL1) {
-		ctx.SendToID(l1, fwS3Assign{Root: me, Entries: perL1[l1], W: w})
+	for i := 0; i < len(reports); {
+		j := i + 1
+		for j < len(reports) && roots[j] == roots[i] {
+			j++
+		}
+		ctx.SendToID(roots[i], fwL2Batch{Root: roots[i], Reports: reports[i:j:j], W: w})
+		i = j
 	}
 }
 
-// sortedKeys returns the keys of a map in ascending order for
-// deterministic iteration.
-func sortedKeys[V any](m map[graph.NodeID]V) []graph.NodeID {
-	keys := make([]graph.NodeID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// fwInboxKey is a level-2 report's tree root and position in the inbox.
+type fwInboxKey struct {
+	root graph.NodeID
+	pos  int
+}
+
+// assignLevel3 runs at the root once all level-2 batches are filed: it
+// routes the level-2→3 edge set S3 through the level-1 nodes, each getting
+// one entry per level-2 child that has children, all in ascending ID
+// order.
+func (m *fwMachine) assignLevel3(ctx sim.Context, w int) {
+	edges, grandchildren := m.root.edgesInto(3)
+	l2s := 0
+	for i, e := range edges {
+		if i == 0 || e.parent != edges[i-1].parent {
+			l2s++
+		}
 	}
-	slices.Sort(keys)
-	return keys
+	entries := make([]fwL3Entry, 0, l2s)
+	for i := 0; i < len(edges); {
+		l1, first := edges[i].up, len(entries)
+		for i < len(edges) && edges[i].up == l1 {
+			j := i + 1
+			for j < len(edges) && edges[j].parent == edges[i].parent {
+				j++
+			}
+			entries = append(entries, fwL3Entry{Child: edges[i].parent, Grandchildren: grandchildren[i:j:j]})
+			i = j
+		}
+		ctx.SendToID(l1, fwS3Assign{Root: m.info.ID, Entries: entries[first:len(entries):len(entries)], W: w})
+	}
+	m.root = nil // the tree is complete; nothing reads it again
 }

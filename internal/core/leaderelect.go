@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"riseandshine/internal/graph"
 	"riseandshine/internal/sim"
@@ -43,7 +44,7 @@ func (a LeaderElect) NewMachine(info sim.NodeInfo) sim.Program {
 	if rb > 62 {
 		rb = 62
 	}
-	return &leaderMachine{info: info, rankBits: rb, bestOrigin: -1, report: a.Report}
+	return &leaderMachine{info: info, rankBits: rb, bestOrigin: math.MinInt64, report: a.Report}
 }
 
 // leaderToken extends the DFS token with parent pointers so that the
@@ -57,7 +58,7 @@ type leaderToken struct {
 	Parents []graph.NodeID // Parents[i] is the DFS parent of Visited[i] (-1 for the origin)
 	Stack   []graph.NodeID
 	idBits  int
-	seen    map[graph.NodeID]struct{} // indexes Visited, as in dfsToken
+	seen    idMap[struct{}] // indexes Visited, as in dfsToken
 }
 
 // Bits implements sim.Message.
@@ -110,8 +111,8 @@ func (m *leaderMachine) OnWake(ctx sim.Context) {
 		Parents: []graph.NodeID{-1},
 		Stack:   []graph.NodeID{me},
 		idBits:  m.info.LogN + 1,
-		seen:    map[graph.NodeID]struct{}{me: {}},
 	}
+	t.seen.put(me, struct{}{})
 	m.advance(ctx, t)
 }
 
@@ -130,10 +131,9 @@ func (m *leaderMachine) OnMessage(ctx sim.Context, d sim.Delivery) {
 
 func (m *leaderMachine) advance(ctx sim.Context, t *leaderToken) {
 	me := m.info.ID
-	next := unvisitedMin(m.info.NeighborIDs, t.seen)
-	if next != -1 {
+	if next, ok := unvisitedMin(m.info.NeighborIDs, &t.seen); ok {
 		t.Visited = append(t.Visited, next)
-		t.seen[next] = struct{}{}
+		t.seen.put(next, struct{}{})
 		t.Parents = append(t.Parents, me)
 		t.Stack = append(t.Stack, next)
 		ctx.SendToID(next, t)
@@ -166,9 +166,10 @@ func (m *leaderMachine) decide(ctx sim.Context, a leaderAnnounce) {
 		m.report(m.info.ID, a.Leader)
 	}
 	me := m.info.ID
-	for i, id := range a.Visited {
+	// Visited[0] is the leader, whose parent entry is only a placeholder.
+	for i := 1; i < len(a.Visited); i++ {
 		if a.Parents[i] == me {
-			ctx.SendToID(id, a)
+			ctx.SendToID(a.Visited[i], a)
 		}
 	}
 }

@@ -24,20 +24,16 @@ func (o *tokenIndexObserver) OnFinish(*sim.Result) error             { return ni
 func (o *tokenIndexObserver) OnDeliver(at sim.Time, node int, d sim.Delivery) {
 	switch tok := d.Msg.(type) {
 	case *dfsToken:
-		o.check(at, node, tok.Visited, tok.seen)
+		o.check(at, node, tok.Visited, &tok.seen)
 	case *leaderToken:
-		o.check(at, node, tok.Visited, tok.seen)
+		o.check(at, node, tok.Visited, &tok.seen)
 	}
 }
 
-func (o *tokenIndexObserver) check(at sim.Time, node int, visited []graph.NodeID, seen map[graph.NodeID]struct{}) {
+func (o *tokenIndexObserver) check(at sim.Time, node int, visited []graph.NodeID, seen *idMap[struct{}]) {
 	o.t.Helper()
 	o.tokens++
-	keys := make([]graph.NodeID, 0, len(seen))
-	for id := range seen {
-		keys = append(keys, id)
-	}
-	slices.Sort(keys)
+	keys := seen.keys()
 	want := slices.Clone(visited)
 	slices.Sort(want)
 	if !slices.Equal(keys, want) {
@@ -99,12 +95,16 @@ func TestTokenIndexMatchesVisited(t *testing.T) {
 // index, exactly as before the index existed.
 func TestTokenDigestForm(t *testing.T) {
 	ids := func(v ...graph.NodeID) []graph.NodeID { return v }
+	seenOf := func(v graph.NodeID) (m idMap[struct{}]) {
+		m.put(v, struct{}{})
+		return m
+	}
 	cases := []struct {
 		tok  sim.Message
 		want string
 	}{
 		{
-			&dfsToken{Rank: 0, Origin: 0, Visited: ids(0), idBits: 1, seen: map[graph.NodeID]struct{}{0: {}}},
+			&dfsToken{Rank: 0, Origin: 0, Visited: ids(0), idBits: 1, seen: seenOf(0)},
 			"&core.dfsToken{Rank:0x0, Origin:0, Visited:[]graph.NodeID{0}, Stack:[]graph.NodeID(nil), idBits:1}",
 		},
 		{
@@ -116,7 +116,7 @@ func TestTokenDigestForm(t *testing.T) {
 			"&core.dfsToken{Rank:0x1a2b3c, Origin:9, Visited:[]graph.NodeID{9, 8}, Stack:[]graph.NodeID{}, idBits:5}",
 		},
 		{
-			&leaderToken{Rank: 0, Origin: 5, Visited: ids(5), Parents: ids(-1), idBits: 4, seen: map[graph.NodeID]struct{}{5: {}}},
+			&leaderToken{Rank: 0, Origin: 5, Visited: ids(5), Parents: ids(-1), idBits: 4, seen: seenOf(5)},
 			"&core.leaderToken{Rank:0x0, Origin:5, Visited:[]graph.NodeID{5}, Parents:[]graph.NodeID{-1}, Stack:[]graph.NodeID(nil), idBits:4}",
 		},
 		{

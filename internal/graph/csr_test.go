@@ -11,7 +11,8 @@ import (
 func checkCSR(t *testing.T, pm *PortMap) {
 	t.Helper()
 	g := pm.Graph()
-	start, to, rev := pm.CSR()
+	start, to := pm.CSR()
+	rev := pm.RevPorts()
 	if len(start) != g.N()+1 || int(start[g.N()]) != 2*g.M() {
 		t.Fatalf("CSR shape: len(start)=%d want %d, start[n]=%d want %d",
 			len(start), g.N()+1, start[g.N()], 2*g.M())

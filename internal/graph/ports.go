@@ -24,26 +24,15 @@ type PortMap struct {
 	g     *Graph
 	start []int32 // CSR offsets; aliases the graph's table
 	ports []int32 // ports[start[v]+p-1] = neighbor index reached via port p
-	inv   []int32 // inv[start[v]+i] = port at v leading to Neighbors(v)[i]
+	inv   []int32 // inv[start[v]+i] = port at v leading to Neighbors(v)[i]; nil: i+1
 }
 
 // IdentityPorts returns the port map where port p at v leads to the p-th
-// smallest neighbor of v. Its port table is the graph's neighbour array.
+// smallest neighbor of v. Its port table is the graph's neighbour array,
+// and it has no inverse table: the inverse is the identity too.
 func IdentityPorts(g *Graph) *PortMap {
 	off, nbr := g.CSR()
-	pm := &PortMap{
-		g:     g,
-		start: off,
-		ports: nbr,
-		inv:   make([]int32, len(nbr)),
-	}
-	for v := 0; v < g.N(); v++ {
-		seg := pm.inv[off[v]:off[v+1]]
-		for i := range seg {
-			seg[i] = int32(i + 1)
-		}
-	}
-	return pm
+	return &PortMap{g: g, start: off, ports: nbr}
 }
 
 // RandomPorts returns a port map where every node's port bijection is an
@@ -91,6 +80,16 @@ func (pm *PortMap) Fits(g *Graph) bool {
 
 func (pm *PortMap) degree(v int) int { return int(pm.start[v+1] - pm.start[v]) }
 
+// portOf returns the port at v leading to Neighbors(v)[i].
+//
+//wakeup:noalloc
+func (pm *PortMap) portOf(v int, i int32) int32 {
+	if pm.inv == nil {
+		return i + 1
+	}
+	return pm.inv[pm.start[v]+i]
+}
+
 // Neighbor returns the node index reached from v via port p (1-based).
 //
 //wakeup:noalloc
@@ -107,6 +106,19 @@ func (pm *PortMap) Neighbor(v, p int) int {
 //
 //wakeup:noalloc
 func (pm *PortMap) PortTo(v, u int) int {
+	p, ok := pm.FindPort(v, u)
+	if !ok {
+		//lint:noalloc-ok panic formatting on the programming-error path only
+		panic(fmt.Sprintf("graph: %d is not a neighbor of %d", u, v))
+	}
+	return p
+}
+
+// FindPort returns the port at v whose edge leads to u, and whether u is a
+// neighbor of v at all: one binary search of v's sorted adjacency.
+//
+//wakeup:noalloc
+func (pm *PortMap) FindPort(v, u int) (port int, ok bool) {
 	adj := pm.g.Neighbors(v)
 	t := int32(u)
 	lo, hi := 0, len(adj)
@@ -119,30 +131,34 @@ func (pm *PortMap) PortTo(v, u int) int {
 		}
 	}
 	if lo >= len(adj) || adj[lo] != t {
-		//lint:noalloc-ok panic formatting on the programming-error path only
-		panic(fmt.Sprintf("graph: %d is not a neighbor of %d", u, v))
+		return 0, false
 	}
-	return int(pm.inv[pm.start[v]+int32(lo)])
+	return int(pm.portOf(v, int32(lo))), true
 }
 
 // CSR exports the port mapping as flat compressed-sparse-row arrays over
 // directed edges. The out-edge of node v addressed by port p (1-based)
 // lives at flat index start[v]+p-1; start[n] equals 2·M(). For that edge,
-// to[ei] is the neighbor index the port leads to, and rev[ei] is the port
-// at the neighbor whose edge leads back to v — i.e. PortTo(to[ei], v) —
-// precomputed so per-message paths never binary-search the adjacency list.
+// to[ei] is the neighbor index the port leads to.
 //
 // start is the graph's offset table and to is the map's own port table
 // (for an identity map, the graph's neighbour array), both shared and not
-// to be modified; rev is built on each call.
-func (pm *PortMap) CSR() (start, to, rev []int32) {
-	n := pm.g.N()
+// to be modified.
+func (pm *PortMap) CSR() (start, to []int32) {
 	start = pm.start
 	if start == nil {
 		start = make([]int32, 1) // zero-value Graph: one all-zero offset
 	}
-	to = pm.ports
-	rev = make([]int32, len(pm.ports))
+	return start, pm.ports
+}
+
+// RevPorts returns, for each directed edge ei of CSR, the port at the
+// neighbor whose edge leads back — i.e. PortTo(to[ei], v) — precomputed so
+// per-message paths never binary-search the adjacency list. It is built on
+// each call.
+func (pm *PortMap) RevPorts() []int32 {
+	n := pm.g.N()
+	rev := make([]int32, len(pm.ports))
 	// Fill rev in O(m): scanning nodes in ascending order, the neighbors u
 	// of any fixed node w are visited in ascending u as well, and the
 	// adjacency segments are sorted — so u's position in w's segment is just
@@ -153,18 +169,18 @@ func (pm *PortMap) CSR() (start, to, rev []int32) {
 		for i, w := range pm.g.Neighbors(u) {
 			j := seen[w]
 			seen[w]++
-			// directed edge u→w via port inv[base+i]; its reverse port is
+			// directed edge u→w via port portOf(u, i); its reverse port is
 			// the port at w leading to the j-th neighbor of w, which is u.
-			rev[base+pm.inv[base+int32(i)]-1] = pm.inv[pm.start[w]+j]
+			rev[base+pm.portOf(u, int32(i))-1] = pm.portOf(int(w), j)
 		}
 	}
-	return start, to, rev
+	return rev
 }
 
 // Validate checks that every node's port assignment is a bijection onto its
 // neighbor set and that the inverse table is consistent.
 func (pm *PortMap) Validate() error {
-	if n := pm.g.N(); n > 0 && (int(pm.start[n]) != len(pm.ports) || len(pm.ports) != len(pm.inv)) {
+	if n := pm.g.N(); n > 0 && (int(pm.start[n]) != len(pm.ports) || pm.inv != nil && len(pm.ports) != len(pm.inv)) {
 		return fmt.Errorf("graph: port tables have %d/%d entries for %d directed edges", len(pm.ports), len(pm.inv), pm.start[n])
 	}
 	for v := 0; v < pm.g.N(); v++ {
@@ -183,7 +199,7 @@ func (pm *PortMap) Validate() error {
 			seen[w] = true
 		}
 		for i, w := range adj {
-			p := int(pm.inv[pm.start[v]+int32(i)])
+			p := int(pm.portOf(v, int32(i)))
 			if pm.Neighbor(v, p) != int(w) {
 				return fmt.Errorf("graph: node %d inverse port table inconsistent at neighbor %d", v, w)
 			}

@@ -22,6 +22,9 @@ func TestIdentityPorts(t *testing.T) {
 	if pm.Graph() != g {
 		t.Error("Graph() accessor broken")
 	}
+	if pm.inv != nil {
+		t.Error("the identity map holds an inverse table")
+	}
 }
 
 func TestRandomPortsAreBijections(t *testing.T) {
@@ -36,20 +39,33 @@ func TestRandomPortsAreBijections(t *testing.T) {
 }
 
 // TestPortInverseProperty checks port/port⁻¹ duality on arbitrary random
-// graphs: Neighbor(v, PortTo(v, u)) == u for every edge.
+// graphs, under random and identity ports: Neighbor(v, PortTo(v, u)) == u
+// for every edge, and FindPort finds the same port there and none for a
+// non-neighbour.
 func TestPortInverseProperty(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := int(nRaw)%50 + 2
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomConnected(n, 0.2, rng)
-		pm := RandomPorts(g, rng)
-		for _, e := range g.Edges() {
-			u, v := e[0], e[1]
-			if pm.Neighbor(u, pm.PortTo(u, v)) != v {
-				return false
+		for _, pm := range []*PortMap{RandomPorts(g, rng), IdentityPorts(g)} {
+			for _, e := range g.Edges() {
+				u, v := e[0], e[1]
+				if pm.Neighbor(u, pm.PortTo(u, v)) != v {
+					return false
+				}
+				if pm.Neighbor(v, pm.PortTo(v, u)) != u {
+					return false
+				}
+				if p, ok := pm.FindPort(u, v); !ok || p != pm.PortTo(u, v) {
+					return false
+				}
 			}
-			if pm.Neighbor(v, pm.PortTo(v, u)) != u {
-				return false
+			for u := 0; u < n; u++ {
+				for _, v := range []int{-1, u, n, rng.Intn(n)} {
+					if _, ok := pm.FindPort(u, v); ok != (v != u && v >= 0 && v < n && g.HasEdge(u, v)) {
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -102,10 +118,12 @@ func TestRandomPortsCoverDistinctMappings(t *testing.T) {
 // randomPortsReference is the shuffle-plus-search construction RandomPorts
 // replaced: shuffle each node's neighbours, then binary-search every one
 // back into the sorted adjacency to fill the inverse table. An identity
-// map's port table is the graph's neighbour array, so it shuffles a copy.
+// map's port table is the graph's neighbour array and it has no inverse
+// table, so it shuffles a copy into tables of its own.
 func randomPortsReference(g *Graph, rng *rand.Rand) *PortMap {
 	pm := IdentityPorts(g)
 	pm.ports = slices.Clone(pm.ports)
+	pm.inv = make([]int32, len(pm.ports))
 	for v := 0; v < g.N(); v++ {
 		seg := pm.ports[pm.start[v]:pm.start[v+1]]
 		rng.Shuffle(len(seg), func(i, j int) {

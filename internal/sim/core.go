@@ -418,13 +418,13 @@ func (c *engineCore) sendToID(from int, id graph.NodeID, m Message) {
 		c.err = fmt.Errorf("sim: SendToID requires KT1 (model is %v)", r.s.Model.Knowledge)
 		return
 	}
-	to := r.g.IndexOf(id)
-	if to == -1 || !r.g.HasEdge(from, to) {
+	port, ok := r.s.Ports.FindPort(from, r.g.IndexOf(id))
+	if !ok {
 		//lint:noalloc-ok error formatting aborts the run; never on the steady-state path
 		c.err = fmt.Errorf("sim: node ID %d has no neighbor with ID %d", r.g.ID(from), id)
 		return
 	}
-	c.send(from, r.s.Ports.PortTo(from, to), m)
+	c.send(from, port, m)
 }
 
 // reset readies the core for a run of run: per-run counters, tallies

@@ -15,7 +15,7 @@ type edgeFIFO[T any] struct {
 }
 
 func newEdgeFIFO[T any](pm *graph.PortMap) edgeFIFO[T] {
-	start, to, _ := pm.CSR()
+	start, to := pm.CSR()
 	return edgeFIFO[T]{start: start, to: to, queue: make([][]T, len(to)), head: make([]int, len(to))}
 }
 

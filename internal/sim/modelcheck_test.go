@@ -136,3 +136,20 @@ func TestModelCheckViolations(t *testing.T) {
 		})
 	}
 }
+
+// TestEdgeFIFOReadsPortTables pins that the edge bookkeeping of ModelCheck
+// and CausalObserver reads the port map's offset and port tables in place:
+// building it allocates its two per-edge arrays and nothing else, no
+// reverse-port table.
+func TestEdgeFIFOReadsPortTables(t *testing.T) {
+	g := graph.BinaryTree(1000)
+	pm := graph.IdentityPorts(g)
+	start, to := pm.CSR()
+	f := newEdgeFIFO[int32](pm)
+	if &f.start[0] != &start[0] || &f.to[0] != &to[0] {
+		t.Error("edgeFIFO copies the port map's tables")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { newEdgeFIFO[int32](pm) }); allocs != 2 {
+		t.Errorf("newEdgeFIFO allocates %v times, want 2 (queue and head)", allocs)
+	}
+}

@@ -25,7 +25,7 @@ type Setup struct {
 	CongestLimit int
 
 	// EdgeStart, EdgeTo and RevPort are the CSR edge-metadata arrays of the
-	// engine's send path (see graph.PortMap.CSR): the out-edge of
+	// engine's send path (graph.PortMap.CSR and RevPorts): the out-edge of
 	// node v addressed by port p lives at flat index EdgeStart[v]+p-1,
 	// EdgeTo[ei] is the receiving node, and RevPort[ei] is the receiver-side
 	// port — PortTo precomputed once per topology, so no per-message binary
@@ -100,7 +100,8 @@ func NewSetup(g *graph.Graph, ports *graph.PortMap, model Model, advice [][]byte
 		adviceTotalBits: totalBits,
 		adviceMaxBits:   maxBits,
 	}
-	s.EdgeStart, s.EdgeTo, s.RevPort = ports.CSR()
+	s.EdgeStart, s.EdgeTo = ports.CSR()
+	s.RevPort = ports.RevPorts()
 	if model.Knowledge == KT1 {
 		s.neighborIDs = make([]graph.NodeID, len(s.EdgeTo))
 		for ei, to := range s.EdgeTo {

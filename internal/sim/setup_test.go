@@ -274,7 +274,7 @@ func TestSetupSharesNeighbourArray(t *testing.T) {
 	wantOff, wantNbr := slices.Clone(off), slices.Clone(nbr)
 	shared := func(a, b []int32) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
 
-	if _, to, _ := graph.IdentityPorts(g).CSR(); !shared(to, nbr) {
+	if _, to := graph.IdentityPorts(g).CSR(); !shared(to, nbr) {
 		t.Error("IdentityPorts' port table is not the graph's neighbour array")
 	}
 	for _, kt := range []Knowledge{KT0, KT1} {
@@ -284,7 +284,7 @@ func TestSetupSharesNeighbourArray(t *testing.T) {
 		}
 	}
 	random := graph.RandomPorts(g, rng)
-	_, rto, _ := random.CSR()
+	_, rto := random.CSR()
 	if s := mustSetup(g, random, Model{Knowledge: KT1, Bandwidth: Congest}, nil, nil); !shared(s.EdgeTo, rto) {
 		t.Error("random-port Setup copies the port map's table instead of sharing it")
 	}
