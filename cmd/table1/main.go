@@ -10,6 +10,13 @@
 // Each row's (size × seed) matrix fans out over a bounded worker pool
 // (-workers, default NumCPU); per-run seeds derive from (master seed, run
 // index), so the output is byte-identical for any worker count.
+//
+// Cell i of a row runs on the graph its spec parses to with seed
+// sim.RunSeed(master, i). Five rows share the connected:%d:0.01 specs and
+// sizes, so the command builds each (spec, seed) graph once and hands the
+// rows the same instance: graphs are immutable and safe to share between
+// workers, and a graph keeps its diameter, so the D column computes each
+// one once.
 package main
 
 import (
@@ -19,6 +26,8 @@ import (
 	"os"
 
 	"riseandshine/internal/experiment"
+	"riseandshine/internal/graph"
+	"riseandshine/internal/sim"
 	"riseandshine/internal/stats"
 )
 
@@ -103,24 +112,44 @@ func main() {
 	}
 
 	runner := experiment.Runner{Workers: *workers, MasterSeed: *seed}
+	graphs := make(map[graphKey]*graph.Graph)
 	for _, row := range rows {
-		if err := runRow(runner, row, *seeds); err != nil {
+		if err := runRow(runner, row, *seeds, graphs); err != nil {
 			fmt.Fprintf(os.Stderr, "table1: %s: %v\n", row.paper, err)
 			os.Exit(1)
 		}
 	}
 }
 
-func runRow(runner experiment.Runner, row rowSpec, seeds int) error {
+// graphKey names a built graph: its spec and the seed it was parsed with.
+type graphKey struct {
+	spec string
+	seed int64
+}
+
+// runRow runs and prints one row. graphs holds every graph an earlier row
+// built; the row takes its cells' graphs from it and adds those it builds.
+func runRow(runner experiment.Runner, row rowSpec, seeds int, graphs map[graphKey]*graph.Graph) error {
 	fmt.Printf("== %s — algorithm %q on %s (schedule %s, delays %s) ==\n",
 		row.paper, row.name, row.graph, row.schedule, row.delays)
 
-	// One spec per (size, seed) cell, in deterministic matrix order.
+	// One spec per (size, seed) cell, in deterministic matrix order. The
+	// Runner seeds cell i with sim.RunSeed(master, i), the seed its graph
+	// is parsed with.
 	var specs []experiment.RunSpec
 	for _, n := range row.sizes {
 		for s := 0; s < seeds; s++ {
+			key := graphKey{fmt.Sprintf(row.graph, n), sim.RunSeed(runner.MasterSeed, len(specs))}
+			g := graphs[key]
+			if g == nil {
+				var err error
+				if g, err = experiment.ParseGraph(key.spec, key.seed); err != nil {
+					return err
+				}
+				graphs[key] = g
+			}
 			specs = append(specs, experiment.RunSpec{
-				Graph:       fmt.Sprintf(row.graph, n),
+				G:           g,
 				Algorithm:   row.name,
 				K:           row.k,
 				Schedule:    row.schedule,

@@ -253,18 +253,32 @@ func RandomGNP(n int, p float64, rng *rand.Rand) *Graph {
 
 // RandomConnected returns a connected random graph: a uniform random tree
 // plus each non-tree edge independently with probability p.
+//
+// The pairs {u, v}, u < v, are drawn in lexicographic order, one draw per
+// non-tree pair. u's tree neighbours are sorted, so the draws run over the
+// gaps between those above u, and no pair needs an edge lookup.
 func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 	t := RandomTree(n, rng)
 	b := NewBuilder(n)
 	for _, e := range t.Edges() {
 		b.AddEdge(e[0], e[1])
 	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if !t.HasEdge(u, v) && rng.Float64() < p {
+	draw := func(u, from, to int) {
+		for v := from; v < to; v++ {
+			if rng.Float64() < p {
 				b.AddEdge(u, v)
 			}
 		}
+	}
+	for u := 0; u < n; u++ {
+		v := u + 1
+		for _, w := range t.Neighbors(u) {
+			if int(w) > u {
+				draw(u, v, int(w))
+				v = int(w) + 1
+			}
+		}
+		draw(u, v, n)
 	}
 	return b.MustBuild()
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // NodeID is the application-visible identifier of a node. The paper assumes
@@ -37,12 +38,19 @@ type NodeID int64
 // IDs default to the identity assignment id(v) = v, represented implicitly
 // (ids and idx stay nil) so million-node graphs don't carry an O(n) ID
 // table and an O(n) hash map they never use; SetIDs materializes both.
+//
+// A Graph holds an atomic and must not be copied by value.
 type Graph struct {
 	off []int32 // CSR offsets, len N()+1
 	nbr []int32 // CSR neighbor indices, sorted ascending within each node
 	ids []NodeID
 	idx map[NodeID]int
 	m   int
+	// diam memoizes Diameter: 0 until a call has computed it, then -1 for
+	// a disconnected graph and D+1 otherwise (D < n fits). The structure
+	// never changes after Build, so the value stays correct; concurrent
+	// first callers may each compute it and store the same value.
+	diam atomic.Int32
 }
 
 // maxDirected bounds the directed-edge count (and node count) so all CSR
@@ -289,13 +297,15 @@ func (g *Graph) Subgraph(edges [][2]int) (*Graph, error) {
 }
 
 // Clone returns a deep copy of g. The copy can receive a different ID
-// assignment without affecting the original.
+// assignment without affecting the original. It shares g's structure, and
+// with it any diameter g has already computed.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		off: g.off, // CSR tables are immutable and safely shared
 		nbr: g.nbr,
 		m:   g.m,
 	}
+	c.diam.Store(g.diam.Load())
 	if g.ids != nil {
 		c.ids = append([]NodeID(nil), g.ids...)
 		c.idx = make(map[NodeID]int, len(g.idx))

@@ -106,6 +106,27 @@ func eccentricity(g *Graph, s *bfsScratch, v int) int {
 // Diameter returns the exact diameter. It returns ErrDisconnected for
 // disconnected graphs.
 //
+// The first call computes the answer (see diameter) and the graph keeps
+// it, so later calls, on the graph or on its clones, cost one atomic load.
+// Safe for concurrent use.
+func (g *Graph) Diameter() (int, error) {
+	switch memo := g.diam.Load(); {
+	case memo > 0:
+		return int(memo - 1), nil
+	case memo < 0:
+		return 0, ErrDisconnected
+	}
+	d, err := diameter(g)
+	if err != nil {
+		g.diam.Store(-1)
+	} else {
+		g.diam.Store(int32(d + 1))
+	}
+	return d, err
+}
+
+// diameter computes g's exact diameter, or ErrDisconnected.
+//
 // It squeezes the answer between a lower and an upper bound (iFUB;
 // Crescenzi, Grossi, Habib, Lanzi and Marino, TCS 2013). A double sweep —
 // a BFS from node 0, then one from the farthest node a it reaches — gives
@@ -140,7 +161,7 @@ func eccentricity(g *Graph, s *bfsScratch, v int) int {
 // and the worst case, where every node must be a source (a cycle), stays
 // within the O(n·m) of a BFS per node. The scratch is two allocations at
 // any n.
-func (g *Graph) Diameter() (int, error) {
+func diameter(g *Graph) (int, error) {
 	n := g.N()
 	if n == 0 {
 		return 0, nil

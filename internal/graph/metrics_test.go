@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -91,6 +93,75 @@ func TestDiameterKnownValues(t *testing.T) {
 		if d != tc.want {
 			t.Errorf("%s: diameter = %d, want %d", tc.name, d, tc.want)
 		}
+	}
+}
+
+// TestDiameterMemo checks the value Diameter keeps: repeated calls, a
+// disconnected graph, concurrent first calls, and the graphs Clone and
+// Subgraph derive from a graph that has already computed its diameter.
+func TestDiameterMemo(t *testing.T) {
+	g := Grid(5, 9)
+	for i := 0; i < 3; i++ {
+		if d, err := g.Diameter(); d != 12 || err != nil {
+			t.Fatalf("call %d: Diameter = %d, %v; want 12", i, d, err)
+		}
+	}
+	if a := testing.AllocsPerRun(3, func() { g.Diameter() }); a != 0 {
+		t.Errorf("a kept diameter allocates %.0f times per call, want 0", a)
+	}
+
+	b := NewBuilder(4)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	split := b.MustBuild()
+	for i := 0; i < 3; i++ {
+		if _, err := split.Diameter(); !errors.Is(err, ErrDisconnected) {
+			t.Fatalf("call %d on a disconnected graph: err = %v, want ErrDisconnected", i, err)
+		}
+	}
+
+	fresh := RandomConnected(300, 0.02, rand.New(rand.NewSource(5)))
+	want, _ := diameterReference(fresh)
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = fresh.Diameter()
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != want {
+			t.Errorf("goroutine %d: Diameter = %d, want %d", i, d, want)
+		}
+	}
+
+	// A clone shares the structure and the memo; a subgraph has its own.
+	cycle := Cycle(8)
+	if d, _ := cycle.Diameter(); d != 4 {
+		t.Fatalf("cycle8: Diameter = %d, want 4", d)
+	}
+	if d, err := cycle.Clone().Diameter(); d != 4 || err != nil {
+		t.Errorf("clone of cycle8: Diameter = %d, %v; want 4", d, err)
+	}
+	path, err := cycle.Subgraph(cycle.Edges()[1:]) // drop {0,1}: a path 1-2-…-7-0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := path.Diameter(); d != 7 || err != nil {
+		t.Errorf("cycle8 less an edge: Diameter = %d, %v; want 7", d, err)
+	}
+	apart, err := cycle.Subgraph(cycle.Edges()[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := apart.Diameter(); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("cycle8 less two edges: err = %v, want ErrDisconnected", err)
+	}
+	if d, err := split.Clone().Diameter(); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("clone of a disconnected graph: Diameter = %d, %v; want ErrDisconnected", d, err)
 	}
 }
 

@@ -27,6 +27,25 @@ func diameterReference(g *Graph) (int, error) {
 	return diam, nil
 }
 
+// randomConnectedReference is RandomConnected as it was first written: a
+// HasEdge search on the tree for every node pair, then a draw for each
+// pair the tree lacks.
+func randomConnectedReference(n int, p float64, rng *rand.Rand) *Graph {
+	t := RandomTree(n, rng)
+	b := NewBuilder(n)
+	for _, e := range t.Edges() {
+		b.AddEdge(e[0], e[1])
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !t.HasEdge(u, v) && rng.Float64() < p {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
 // greedySpannerReference is the edge-by-edge greedy spanner: for each edge
 // of Edges in order, a fresh BFS over the spanner so far, bounded at
 // 2k−1, decides whether the edge is kept. It returns the kept edges in
@@ -199,9 +218,31 @@ func differentialGraphs() map[string]*Graph {
 func TestDiameterMatchesReference(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		want, wantErr := diameterReference(g)
-		got, err := g.Diameter()
+		got, err := diameter(g)
 		if got != want || err != wantErr {
 			t.Errorf("%s: Diameter = %d, %v; reference %d, %v", name, got, err, want, wantErr)
+		}
+	}
+}
+
+// TestRandomConnectedMatchesPairScan checks that the gap walk draws
+// exactly as the per-pair scan did: the same edges, and the generator left
+// at the same point of its stream.
+func TestRandomConnectedMatchesPairScan(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 64, 257, 1000} {
+		for _, p := range []float64{0, 0.01, 0.3, 1} {
+			for seed := int64(1); seed <= 3; seed++ {
+				gotRNG, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := RandomConnected(n, p, gotRNG)
+				want := randomConnectedReference(n, p, wantRNG)
+				name := fmt.Sprintf("n=%d p=%g seed=%d", n, p, seed)
+				if !slices.Equal(got.Edges(), want.Edges()) {
+					t.Errorf("%s: edges differ from the pair scan (%d vs %d edges)", name, got.M(), want.M())
+				}
+				if a, b := gotRNG.Int63(), wantRNG.Int63(); a != b {
+					t.Errorf("%s: next draw %d, pair scan %d", name, a, b)
+				}
+			}
 		}
 	}
 }
@@ -508,7 +549,7 @@ func FuzzDiameter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, _ uint8) {
 		g := fuzzGraph(data)
 		want, wantErr := diameterReference(g)
-		got, err := g.Diameter()
+		got, err := diameter(g)
 		if got != want || err != wantErr {
 			t.Fatalf("n=%d m=%d: Diameter = %d, %v; reference %d, %v", g.N(), g.M(), got, err, want, wantErr)
 		}
